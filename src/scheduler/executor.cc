@@ -3,61 +3,26 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
-#include <map>
-#include <memory>
-#include <optional>
 
 #include "common/cancellation.h"
 #include "common/sync.h"
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "query/join_tree.h"
-#include "sit/oracle_factory.h"
-#include "sit/sweep_scan.h"
 #include "telemetry/telemetry.h"
 
 namespace sitstats {
 
 namespace {
 
-bool UsesSampling(SweepVariant variant) {
-  return variant == SweepVariant::kSweep ||
-         variant == SweepVariant::kSweepIndex;
-}
-
-bool UsesExactOracle(SweepVariant variant) {
-  return variant == SweepVariant::kSweepIndex ||
-         variant == SweepVariant::kSweepExact;
-}
-
-/// Per-SIT execution state: the join tree, its internal nodes in scan
-/// order, how many scans have completed, the last scan's output, and the
-/// SIT's private random stream (seeded from the descriptor so results are
-/// independent of batch composition and thread count). Steps of the same
-/// SIT are ordered by the dependency DAG, so only one in-flight step ever
-/// touches a given SitState.
-struct SitState {
-  std::optional<JoinTree> tree;
-  std::vector<int> scan_nodes;  // internal nodes, post-order
-  size_t next_scan = 0;
-  std::optional<SweepOutput> last_output;
-  bool done = false;
-  std::optional<Rng> rng;
-};
-
 /// One schedule step, fully resolved and validated up front so execution
 /// needs no further schedule bookkeeping: which table to scan, which SIT
-/// join-tree node each advanced sequence contributes, and the DAG edges.
-/// Step j depends on step i < j iff they advance a common SIT; steps with
-/// disjoint SIT sets only share read-only catalog state and may run
-/// concurrently.
-struct PlannedTarget {
-  size_t sit;
-  int node_index;
-};
+/// builds it advances, and the DAG edges. Step j depends on step i < j iff
+/// they advance a common SIT; steps with disjoint SIT sets only share
+/// read-only catalog state and may run concurrently.
 struct PlannedStep {
   std::string table;
-  std::vector<PlannedTarget> targets;
+  std::vector<size_t> sits;
   std::vector<size_t> dependents;  // steps waiting on this one
   size_t num_deps = 0;
 };
@@ -73,7 +38,6 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     return Status::InvalidArgument(
         "schedules execute Sweep-family variants, not Hist-SIT");
   }
-  const bool exact_oracle = UsesExactOracle(options.variant);
   // Solve/execute boundary: schedules arrive from callers, so re-prove
   // them gracefully before sharing scans according to them — a corrupt
   // advancing set would build SITs from the wrong intermediate
@@ -88,10 +52,9 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
   exec_span.AddAttribute("threads", static_cast<double>(threads));
   IoStats before = catalog->SnapshotMetrics();
 
-  // Sequence index -> SIT index, and per-SIT state. Chains only: at most
-  // one sequence per SIT.
+  // Sequence index -> SIT index. Chains only: at most one sequence per
+  // SIT.
   std::vector<int> sit_of_sequence(mapping.problem.num_sequences(), -1);
-  std::vector<SitState> states(sits.size());
   std::vector<bool> has_sequence(sits.size(), false);
   for (size_t seq = 0; seq < mapping.sequence_sit.size(); ++seq) {
     size_t s = mapping.sequence_sit[seq];
@@ -106,20 +69,28 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     has_sequence[s] = true;
     sit_of_sequence[seq] = static_cast<int>(s);
   }
+
+  // One source for the whole execution, linked to the caller's token:
+  // cancelling either (request timeout upstream, or the first failing
+  // step below) flips the same signal, and every in-flight sweep scan
+  // polls it in its row loop — so an abort is prompt, not
+  // "whenever the running scans happen to finish".
+  CancellationSource abort(options.cancel);
+  const CancellationToken abort_token = abort.token();
+  SitBuildOptions build_options = options;
+  build_options.cancel = abort_token;
+  // Never resized after this loop: AdvanceSweepBuilds needs stable builds.
+  std::vector<SweepBuild> builds;
+  builds.reserve(sits.size());
   for (size_t s = 0; s < sits.size(); ++s) {
     SITSTATS_ASSIGN_OR_RETURN(
-        JoinTree tree,
-        JoinTree::Build(sits[s].query(), sits[s].attribute().table));
-    SitState& state = states[s];
-    for (int node : tree.PostOrder()) {
-      if (!tree.IsLeaf(node)) state.scan_nodes.push_back(node);
-    }
-    state.tree = std::move(tree);
-    state.rng.emplace(SitStreamSeed(options.seed, sits[s]));
-    if (!has_sequence[s] && !state.scan_nodes.empty()) {
+        SweepBuild build,
+        SweepBuild::Start(catalog, base_stats, sits[s], build_options));
+    if (!has_sequence[s] && !build.scan_nodes().empty()) {
       return Status::InvalidArgument("SIT " + sits[s].ToString() +
                                      " is missing from the mapping");
     }
+    builds.push_back(std::move(build));
   }
 
   // Plan phase: resolve every step against the SIT trees and wire the
@@ -138,35 +109,22 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
       if (s < 0) {
         return Status::InvalidArgument("schedule advances unmapped sequence");
       }
-      SitState& state = states[static_cast<size_t>(s)];
+      const SweepBuild& build = builds[static_cast<size_t>(s)];
       size_t scan = planned_scans[static_cast<size_t>(s)];
-      if (scan >= state.scan_nodes.size()) {
+      if (scan >= build.scan_nodes().size()) {
         return Status::InvalidArgument(
             "schedule advances SIT past its last scan: " +
             sits[static_cast<size_t>(s)].ToString());
       }
-      int node_index = state.scan_nodes[scan];
-      const JoinTree& tree = *state.tree;
-      const JoinTree::Node& node = tree.node(node_index);
+      const JoinTree::Node& node = build.tree().node(build.scan_nodes()[scan]);
       if (node.table != planned.table) {
         return Status::InvalidArgument(
             "schedule step scans " + planned.table + " but SIT " +
             sits[static_cast<size_t>(s)].ToString() + " expects " +
             node.table);
       }
-      if (node.children.size() != 1) {
-        return Status::NotImplemented(
-            "shared-scan execution supports chain generating queries only");
-      }
-      const bool is_root_scan = node_index == tree.root();
-      if (!is_root_scan && node.HasCompositeParentEdge()) {
-        return Status::NotImplemented(
-            "composite join predicates between intermediate results are "
-            "not supported");
-      }
       planned_scans[static_cast<size_t>(s)] += 1;
-      planned.targets.push_back(
-          PlannedTarget{static_cast<size_t>(s), node_index});
+      planned.sits.push_back(static_cast<size_t>(s));
       if (last_step_of_sit[s] >= 0) {
         deps.push_back(static_cast<size_t>(last_step_of_sit[s]));
       }
@@ -178,19 +136,10 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     for (size_t dep : deps) plan[dep].dependents.push_back(step_idx);
   }
 
-  // One source for the whole execution, linked to the caller's token:
-  // cancelling either (request timeout upstream, or the first failing
-  // step below) flips the same signal, and every in-flight sweep scan
-  // polls it in its row loop — so an abort is prompt, not
-  // "whenever the running scans happen to finish".
-  CancellationSource abort(options.cancel);
-  const CancellationToken abort_token = abort.token();
-
-  // Runs one planned step: build the shared-scan spec (one target per
-  // advancing SIT, each drawing from its own stream), scan once, hand
-  // each SIT its new intermediate output. Thread-safe against other
-  // steps: catalog/base-stats reads are internally locked, and the DAG
-  // guarantees exclusive access to each touched SitState.
+  // Runs one planned step: one shared scan advancing every SIT build the
+  // step names. Thread-safe against other steps: catalog/base-stats reads
+  // are internally locked, and the DAG guarantees exclusive access to
+  // each touched build.
   auto execute_step = [&](size_t step_idx) -> Status {
     SITSTATS_RETURN_IF_ERROR(abort_token.CheckCancelled("schedule step"));
     SITSTATS_FAULT_SITE("scheduler.step");
@@ -199,52 +148,11 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     step_span.AddAttribute("step", static_cast<double>(step_idx));
     step_span.AddAttribute("table", planned.table);
     step_span.AddAttribute("advanced",
-                           static_cast<double>(planned.targets.size()));
-
-    SweepScanSpec spec;
-    spec.table = planned.table;
-    spec.sampling_rate = options.sampling_rate;
-    spec.min_sample_size = options.min_sample_size;
-    spec.use_sampling = UsesSampling(options.variant);
-    spec.histogram_spec = options.histogram_spec;
-    spec.cancel = abort_token;
-
-    std::vector<std::unique_ptr<MultiplicityOracle>> oracles;
-    for (const PlannedTarget& planned_target : planned.targets) {
-      SitState& state = states[planned_target.sit];
-      const JoinTree& tree = *state.tree;
-      const JoinTree::Node& node = tree.node(planned_target.node_index);
-      int child_index = node.children[0];
-      SweepOutput* child_output =
-          state.last_output.has_value() ? &*state.last_output : nullptr;
-      SITSTATS_ASSIGN_OR_RETURN(
-          std::unique_ptr<MultiplicityOracle> oracle,
-          MakeChildOracle(catalog, base_stats, tree,
-                          planned_target.node_index, child_index,
-                          child_output, exact_oracle, &*state.rng));
-      SweepTarget target;
-      const bool is_root = planned_target.node_index == tree.root();
-      target.attribute = is_root
-                             ? sits[planned_target.sit].attribute().column
-                             : node.column_to_parent();
-      target.build_exact_map = exact_oracle && !is_root;
-      target.join_indices = {spec.joins.size()};
-      target.rng = &*state.rng;
-      spec.joins.push_back(SweepJoin{
-          tree.node(child_index).parent_columns, oracle.get()});
-      oracles.push_back(std::move(oracle));
-      spec.targets.push_back(std::move(target));
-    }
-
-    SITSTATS_ASSIGN_OR_RETURN(std::vector<SweepOutput> outputs,
-                              SweepScanTable(catalog, spec, nullptr));
-    for (size_t t = 0; t < outputs.size(); ++t) {
-      SitState& state = states[planned.targets[t].sit];
-      state.last_output = std::move(outputs[t]);
-      state.next_scan += 1;
-      if (state.next_scan == state.scan_nodes.size()) state.done = true;
-    }
-    return Status::OK();
+                           static_cast<double>(planned.sits.size()));
+    std::vector<SweepBuild*> advancing;
+    advancing.reserve(planned.sits.size());
+    for (size_t s : planned.sits) advancing.push_back(&builds[s]);
+    return AdvanceSweepBuilds(advancing);
   };
 
   if (threads <= 1 || plan.size() <= 1) {
@@ -308,35 +216,15 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     if (failed.load(std::memory_order_acquire)) return first_error;
   }
 
-  // Assemble results (and build base-table SITs, which need no scan).
+  // Finish every build; base-table SITs need no scan and finish here.
   ScheduleExecutionResult result;
   result.sits.reserve(sits.size());
   result.threads_used = threads;
   result.total_stats = catalog->SnapshotMetrics() - before;
-
   for (size_t s = 0; s < sits.size(); ++s) {
     SITSTATS_FAULT_SITE("scheduler.finalize");
-    SitState& state = states[s];
-    if (state.scan_nodes.empty()) {
-      SitBuildOptions build;
-      build.variant = options.variant;
-      build.sampling_rate = options.sampling_rate;
-      build.min_sample_size = options.min_sample_size;
-      build.histogram_spec = options.histogram_spec;
-      build.seed = options.seed;
-      build.cancel = abort_token;
-      SITSTATS_ASSIGN_OR_RETURN(
-          Sit sit, CreateSit(catalog, base_stats, sits[s], build));
-      result.sits.push_back(std::move(sit));
-      continue;
-    }
-    if (!state.done || !state.last_output.has_value()) {
-      return Status::InvalidArgument("schedule did not complete SIT " +
-                                     sits[s].ToString());
-    }
-    Sit sit{sits[s], std::move(state.last_output->histogram),
-            options.variant, state.last_output->estimated_cardinality,
-            IoStats{}};
+    // An incomplete schedule leaves a build unfinished: InvalidArgument.
+    SITSTATS_ASSIGN_OR_RETURN(Sit sit, std::move(builds[s]).Finish());
     result.sits.push_back(std::move(sit));
   }
   return result;

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/result.h"
 #include "scheduler/problem.h"
 #include "scheduler/sit_problem.h"
@@ -14,18 +13,20 @@
 
 namespace sitstats {
 
-/// Options for executing a schedule (mirrors SitBuildOptions; the variant
-/// must be a Sweep-family member, not kHistSit).
-struct ScheduleExecutionOptions {
-  SweepVariant variant = SweepVariant::kSweep;
-  double sampling_rate = 0.1;
-  size_t min_sample_size = 100;
-  HistogramSpec histogram_spec;
-  /// Base seed. Every SIT draws from its own stream seeded with
-  /// SitStreamSeed(seed, descriptor), so each built SIT is byte-identical
-  /// to the same SIT built alone by CreateSit, regardless of batch
-  /// composition, step order, or thread count.
-  uint64_t seed = 42;
+/// Options for executing a schedule: how to build each SIT (a
+/// Sweep-family variant, not kHistSit), plus the worker count. Every SIT
+/// draws from its own stream seeded with SitStreamSeed(seed, descriptor),
+/// so each built SIT is byte-identical to the same SIT built alone by
+/// CreateSit with the same SitBuildOptions, regardless of batch
+/// composition, step order, or thread count.
+///
+/// `cancel` covers the whole execution. The executor links an internal
+/// source to this token and hands the linked token to every sweep scan, so
+/// cancelling here (a server request timeout, typically) aborts in-flight
+/// scans promptly — and a step failure cancels the same internal source,
+/// so first-error-wins *stops* running steps instead of merely not
+/// scheduling new ones.
+struct ScheduleExecutionOptions : SitBuildOptions {
   /// Worker threads for independent schedule steps: > 0 uses that many,
   /// 0 defers to the SITSTATS_THREADS environment variable (default 1 =
   /// serial). See ResolveThreadCount. Results do not depend on this —
@@ -33,13 +34,6 @@ struct ScheduleExecutionOptions {
   /// proved per step; concurrent steps can transiently hold up to
   /// num_threads steps' sample sets at once.
   int num_threads = 0;
-  /// Cooperative cancellation for the whole execution. The executor links
-  /// an internal source to this token and hands the linked token to every
-  /// sweep scan, so cancelling here (a server request timeout, typically)
-  /// aborts in-flight scans promptly — and a step failure cancels the same
-  /// internal source, so first-error-wins now *stops* running steps
-  /// instead of merely not scheduling new ones. Default: never cancelled.
-  CancellationToken cancel;
 };
 
 struct ScheduleExecutionResult {
@@ -55,12 +49,16 @@ struct ScheduleExecutionResult {
 /// Executes `schedule` (computed by SolveSchedule over
 /// `mapping.problem`), actually creating every SIT and *sharing* each
 /// scheduled scan among the SITs it advances (Example 3 / Example 6 of the
-/// paper): one SweepScanTable call per schedule step, with one target per
-/// advancing SIT.
+/// paper). The executor only schedules: it starts one SweepBuild per SIT,
+/// runs each schedule step as one AdvanceSweepBuilds call over the SITs
+/// the step advances, and finishes every build — the same build path
+/// CreateSit drives for a single SIT.
 ///
 /// Restriction: every generating query must be a chain (one dependency
 /// sequence per SIT) or a base table; acyclic tree queries should be built
-/// one at a time via CreateSit. This matches the paper's Section 5.2
+/// one at a time via CreateSit. A schedule step advances one dependency
+/// sequence by one table, while a tree node's scan needs every sequence
+/// through it to have arrived. This matches the paper's Section 5.2
 /// evaluation, which schedules chain dependency sequences.
 Result<ScheduleExecutionResult> ExecuteSitSchedule(
     Catalog* catalog, BaseStatsCache* base_stats,

@@ -27,88 +27,6 @@ bool UsesExactOracle(SweepVariant variant) {
          variant == SweepVariant::kSweepExact;
 }
 
-/// The Sweep family: post-order traversal of the join tree (Section 3.2).
-Result<Sit> CreateSitWithSweep(Catalog* catalog, BaseStatsCache* base_stats,
-                               const SitDescriptor& descriptor,
-                               const SitBuildOptions& options) {
-  const ColumnRef& attribute = descriptor.attribute();
-  SITSTATS_ASSIGN_OR_RETURN(
-      JoinTree tree, JoinTree::Build(descriptor.query(), attribute.table));
-  Rng rng(SitStreamSeed(options.seed, descriptor));
-  IoStats before = catalog->SnapshotMetrics();
-
-  // Base-table query: the "SIT" is just a base histogram.
-  if (descriptor.query().IsBaseTable()) {
-    SITSTATS_ASSIGN_OR_RETURN(
-        const Histogram* hist,
-        base_stats->GetOrBuild(*catalog, attribute.table, attribute.column,
-                               &rng));
-    SITSTATS_ASSIGN_OR_RETURN(const Table* table,
-                              catalog->GetTable(attribute.table));
-    Sit sit{descriptor, *hist, options.variant,
-            static_cast<double>(table->num_rows()), IoStats{}};
-    return sit;
-  }
-
-  const bool exact_oracle = UsesExactOracle(options.variant);
-  std::map<int, SweepOutput> node_outputs;
-
-  for (int node_index : tree.PostOrder()) {
-    if (tree.IsLeaf(node_index)) continue;  // leaves contribute base stats
-    const JoinTree::Node& node = tree.node(node_index);
-
-    SweepScanSpec spec;
-    spec.table = node.table;
-    spec.sampling_rate = options.sampling_rate;
-    spec.min_sample_size = options.min_sample_size;
-    spec.use_sampling = UsesSampling(options.variant);
-    spec.histogram_spec = options.histogram_spec;
-    spec.cancel = options.cancel;
-
-    // Oracles must outlive the scan; owned locally per node.
-    std::vector<std::unique_ptr<MultiplicityOracle>> oracles;
-    SweepTarget target;
-    for (int child_index : node.children) {
-      const JoinTree::Node& child = tree.node(child_index);
-      SweepOutput* child_output = nullptr;
-      auto it = node_outputs.find(child_index);
-      if (it != node_outputs.end()) child_output = &it->second;
-      SITSTATS_ASSIGN_OR_RETURN(
-          std::unique_ptr<MultiplicityOracle> oracle,
-          MakeChildOracle(catalog, base_stats, tree, node_index, child_index,
-                          child_output, exact_oracle, &rng,
-                          options.containment_mode));
-      target.join_indices.push_back(spec.joins.size());
-      spec.joins.push_back(SweepJoin{child.parent_columns, oracle.get()});
-      oracles.push_back(std::move(oracle));
-    }
-
-    const bool is_root = node_index == tree.root();
-    if (!is_root && node.HasCompositeParentEdge()) {
-      // The intermediate SIT this scan would produce must describe the
-      // joint distribution of several columns; 1D intermediate statistics
-      // cannot carry that. (Composite predicates towards *leaf* children
-      // are fully supported.)
-      return Status::NotImplemented(
-          "composite join predicates between intermediate results are not "
-          "supported (node " + node.table + ")");
-    }
-    target.attribute = is_root ? attribute.column : node.column_to_parent();
-    target.build_exact_map = exact_oracle && !is_root;
-    spec.targets.push_back(std::move(target));
-
-    SITSTATS_ASSIGN_OR_RETURN(std::vector<SweepOutput> outputs,
-                              SweepScanTable(catalog, spec, &rng));
-    node_outputs[node_index] = std::move(outputs[0]);
-  }
-
-  SweepOutput& root_output = node_outputs[tree.root()];
-  IoStats delta = catalog->SnapshotMetrics() - before;
-  Sit sit{descriptor, std::move(root_output.histogram), options.variant,
-          root_output.estimated_cardinality, delta};
-  return sit;
-}
-
 /// The Hist-SIT baseline: propagate base histograms through the join tree
 /// without touching the data.
 Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
@@ -184,6 +102,127 @@ uint64_t SitStreamSeed(uint64_t seed, const SitDescriptor& descriptor) {
   return DeriveStreamSeed(seed, descriptor.ToString());
 }
 
+SweepBuild::SweepBuild(Catalog* catalog, BaseStatsCache* base_stats,
+                       const SitDescriptor& descriptor,
+                       const SitBuildOptions& options, JoinTree tree)
+    : catalog_(catalog),
+      base_stats_(base_stats),
+      descriptor_(descriptor),
+      options_(options),
+      tree_(std::move(tree)),
+      rng_(SitStreamSeed(options.seed, descriptor)) {
+  for (int node_index : tree_.PostOrder()) {
+    // Leaves contribute base statistics; every other node is one scan.
+    if (!tree_.IsLeaf(node_index)) scan_nodes_.push_back(node_index);
+  }
+}
+
+Result<SweepBuild> SweepBuild::Start(Catalog* catalog,
+                                     BaseStatsCache* base_stats,
+                                     const SitDescriptor& descriptor,
+                                     const SitBuildOptions& options) {
+  if (options.variant == SweepVariant::kHistSit) {
+    return Status::InvalidArgument("Hist-SIT is not a sweep build");
+  }
+  SITSTATS_ASSIGN_OR_RETURN(
+      JoinTree tree,
+      JoinTree::Build(descriptor.query(), descriptor.attribute().table));
+  SweepBuild build(catalog, base_stats, descriptor, options, std::move(tree));
+  for (int node_index : build.scan_nodes_) {
+    const JoinTree::Node& node = build.tree_.node(node_index);
+    if (node_index != build.tree_.root() && node.HasCompositeParentEdge()) {
+      return Status::NotImplemented(
+          "composite join predicates between intermediate results are not "
+          "supported (node " + node.table + ")");
+    }
+  }
+  return build;
+}
+
+Status AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
+  if (builds.empty()) {
+    return Status::InvalidArgument("no sweep builds to advance");
+  }
+  const SitBuildOptions& options = builds.front()->options_;
+  const bool exact_oracle = UsesExactOracle(options.variant);
+  SweepScanSpec spec;
+  spec.sampling_rate = options.sampling_rate;
+  spec.min_sample_size = options.min_sample_size;
+  spec.use_sampling = UsesSampling(options.variant);
+  spec.histogram_spec = options.histogram_spec;
+  spec.cancel = options.cancel;
+
+  // Oracles must outlive the scan; owned here per scan.
+  std::vector<std::unique_ptr<MultiplicityOracle>> oracles;
+  for (SweepBuild* build : builds) {
+    if (build->done()) {
+      return Status::InvalidArgument(build->descriptor_.ToString() +
+                                     " has no scan left");
+    }
+    const JoinTree& tree = build->tree_;
+    const int node_index = build->next_node();
+    const JoinTree::Node& node = tree.node(node_index);
+    if (spec.targets.empty()) spec.table = node.table;
+    if (node.table != spec.table) {
+      return Status::InvalidArgument("a shared scan reads one table, not " +
+                                     spec.table + " and " + node.table);
+    }
+    SweepTarget target;
+    for (int child_index : node.children) {
+      // Consumed here: the oracle copies the histogram or takes the map.
+      auto child_output = build->node_outputs_.extract(child_index);
+      SITSTATS_ASSIGN_OR_RETURN(
+          std::unique_ptr<MultiplicityOracle> oracle,
+          MakeChildOracle(build->catalog_, build->base_stats_, tree,
+                          node_index, child_index,
+                          child_output ? &child_output.mapped() : nullptr,
+                          exact_oracle, &build->rng_,
+                          options.containment_mode));
+      target.join_indices.push_back(spec.joins.size());
+      spec.joins.push_back(
+          SweepJoin{tree.node(child_index).parent_columns, oracle.get()});
+      oracles.push_back(std::move(oracle));
+    }
+    const bool is_root = node_index == tree.root();
+    target.attribute = is_root ? build->descriptor_.attribute().column
+                               : node.column_to_parent();
+    target.build_exact_map = exact_oracle && !is_root;
+    target.rng = &build->rng_;
+    spec.targets.push_back(std::move(target));
+  }
+
+  SITSTATS_ASSIGN_OR_RETURN(
+      std::vector<SweepOutput> outputs,
+      SweepScanTable(builds.front()->catalog_, spec, nullptr));
+  for (size_t i = 0; i < builds.size(); ++i) {
+    builds[i]->node_outputs_[builds[i]->next_node()] = std::move(outputs[i]);
+    ++builds[i]->next_scan_;
+  }
+  return Status::OK();
+}
+
+Result<Sit> SweepBuild::Finish() && {
+  if (!done()) {
+    return Status::InvalidArgument(descriptor_.ToString() +
+                                   " is missing scans");
+  }
+  const ColumnRef& attribute = descriptor_.attribute();
+  // Base-table query: the "SIT" is just a base histogram.
+  if (descriptor_.query().IsBaseTable()) {
+    SITSTATS_ASSIGN_OR_RETURN(
+        const Histogram* hist,
+        base_stats_->GetOrBuild(*catalog_, attribute.table, attribute.column,
+                                &rng_));
+    SITSTATS_ASSIGN_OR_RETURN(const Table* table,
+                              catalog_->GetTable(attribute.table));
+    return Sit{std::move(descriptor_), *hist, options_.variant,
+               static_cast<double>(table->num_rows()), IoStats{}};
+  }
+  SweepOutput& root_output = node_outputs_[tree_.root()];
+  return Sit{std::move(descriptor_), std::move(root_output.histogram),
+             options_.variant, root_output.estimated_cardinality, IoStats{}};
+}
+
 Result<Sit> CreateSit(Catalog* catalog, BaseStatsCache* base_stats,
                       const SitDescriptor& descriptor,
                       const SitBuildOptions& options) {
@@ -208,7 +247,20 @@ Result<Sit> CreateSit(Catalog* catalog, BaseStatsCache* base_stats,
   if (options.variant == SweepVariant::kHistSit) {
     return CreateHistSit(catalog, base_stats, descriptor, options);
   }
-  return CreateSitWithSweep(catalog, base_stats, descriptor, options);
+  SITSTATS_ASSIGN_OR_RETURN(
+      SweepBuild build,
+      SweepBuild::Start(catalog, base_stats, descriptor, options));
+  IoStats before = catalog->SnapshotMetrics();
+  SweepBuild* const solo[] = {&build};
+  while (!build.done()) {
+    SITSTATS_RETURN_IF_ERROR(AdvanceSweepBuilds(solo));
+  }
+  SITSTATS_ASSIGN_OR_RETURN(Sit sit, std::move(build).Finish());
+  // A base-table SIT reads cached base statistics only.
+  if (!descriptor.query().IsBaseTable()) {
+    sit.build_stats = catalog->SnapshotMetrics() - before;
+  }
+  return sit;
 }
 
 }  // namespace sitstats

@@ -92,12 +92,6 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
   const bool child_is_leaf = tree.IsLeaf(child_index);
 
   if (child.HasCompositeParentEdge()) {
-    if (!child_is_leaf) {
-      return Status::NotImplemented(
-          "composite join predicates are supported towards base tables "
-          "only; edge " + node.table + " - " + child.table +
-          " joins an intermediate result on multiple columns");
-    }
     return MakeCompositeLeafOracle(catalog, base_stats, node, child, exact);
   }
 

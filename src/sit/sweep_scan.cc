@@ -52,15 +52,23 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
           "sweep join column count does not match its oracle");
     }
   }
+  // Each drawing target needs a private stream, so that its draws depend
+  // only on its own rows, whatever else shares the scan.
+  std::vector<Rng*> streams;
   for (const SweepTarget& target : spec.targets) {
     for (size_t idx : target.join_indices) {
       if (idx >= spec.joins.size()) {
         return Status::InvalidArgument("sweep target join index out of range");
       }
     }
-    if (target.rng == nullptr && rng == nullptr && spec.use_sampling) {
-      return Status::InvalidArgument("sweep target without a random stream");
+    Rng* stream = target.rng != nullptr ? target.rng : rng;
+    if (spec.use_sampling &&
+        (stream == nullptr ||
+         std::find(streams.begin(), streams.end(), stream) != streams.end())) {
+      return Status::InvalidArgument(
+          "each sampling sweep target needs a random stream of its own");
     }
+    streams.push_back(stream);
   }
   SITSTATS_ASSIGN_OR_RETURN(const Table* table,
                             catalog->GetTable(spec.table));
@@ -101,7 +109,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   stores.reserve(spec.targets.size());
   for (size_t t = 0; t < spec.targets.size(); ++t) {
     states[t].attribute_slot = slot_of(spec.targets[t].attribute);
-    states[t].rng = spec.targets[t].rng != nullptr ? spec.targets[t].rng : rng;
+    states[t].rng = streams[t];
     if (spec.use_sampling) {
       SITSTATS_ASSIGN_OR_RETURN(
           ReservoirSampler sampler,
@@ -136,29 +144,6 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   SITSTATS_ASSIGN_OR_RETURN(
       SequentialScan scan,
       SequentialScan::Open(catalog, spec.table, projection));
-
-  // In-batch processing order. Target-major (all of a batch's rows for
-  // target 0, then for target 1, ...) keeps each target's work on one
-  // reservoir and one accumulator — the cache-friendly, vectorizable
-  // order — and is draw-for-draw identical to the row-at-a-time path
-  // whenever every drawing target has a *private* Rng: its draw sequence
-  // depends only on its own rows, not on interleaving with other targets.
-  // If two targets share a stream (both fell back to the scan-level rng,
-  // or the caller aliased SweepTarget::rng), the row-at-a-time path
-  // interleaves their draws per row, so we process row-major within the
-  // batch to preserve byte-identity. The no-sampling path draws nothing
-  // and is order-independent per target either way.
-  bool row_major_batches = false;
-  if (spec.use_sampling) {
-    for (size_t a = 0; a < states.size() && !row_major_batches; ++a) {
-      for (size_t b = a + 1; b < states.size(); ++b) {
-        if (states[a].rng == states[b].rng) {
-          row_major_batches = true;
-          break;
-        }
-      }
-    }
-  }
 
   // Per-row work for one target, reading the precomputed per-join
   // multiplicities of the current batch.
@@ -210,23 +195,17 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
           oracle_columns.data(), oracle_columns.size(), n,
           batch_multiplicities[j].data());
     }
-    if (row_major_batches) {
+    // Target-major: all of a batch's rows for target 0, then target 1, ...
+    // keeps each target's work on one reservoir and one accumulator. Each
+    // drawing target has a private stream, so the order across targets
+    // does not change any target's draws.
+    for (size_t t = 0; t < spec.targets.size(); ++t) {
+      const SweepTarget& target = spec.targets[t];
+      TargetState& state = states[t];
+      std::span<const double> attr_values =
+          batch.column(state.attribute_slot);
       for (size_t r = 0; r < n; ++r) {
-        for (size_t t = 0; t < spec.targets.size(); ++t) {
-          SITSTATS_RETURN_IF_ERROR(
-              process_row(spec.targets[t], states[t],
-                          batch.column(states[t].attribute_slot), r));
-        }
-      }
-    } else {
-      for (size_t t = 0; t < spec.targets.size(); ++t) {
-        const SweepTarget& target = spec.targets[t];
-        TargetState& state = states[t];
-        std::span<const double> attr_values =
-            batch.column(state.attribute_slot);
-        for (size_t r = 0; r < n; ++r) {
-          SITSTATS_RETURN_IF_ERROR(process_row(target, state, attr_values, r));
-        }
+        SITSTATS_RETURN_IF_ERROR(process_row(target, state, attr_values, r));
       }
     }
   }

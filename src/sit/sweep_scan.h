@@ -39,11 +39,12 @@ struct SweepTarget {
   /// m-Oracle over this intermediate result (SweepIndex / SweepExact).
   bool build_exact_map = false;
   /// Random stream for this target's draws (randomized rounding and
-  /// reservoir replacement). Null falls back to the scan-level rng. Shared
-  /// scans pass each SIT's own stream here so a target consumes exactly
-  /// the draws it would consume in a solo build — that is what makes a SIT
+  /// reservoir replacement). Null falls back to the scan-level rng. On the
+  /// sampling path every target must resolve to a *different* stream
+  /// (SweepScanTable rejects aliases), so a target consumes exactly the
+  /// draws it would consume scanned alone — that is what makes a SIT
   /// built in a batch byte-identical to the same SIT built alone, at any
-  /// thread count.
+  /// thread count. SweepBuild passes each SIT's own stream here.
   Rng* rng = nullptr;
 };
 
@@ -89,7 +90,10 @@ struct SweepOutput {
 /// no-sampling path keeps exact fractional weights.
 ///
 /// `rng` is the fallback random stream for targets that don't carry their
-/// own (SweepTarget::rng); it may be null if every target does.
+/// own (SweepTarget::rng); it may be null if every target does. With
+/// spec.use_sampling, two targets resolving to the same stream are an
+/// InvalidArgument. Rows are processed target by target within each
+/// batch, which only private streams make order-independent.
 Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                                 const SweepScanSpec& spec,
                                                 Rng* rng);

@@ -1,6 +1,7 @@
 #include "storage/table_io.h"
 
 #include <cstdio>
+#include <filesystem>
 
 #include <fstream>
 #include <sstream>
@@ -27,6 +28,15 @@ Result<ValueType> TypeFromName(const std::string& name) {
   if (name == "double") return ValueType::kDouble;
   if (name == "string") return ValueType::kString;
   return Status::InvalidArgument("unknown column type '" + name + "'");
+}
+
+/// Creates `dir` and any missing parents, so a save can target a fresh
+/// path.
+Status CreateDirectories(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  return ec ? Status::IOError("cannot create " + dir + ": " + ec.message())
+            : Status::OK();
 }
 
 /// Strips one trailing carriage return: CSV files written on Windows (or
@@ -167,11 +177,9 @@ Result<Table> ReadTableCsv(const std::string& table_name,
 
 Status SaveCatalogCsv(const Catalog& catalog, const std::string& dir) {
   SITSTATS_FAULT_SITE("storage.catalog.save");
+  SITSTATS_RETURN_IF_ERROR(CreateDirectories(dir));
   std::ofstream manifest(dir + "/MANIFEST", std::ios::trunc);
-  if (!manifest) {
-    return Status::IOError("cannot write " + dir +
-                           "/MANIFEST (does the directory exist?)");
-  }
+  if (!manifest) return Status::IOError("cannot write " + dir + "/MANIFEST");
   for (const std::string& name : catalog.TableNames()) {
     SITSTATS_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(name));
     SITSTATS_RETURN_IF_ERROR(
@@ -218,6 +226,7 @@ std::string ColfileName(const std::string& table, const std::string& column) {
 
 Status SaveCatalogBinary(const Catalog& catalog, const std::string& dir) {
   SITSTATS_FAULT_SITE("storage.colfile.manifest.save");
+  SITSTATS_RETURN_IF_ERROR(CreateDirectories(dir));
   std::ostringstream manifest;
   manifest << kBinaryManifestMagic << " " << kBinaryManifestVersion << "\n";
   for (const std::string& name : catalog.TableNames()) {
@@ -244,8 +253,7 @@ Status SaveCatalogBinary(const Catalog& catalog, const std::string& dir) {
   }
   std::ofstream out(dir + "/" + kBinaryManifestName, std::ios::trunc);
   if (!out) {
-    return Status::IOError("cannot write " + dir + "/" + kBinaryManifestName +
-                           " (does the directory exist?)");
+    return Status::IOError("cannot write " + dir + "/" + kBinaryManifestName);
   }
   out << manifest.str();
   out.flush();

@@ -38,7 +38,8 @@ Result<Table> ReadTableCsv(const std::string& table_name,
                            const std::string& path);
 
 /// Writes every table of `catalog` as `<dir>/<table>.csv` plus a
-/// `<dir>/MANIFEST` listing the table names. `dir` must exist.
+/// `<dir>/MANIFEST` listing the table names, creating `dir` (and missing
+/// parents) if needed.
 Status SaveCatalogCsv(const Catalog& catalog, const std::string& dir);
 
 /// Loads a catalog previously written by SaveCatalogCsv.
@@ -48,7 +49,8 @@ Result<std::unique_ptr<Catalog>> LoadCatalogCsv(const std::string& dir);
 inline constexpr const char* kBinaryManifestName = "MANIFEST.bin";
 
 /// Writes every table of `catalog` as one colfile per column plus a
-/// versioned `MANIFEST.bin`. `dir` must exist.
+/// versioned `MANIFEST.bin`, creating `dir` (and missing parents) if
+/// needed.
 Status SaveCatalogBinary(const Catalog& catalog, const std::string& dir);
 
 /// Loads a catalog previously written by SaveCatalogBinary. Numeric

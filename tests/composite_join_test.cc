@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "datagen/distributions.h"
 #include "estimator/accuracy.h"
 #include "exec/query_executor.h"
 #include "histogram/grid_histogram.h"
 #include "sit/creator.h"
+#include "sit/serialization.h"
 
 namespace sitstats {
 namespace {
@@ -214,6 +216,30 @@ TEST(CompositeJoinTest, SitAccuracyOrdering) {
   double exact = measure(SweepVariant::kSweepExact);
   EXPECT_LT(sweep, hist);
   EXPECT_LT(exact, hist);
+}
+
+TEST(CompositeJoinTest, CompositeLeafSitBytesArePinned) {
+  // FNV-1a of the serialized composite-leaf-edge SIT per Sweep variant:
+  // grid oracle (Sweep, SweepFull) and composite exact oracle (SweepIndex,
+  // SweepExact). A change that moves a single random draw or
+  // floating-point operation of the build shows up here.
+  const SweepVariant variants[] = {
+      SweepVariant::kSweep, SweepVariant::kSweepIndex,
+      SweepVariant::kSweepFull, SweepVariant::kSweepExact};
+  const uint64_t kPinned[] = {0xbb83ee92102b1e38ull, 0x4870bf8c807bec83ull,
+                              0x02e88ef6afe3efeaull, 0xa2b29a086b7f068eull};
+  CompositeDb db = MakeCompositeDb();
+  for (size_t v = 0; v < std::size(variants); ++v) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = variants[v];
+    Sit sit = CreateSit(&db.catalog, &stats,
+                        SitDescriptor(db.attribute, db.query), options)
+                  .ValueOrDie();
+    uint64_t hash = HashString64(SerializeSit(sit));
+    EXPECT_EQ(hash, kPinned[v]) << SweepVariantToString(variants[v])
+                                << " hash 0x" << std::hex << hash;
+  }
 }
 
 TEST(CompositeJoinTest, IntermediateCompositeEdgesAreRejected) {

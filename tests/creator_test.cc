@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "datagen/synthetic_db.h"
 #include "estimator/accuracy.h"
 #include "exec/query_executor.h"
 #include "histogram/builder.h"
+#include "sit/serialization.h"
 #include "sit/sit_catalog.h"
 
 namespace sitstats {
@@ -208,20 +210,18 @@ TEST(CreatorTest, AllVariantsAccurateOnIndependentUniformData) {
   }
 }
 
-TEST(CreatorTest, StarQuerySit) {
-  // Acyclic non-chain query: R(k1,k2,a) joining S and T. SweepExact must
-  // still match the executed result's cardinality.
-  ChainDbSpec spec;  // reuse generator tables for S/T shape convenience
-  Catalog catalog;
+/// Star query R(k1,k2,a) ⋈ S(k) ⋈ T(k) with R at the centre; the SIT over
+/// R.a has a join tree whose root has two leaf children.
+GeneratingQuery MakeStarCatalog(Catalog* catalog) {
   Schema rs;
   rs.AddColumn("k1", ValueType::kInt64);
   rs.AddColumn("k2", ValueType::kInt64);
   rs.AddColumn("a", ValueType::kInt64);
-  Table* r = catalog.CreateTable("R", rs).ValueOrDie();
+  Table* r = catalog->CreateTable("R", rs).ValueOrDie();
   Schema ks;
   ks.AddColumn("k", ValueType::kInt64);
-  Table* s = catalog.CreateTable("S", ks).ValueOrDie();
-  Table* t = catalog.CreateTable("T", ks).ValueOrDie();
+  Table* s = catalog->CreateTable("S", ks).ValueOrDie();
+  Table* t = catalog->CreateTable("T", ks).ValueOrDie();
   Rng rng(3);
   for (int i = 0; i < 2'000; ++i) {
     SITSTATS_CHECK_OK(r->AppendRow({Value(rng.UniformInt(1, 50)),
@@ -230,21 +230,65 @@ TEST(CreatorTest, StarQuerySit) {
     SITSTATS_CHECK_OK(s->AppendRow({Value(rng.UniformInt(1, 50))}));
     SITSTATS_CHECK_OK(t->AppendRow({Value(rng.UniformInt(1, 50))}));
   }
-  auto q = GeneratingQuery::Create(
-      {"R", "S", "T"},
-      {JoinPredicate{ColumnRef{"R", "k1"}, ColumnRef{"S", "k"}},
-       JoinPredicate{ColumnRef{"R", "k2"}, ColumnRef{"T", "k"}}});
-  ASSERT_TRUE(q.ok());
-  SitDescriptor desc(ColumnRef{"R", "a"}, *q);
+  return GeneratingQuery::Create(
+             {"R", "S", "T"},
+             {JoinPredicate{ColumnRef{"R", "k1"}, ColumnRef{"S", "k"}},
+              JoinPredicate{ColumnRef{"R", "k2"}, ColumnRef{"T", "k"}}})
+      .ValueOrDie();
+}
+
+constexpr SweepVariant kSweepVariants[] = {
+    SweepVariant::kSweep, SweepVariant::kSweepIndex, SweepVariant::kSweepFull,
+    SweepVariant::kSweepExact};
+
+/// Builds `desc` under every Sweep variant and checks the FNV-1a hash of
+/// each serialized SIT against `pinned` (kSweepVariants order). The pins
+/// were recorded before the build path was consolidated; a change that
+/// moves a single random draw or floating-point operation shows up here.
+void ExpectPinnedBytes(Catalog* catalog, const SitDescriptor& desc,
+                       const uint64_t (&pinned)[4]) {
+  for (size_t v = 0; v < std::size(kSweepVariants); ++v) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = kSweepVariants[v];
+    Sit sit = CreateSit(catalog, &stats, desc, options).ValueOrDie();
+    uint64_t hash = HashString64(SerializeSit(sit));
+    EXPECT_EQ(hash, pinned[v]) << SweepVariantToString(kSweepVariants[v])
+                               << " hash 0x" << std::hex << hash;
+  }
+}
+
+TEST(CreatorTest, StarSitBytesArePinned) {
+  Catalog catalog;
+  GeneratingQuery q = MakeStarCatalog(&catalog);
+  ExpectPinnedBytes(&catalog, SitDescriptor(ColumnRef{"R", "a"}, q),
+                    {0x12e636feea60bed8ull, 0xbda26b76abdaba2aull,
+                     0xba19c865150464f6ull, 0x4bacb9c6d2fc4922ull});
+}
+
+TEST(CreatorTest, BaseTableSitBytesArePinned) {
+  ChainDatabase db = SmallDb(2);
+  ExpectPinnedBytes(db.catalog.get(),
+                    SitDescriptor(ColumnRef{"R1", "a"},
+                                  GeneratingQuery::BaseTable("R1")),
+                    {0x4764a227baf8fafcull, 0x2adaa69991186970ull,
+                     0x22ddd66f7d645c25ull, 0xaf556d178de31513ull});
+}
+
+TEST(CreatorTest, StarQuerySit) {
+  // Acyclic non-chain query: R(k1,k2,a) joining S and T. SweepExact must
+  // still match the executed result's cardinality.
+  Catalog catalog;
+  GeneratingQuery q = MakeStarCatalog(&catalog);
+  SitDescriptor desc(ColumnRef{"R", "a"}, q);
   BaseStatsCache stats;
   SitBuildOptions options;
   options.variant = SweepVariant::kSweepExact;
   Sit sit = CreateSit(&catalog, &stats, desc, options).ValueOrDie();
-  double true_card = ExactJoinCardinality(catalog, *q).ValueOrDie();
+  double true_card = ExactJoinCardinality(catalog, q).ValueOrDie();
   EXPECT_DOUBLE_EQ(sit.estimated_cardinality, true_card);
   // Star root: a single scan over R suffices (S and T are leaves).
   EXPECT_EQ(sit.build_stats.sequential_scans, 1u);
-  (void)spec;
 }
 
 TEST(SitCatalogTest, AddFindReplace) {

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "scheduler/executor.h"
 #include "scheduler/solver.h"
@@ -190,11 +191,17 @@ Fixture MakeSharedScanFixture(uint64_t seed = 11, size_t rows = 2'000) {
   return fx;
 }
 
-/// Solves `fx` with `kind` and executes at `threads`, returning each
-/// built SIT's exact serialized bytes.
-std::vector<std::string> ExecuteAndSerialize(Fixture* fx, SolverKind kind,
-                                             int threads,
-                                             size_t* steps_out = nullptr) {
+constexpr SweepVariant kSweepVariants[] = {
+    SweepVariant::kSweep, SweepVariant::kSweepIndex, SweepVariant::kSweepFull,
+    SweepVariant::kSweepExact};
+
+/// Solves `fx` with `kind` and executes at `threads` with `eoptions` over
+/// base statistics built with `base_options`, returning each built SIT's
+/// exact serialized bytes.
+std::vector<std::string> ExecuteAndSerialize(
+    Fixture* fx, SolverKind kind, int threads, size_t* steps_out = nullptr,
+    ScheduleExecutionOptions eoptions = {},
+    const BaseStatsOptions& base_options = {}) {
   SitProblemOptions poptions;
   SitSchedulingProblem mapping =
       BuildSitSchedulingProblem(fx->catalog, fx->sits, poptions)
@@ -205,8 +212,7 @@ std::vector<std::string> ExecuteAndSerialize(Fixture* fx, SolverKind kind,
       SolveSchedule(mapping.problem, soptions).ValueOrDie();
   EXPECT_TRUE(solved.schedule.Validate(mapping.problem).ok());
   if (steps_out != nullptr) *steps_out = solved.schedule.steps.size();
-  BaseStatsCache stats;
-  ScheduleExecutionOptions eoptions;
+  BaseStatsCache stats(base_options);
   eoptions.num_threads = threads;
   ScheduleExecutionResult result =
       ExecuteSitSchedule(&fx->catalog, &stats, fx->sits, mapping,
@@ -265,15 +271,66 @@ TEST(ParallelExecutorTest, BatchMatchesBuildingAlone) {
   // the batch. With per-SIT streams, a batched SIT is byte-identical to
   // the same SIT built alone by CreateSit.
   Fixture fx = MakeSharedScanFixture();
-  std::vector<std::string> batched =
-      ExecuteAndSerialize(&fx, SolverKind::kOptimal, 8);
+  for (SweepVariant variant : kSweepVariants) {
+    ScheduleExecutionOptions eoptions;
+    eoptions.variant = variant;
+    std::vector<std::string> batched =
+        ExecuteAndSerialize(&fx, SolverKind::kOptimal, 8, nullptr, eoptions);
+    ASSERT_EQ(batched.size(), fx.sits.size());
+    for (size_t i = 0; i < fx.sits.size(); ++i) {
+      BaseStatsCache stats;
+      SitBuildOptions boptions;  // same defaults as ScheduleExecutionOptions
+      boptions.variant = variant;
+      Sit alone =
+          CreateSit(&fx.catalog, &stats, fx.sits[i], boptions).ValueOrDie();
+      EXPECT_EQ(batched[i], SerializeSit(alone))
+          << fx.sits[i].ToString() << " " << SweepVariantToString(variant);
+    }
+  }
+}
+
+TEST(ParallelExecutorTest, ExecutorHonoursContainmentMode) {
+  // The executor builds with the caller's SitBuildOptions, containment
+  // mode included: a kPaperRaw schedule matches kPaperRaw solo builds.
+  // Coarse base histograms misalign the oracle buckets, so the mode
+  // matters on this fixture.
+  Fixture fx = MakeSharedScanFixture();
+  BaseStatsOptions coarse;
+  coarse.histogram_spec.num_buckets = 7;
+  ScheduleExecutionOptions eoptions;
+  eoptions.containment_mode = ContainmentMode::kPaperRaw;
+  std::vector<std::string> batched = ExecuteAndSerialize(
+      &fx, SolverKind::kOptimal, 2, nullptr, eoptions, coarse);
   ASSERT_EQ(batched.size(), fx.sits.size());
   for (size_t i = 0; i < fx.sits.size(); ++i) {
-    BaseStatsCache stats;
-    SitBuildOptions boptions;  // same defaults as ScheduleExecutionOptions
+    BaseStatsCache stats(coarse);
     Sit alone =
-        CreateSit(&fx.catalog, &stats, fx.sits[i], boptions).ValueOrDie();
+        CreateSit(&fx.catalog, &stats, fx.sits[i], eoptions).ValueOrDie();
     EXPECT_EQ(batched[i], SerializeSit(alone)) << fx.sits[i].ToString();
+  }
+  BaseStatsCache stats(coarse);
+  Sit normalized =
+      CreateSit(&fx.catalog, &stats, fx.sits[0], SitBuildOptions{})
+          .ValueOrDie();
+  EXPECT_NE(batched[0], SerializeSit(normalized));
+}
+
+TEST(ParallelExecutorTest, ChainSitBytesArePinned) {
+  // FNV-1a of the serialized chain SIT T.a | R ⋈ S ⋈ T per Sweep variant
+  // (kSweepVariants order). Any change to the build path that moves a
+  // single random draw or floating-point operation shows up here.
+  const uint64_t kPinned[] = {0x84bf5c7163ce5eadull, 0x0933886e1f90ea1aull,
+                              0xbfe68ab53d6e83b3ull, 0x88b0ca69d1588edbull};
+  Fixture fx = MakeSharedScanFixture();
+  for (size_t v = 0; v < std::size(kSweepVariants); ++v) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = kSweepVariants[v];
+    Sit sit =
+        CreateSit(&fx.catalog, &stats, fx.sits[0], options).ValueOrDie();
+    uint64_t hash = HashString64(SerializeSit(sit));
+    EXPECT_EQ(hash, kPinned[v]) << SweepVariantToString(kSweepVariants[v])
+                                << " hash 0x" << std::hex << hash;
   }
 }
 

@@ -127,6 +127,39 @@ TEST(SweepScanTest, SharedScanProducesIndependentTargets) {
   EXPECT_EQ(catalog.SnapshotMetrics().rows_scanned, 100u);
 }
 
+TEST(SweepScanTest, SamplingTargetsMustNotShareAStream) {
+  // Two sampling targets drawing from one stream would make each target's
+  // sample depend on the other's rows; the scan refuses instead.
+  Catalog catalog = MakeCatalog();
+  Rng rng(4);
+  Rng own(5);
+  ConstantOracle m1(1.0);
+  SweepScanSpec spec;
+  spec.table = "S";
+  spec.use_sampling = true;
+  spec.joins.push_back(SweepJoin{{"y"}, &m1});
+  spec.targets = {SweepTarget{"a", {0}, false}, SweepTarget{"b", {0}, false}};
+  // Both fall back to the scan-level stream.
+  EXPECT_EQ(SweepScanTable(&catalog, spec, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+  // One falls back, the other names the same stream explicitly.
+  spec.targets[1].rng = &rng;
+  EXPECT_EQ(SweepScanTable(&catalog, spec, &rng).status().code(),
+            StatusCode::kInvalidArgument);
+  // Both name the same private stream.
+  spec.targets[0].rng = &own;
+  spec.targets[1].rng = &own;
+  EXPECT_EQ(SweepScanTable(&catalog, spec, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(catalog.SnapshotMetrics().sequential_scans, 0u);
+  // Distinct streams: fine.
+  spec.targets[1].rng = &rng;
+  auto outputs = SweepScanTable(&catalog, spec, nullptr).ValueOrDie();
+  ASSERT_EQ(outputs.size(), 2u);
+  EXPECT_DOUBLE_EQ(outputs[0].estimated_cardinality, 100.0);
+  EXPECT_DOUBLE_EQ(outputs[1].estimated_cardinality, 100.0);
+}
+
 TEST(SweepScanTest, MultiJoinMultiplicitiesMultiply) {
   Catalog catalog = MakeCatalog();
   Rng rng(5);

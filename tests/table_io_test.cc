@@ -235,12 +235,37 @@ TEST_F(TableIoTest, EmptyTrailingCellNamesTheColumn) {
       << result.status().message();
 }
 
-TEST_F(TableIoTest, SaveToMissingDirectoryFails) {
+TEST_F(TableIoTest, SaveToUncreatableDirectoryFails) {
+  // A path below a regular file can never become a directory.
+  const std::string file = dir_ + "/plain_file";
+  { std::ofstream(file) << "x"; }
   Catalog catalog;
-  EXPECT_EQ(SaveCatalogCsv(catalog, "/nonexistent/dir").code(),
+  EXPECT_EQ(SaveCatalogCsv(catalog, file + "/sub").code(),
             StatusCode::kIOError);
-  EXPECT_EQ(LoadCatalogCsv("/nonexistent/dir").status().code(),
+  EXPECT_EQ(SaveCatalogBinary(catalog, file + "/sub").code(),
             StatusCode::kIOError);
+  EXPECT_EQ(LoadCatalogCsv(dir_ + "/missing").status().code(),
+            StatusCode::kIOError);
+}
+
+TEST_F(TableIoTest, SaveCreatesMissingDirectories) {
+  TpchLiteSpec spec;
+  spec.num_customers = 200;
+  spec.num_orders = 800;
+  std::unique_ptr<Catalog> catalog = MakeTpchLiteDatabase(spec).ValueOrDie();
+  const std::string csv_dir = dir_ + "/fresh/nested/csv";
+  const std::string bin_dir = dir_ + "/fresh/nested/bin";
+  ASSERT_TRUE(SaveCatalogCsv(*catalog, csv_dir).ok());
+  ASSERT_TRUE(SaveCatalogBinary(*catalog, bin_dir).ok());
+  auto from_csv = LoadCatalogCsv(csv_dir).ValueOrDie();
+  auto from_bin = LoadCatalogBinary(bin_dir).ValueOrDie();
+  EXPECT_EQ(from_csv->TableNames(), catalog->TableNames());
+  EXPECT_EQ(from_bin->TableNames(), catalog->TableNames());
+  for (const std::string& name : catalog->TableNames()) {
+    size_t rows = catalog->GetTable(name).ValueOrDie()->num_rows();
+    EXPECT_EQ(from_csv->GetTable(name).ValueOrDie()->num_rows(), rows);
+    EXPECT_EQ(from_bin->GetTable(name).ValueOrDie()->num_rows(), rows);
+  }
 }
 
 }  // namespace

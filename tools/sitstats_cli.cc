@@ -54,7 +54,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include <filesystem>
 #include <limits>
 #include <map>
 #include <optional>
@@ -205,9 +204,6 @@ int Import(const Args& args) {
   const std::string& dst = args.positional[1];
   Result<std::unique_ptr<Catalog>> catalog = LoadCatalog(src);
   if (!catalog.ok()) return FailStatus(catalog.status());
-  std::error_code ec;
-  std::filesystem::create_directories(dst, ec);
-  if (ec) return Fail("cannot create " + dst + ": " + ec.message());
   Status saved = SaveCatalogBinary(**catalog, dst);
   if (!saved.ok()) return FailStatus(saved);
   size_t columns = 0;
