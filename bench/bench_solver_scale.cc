@@ -6,8 +6,9 @@
 //
 // Three sweeps:
 //  1. "template": MakeTemplateInstance under generous memory. The
-//     duplicated sequences dedup away, so Exact's branch-and-bound core
-//     is independent of numSITs while A*'s state vectors keep growing.
+//     duplicated sequences dedup away, so the reduced core that Exact's
+//     A* searches does not grow with numSITs while plain A*'s state
+//     vectors keep growing.
 //  2. "fact_table": every template passes through one unshareable big
 //     table (cap 1) and one crossed SIT pair keeps the heuristic below
 //     the optimum, so Opt must enumerate the duplicate permutations and

@@ -11,8 +11,8 @@
 #include "common/status.h"
 #include "scheduler/problem.h"
 
-/// Machinery shared by the SCS search backends — the A* family in
-/// solver.cc and the branch-and-bound backend in bnb_solver.cc: the state
+/// SCS machinery shared by the A* search in solver.cc (every solver kind
+/// but Naive) and the reduction rules in reduction.cc: the state
 /// representation, the suffix-occurrence tables behind the admissible
 /// heuristic, per-table advancing capacities under the memory limit, and
 /// the instance-size entry checks. Internal to src/scheduler.
@@ -124,7 +124,7 @@ inline uint64_t CombinationCount(size_t n, size_t k, uint64_t limit) {
   return c;
 }
 
-/// Entry checks shared by every search backend, run after
+/// Entry checks for the search, run after
 /// SchedulingProblem::Validate:
 ///  - sequences longer than kMaxSequenceLength overflow the uint16 state
 ///    and suffix-occurrence representation -> kOutOfRange;

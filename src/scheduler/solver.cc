@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <queue>
@@ -10,10 +9,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "common/timer.h"
-#include "scheduler/bnb_solver.h"
+#include "scheduler/reduction.h"
 #include "scheduler/scs_internal.h"
 #include "telemetry/telemetry.h"
 
@@ -108,11 +107,10 @@ class AStarSolver {
         result.schedule = Reconstruct(goal_id, start_id);
         result.optimization_seconds = timer.ElapsedSeconds();
         result.nodes_expanded = expanded_;
-        result.proved_optimal =
-            options_.kind == SolverKind::kOptimal ||
-            (options_.kind == SolverKind::kHybrid && !switched_);
+        result.proved_optimal = !greedy_mode_;
         return result;
       }
+      SITSTATS_FAULT_SITE("scheduler.search.node");
       ++expanded_;
       if (options_.max_expansions > 0 &&
           expanded_ > options_.max_expansions) {
@@ -128,11 +126,8 @@ class AStarSolver {
                         expanded_ >= options_.hybrid_switch_expansions;
         bool time_up =
             timer.ElapsedSeconds() > options_.hybrid_switch_seconds;
-        bool memory_up = options_.hybrid_switch_states > 0 &&
-                         states_.size() > options_.hybrid_switch_states;
-        if (nodes_up || time_up || memory_up) {
-          SwitchToGreedy(nodes_up ? "expansions"
-                                  : time_up ? "time" : "memory");
+        if (nodes_up || time_up) {
+          SwitchToGreedy(nodes_up ? "expansions" : "time");
         }
       }
       if (greedy_mode_) {
@@ -171,7 +166,6 @@ class AStarSolver {
 
   void SwitchToGreedy(const char* reason) {
     greedy_mode_ = true;
-    switched_ = true;
     static telemetry::Counter& hybrid_switches =
         telemetry::MetricsRegistry::Global().GetCounter(
             "scheduler.hybrid_switches");
@@ -310,7 +304,6 @@ class AStarSolver {
   const SchedulingProblem& problem_;
   const SolverOptions& options_;
   bool greedy_mode_ = false;
-  bool switched_ = false;
   uint64_t expanded_ = 0;
   std::vector<std::vector<std::vector<uint16_t>>> occ_;
   std::vector<double> caps_;
@@ -322,6 +315,31 @@ class AStarSolver {
   std::vector<std::pair<int, ScheduleStep>> came_from_;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> open_;
 };
+
+/// kExact: the optimality-preserving reductions, A* on the reduced core,
+/// then expansion back to `problem`.
+Result<SolverResult> SolveExact(const SchedulingProblem& problem,
+                                const SolverOptions& options) {
+  Timer timer;
+  SITSTATS_ASSIGN_OR_RETURN(ReducedInstance reduced,
+                            ReduceInstance(problem));
+  const ReductionStats& rstats = reduced.stats();
+  telemetry::MetricsRegistry::Global()
+      .GetCounter("scheduler.exact.rules_fired")
+      .Increment(rstats.rules_fired());
+  telemetry::MetricsRegistry::Global()
+      .GetGauge("scheduler.exact.reduction_ratio")
+      .Set(rstats.ReductionRatio());
+
+  SITSTATS_ASSIGN_OR_RETURN(SolverResult result,
+                            AStarSolver(reduced.problem(), options).Run());
+  SITSTATS_ASSIGN_OR_RETURN(result.schedule, reduced.Expand(result.schedule));
+  result.optimization_seconds = timer.ElapsedSeconds();
+  telemetry::MetricsRegistry::Global()
+      .GetCounter("scheduler.exact.nodes")
+      .Increment(result.nodes_expanded);
+  return result;
+}
 
 }  // namespace
 
@@ -338,19 +356,6 @@ Result<SolverResult> SolveSchedule(const SchedulingProblem& problem,
   // sequences past the uint16 state limit, kInvalidArgument for a memory
   // budget whose advancing capacity would degenerate the search.
   SITSTATS_RETURN_IF_ERROR(scs::CheckInstanceForSearch(problem));
-  SolverOptions effective = options;
-  if (effective.hybrid_switch_expansions == 0) {
-    if (const char* env = std::getenv("SITSTATS_HYBRID_EXPANSIONS");
-        env != nullptr && *env != '\0') {
-      Result<int64_t> parsed = ParseInt64(env);
-      if (!parsed.ok() || *parsed < 0) {
-        return Status::InvalidArgument(
-            std::string("invalid SITSTATS_HYBRID_EXPANSIONS value \"") +
-            env + "\"");
-      }
-      effective.hybrid_switch_expansions = static_cast<uint64_t>(*parsed);
-    }
-  }
   const char* kind_name = SolverKindToString(options.kind);
   telemetry::TraceSpan span("scheduler.solve");
   span.AddAttribute("solver", kind_name);
@@ -360,8 +365,8 @@ Result<SolverResult> SolveSchedule(const SchedulingProblem& problem,
       options.kind == SolverKind::kNaive
           ? SolveNaive(problem)
           : options.kind == SolverKind::kExact
-                ? SolveExactSchedule(problem, effective)
-                : AStarSolver(problem, effective).Run();
+                ? SolveExact(problem, options)
+                : AStarSolver(problem, options).Run();
   if (!result.ok()) return result.status();
   SITSTATS_RETURN_IF_ERROR(ValidateSchedule(problem, result->schedule));
   // Debug builds additionally prove the cost is not below the single-scan

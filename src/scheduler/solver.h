@@ -21,11 +21,11 @@ enum class SolverKind {
   /// Starts as A*, switches to Greedy after a time budget
   /// (Section 4.3.2; the paper switches after one second).
   kHybrid,
-  /// Reduction rules + branch-and-bound (scheduler/reduction.h,
-  /// scheduler/bnb_solver.h): optimality-preserving instance shrinking,
-  /// then exact depth-first search bounded by a Greedy incumbent.
-  /// Guaranteed optimal, deterministic, and scales far past kOptimal on
-  /// instances the reductions can shrink.
+  /// Reductions + A*: optimality-preserving instance shrinking
+  /// (scheduler/reduction.h), then kOptimal's A* on the reduced core, then
+  /// expansion back to the original instance. Guaranteed optimal,
+  /// deterministic, and scales far past kOptimal on instances the
+  /// reductions can shrink.
   kExact,
 };
 
@@ -36,20 +36,15 @@ struct SolverOptions {
   /// Hybrid's switch condition: seconds of A* before going greedy (the
   /// paper's choice, Section 4.3.2).
   double hybrid_switch_seconds = 1.0;
-  /// Alternative switch condition the paper also suggests: go greedy once
-  /// |OPEN ∪ CLOSED| exceeds this many states ("uses all available
-  /// memory"). 0 disables the state-count condition; whichever condition
-  /// fires first wins.
-  uint64_t hybrid_switch_states = 0;
   /// Deterministic switch condition: go greedy after this many node
   /// expansions. Unlike the wall-clock budget this yields the same
   /// schedule on every run, whatever the machine load — CI and the fault
-  /// sweep want that. 0 disables it; when 0, the environment variable
-  /// SITSTATS_HYBRID_EXPANSIONS supplies the value. Whichever enabled
-  /// condition fires first wins.
+  /// sweep want that. 0 disables it; whichever enabled condition fires
+  /// first wins.
   uint64_t hybrid_switch_expansions = 0;
   /// Safety valve for kOptimal and kExact: abort with ResourceExhausted
-  /// after this many node expansions (0 = unlimited).
+  /// after this many A* node expansions (0 = unlimited). For kExact the
+  /// budget applies to the search on the reduced core.
   uint64_t max_expansions = 0;
 };
 

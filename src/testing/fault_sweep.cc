@@ -297,31 +297,31 @@ Status RunWorkload(const FaultSweepOptions& options, const std::string& dir,
                          eopts));
   for (Sit& sit : executed.sits) state->sits.Add(std::move(sit));
 
-  // Exact scheduling layer: reductions + branch-and-bound over a small
-  // synthetic instance built to survive full reduction (two interleaved
-  // sequences with shareable scans), so both scheduler.reduce and
-  // scheduler.bnb.node are reachable and the search genuinely branches.
+  // Exact scheduling layer: reductions + A* over a small synthetic
+  // instance built to survive full reduction (two interleaved sequences
+  // with shareable scans), so scheduler.reduce is reachable and the A*
+  // behind scheduler.search.node genuinely branches on the reduced core.
   {
-    SchedulingProblem bnb_problem;
-    int a = bnb_problem.AddTable("bnb_a", 2.0, 10.0);
-    int b = bnb_problem.AddTable("bnb_b", 3.0, 10.0);
-    int c = bnb_problem.AddTable("bnb_c", 1.0, 10.0);
+    SchedulingProblem exact_problem;
+    int a = exact_problem.AddTable("exact_a", 2.0, 10.0);
+    int b = exact_problem.AddTable("exact_b", 3.0, 10.0);
+    int c = exact_problem.AddTable("exact_c", 1.0, 10.0);
     SITSTATS_RETURN_IF_ERROR(
-        bnb_problem.AddSequenceIds({a, b}).status());
+        exact_problem.AddSequenceIds({a, b}).status());
     SITSTATS_RETURN_IF_ERROR(
-        bnb_problem.AddSequenceIds({b, a}).status());
+        exact_problem.AddSequenceIds({b, a}).status());
     SITSTATS_RETURN_IF_ERROR(
-        bnb_problem.AddSequenceIds({a, c}).status());
-    bnb_problem.set_memory_limit(30.0);
+        exact_problem.AddSequenceIds({a, c}).status());
+    exact_problem.set_memory_limit(30.0);
     SolverOptions xopts;
     xopts.kind = SolverKind::kExact;
     xopts.max_expansions = 100'000;
     SITSTATS_ASSIGN_OR_RETURN(SolverResult exact,
-                              SolveSchedule(bnb_problem, xopts));
+                              SolveSchedule(exact_problem, xopts));
     SolverOptions gopts;
     gopts.kind = SolverKind::kGreedy;
     SITSTATS_ASSIGN_OR_RETURN(SolverResult greedy,
-                              SolveSchedule(bnb_problem, gopts));
+                              SolveSchedule(exact_problem, gopts));
     if (exact.schedule.cost > greedy.schedule.cost + 1e-9 ||
         !exact.proved_optimal) {
       return Status::Internal("exact scheduler lost to greedy: " +

@@ -1,16 +1,19 @@
-// Tests for the kExact branch-and-bound scheduler: agreement with the
-// optimal A* on random instances, scaling past kOptimal's expansion
-// ceiling on template workloads, and budget handling.
+// Tests for the kExact scheduler (reduction rules, then kOptimal's A* on
+// the reduced core): agreement with plain A* on random instances, scaling
+// past kOptimal's expansion ceiling on template workloads, budget
+// handling, and one booked solve per call.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "scheduler/instance_generator.h"
 #include "scheduler/solver.h"
+#include "telemetry/telemetry.h"
 
 namespace sitstats {
 namespace {
@@ -88,8 +91,8 @@ TEST(ExactSolverTest, MatchesOptimalAndBeatsHeuristicsOnRandomInstances) {
 // That heuristic gap keeps f below the optimum across every ordering of
 // the one-at-a-time B scans, so A* must expand the full permutation
 // space of the duplicated templates before it can terminate. The
-// reductions hoist B outright and dedup the duplicates, so the
-// branch-and-bound core stays tiny no matter how many SITs ride on it.
+// reductions hoist B outright and dedup the duplicates, so the core that
+// A* searches stays tiny no matter how many SITs ride on it.
 SchedulingProblem BigTableTemplateInstance(int num_sits) {
   SchedulingProblem p;
   int big = p.AddTable("B", 50.0, 30'000.0);
@@ -208,6 +211,68 @@ TEST(ExactSolverTest, ReportsNodesExpanded) {
   SolverResult result =
       SolveSchedule(p, Kind(SolverKind::kExact)).ValueOrDie();
   EXPECT_GT(result.nodes_expanded, 1u);
+}
+
+// Samples in a solver kind's scheduler.<Kind>.elapsed_ms histogram.
+uint64_t ElapsedSamples(SolverKind kind) {
+  return telemetry::MetricsRegistry::Global()
+      .GetHistogram(std::string("scheduler.") + SolverKindToString(kind) +
+                    ".elapsed_ms")
+      .count();
+}
+
+// One kExact call is one solve: the core search runs inside it, so it
+// books no second scheduler.solves count, no Greedy or Opt sample, and no
+// nested scheduler.solve span.
+TEST(ExactSolverTest, BooksExactlyOneSolve) {
+  SchedulingProblem p = CrossingTrapInstance();
+  telemetry::Counter& solves =
+      telemetry::MetricsRegistry::Global().GetCounter("scheduler.solves");
+  telemetry::Tracer& tracer = telemetry::Tracer::Global();
+  const uint64_t solves_before = solves.value();
+  const uint64_t exact_before = ElapsedSamples(SolverKind::kExact);
+  const uint64_t greedy_before = ElapsedSamples(SolverKind::kGreedy);
+  const uint64_t opt_before = ElapsedSamples(SolverKind::kOptimal);
+  tracer.Clear();
+  tracer.SetEnabled(true);
+
+  SITSTATS_CHECK_OK(SolveSchedule(p, Kind(SolverKind::kExact)).status());
+
+  tracer.SetEnabled(false);
+  size_t solve_spans = 0;
+  for (const telemetry::TraceEvent& event : tracer.Snapshot()) {
+    if (event.name == "scheduler.solve") ++solve_spans;
+  }
+  tracer.Clear();
+  EXPECT_EQ(solves.value() - solves_before, 1u);
+  EXPECT_EQ(ElapsedSamples(SolverKind::kExact) - exact_before, 1u);
+  EXPECT_EQ(ElapsedSamples(SolverKind::kGreedy), greedy_before);
+  EXPECT_EQ(ElapsedSamples(SolverKind::kOptimal), opt_before);
+  EXPECT_EQ(solve_spans, 1u);
+}
+
+// The first random numSITs=15 instance of bench_solver_scale (paper spec,
+// M = 50,000): the reductions barely shrink it, so the core search does
+// the work, and it must prove optimality inside the bench's 300k-node
+// budget at the cost plain A* finds.
+TEST(ExactSolverTest, ProvesRandomFifteenSitInstanceWithinBudget) {
+  Rng rng(31015);
+  InstanceSpec spec;
+  spec.num_sits = 15;
+  SchedulingProblem problem = MakeRandomInstance(spec, &rng).ValueOrDie();
+
+  SolverOptions exact = Kind(SolverKind::kExact);
+  exact.max_expansions = 300'000;
+  Result<SolverResult> result = SolveSchedule(problem, exact);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->proved_optimal);
+  EXPECT_LE(result->nodes_expanded, 300'000u);
+  SITSTATS_CHECK_OK(result->schedule.Validate(problem));
+
+  SolverResult optimal =
+      SolveSchedule(problem, Kind(SolverKind::kOptimal)).ValueOrDie();
+  EXPECT_NEAR(result->schedule.cost, optimal.schedule.cost,
+              1e-9 * optimal.schedule.cost);
 }
 
 }  // namespace

@@ -14,26 +14,26 @@ SchedulingProblem HardInstance(uint64_t seed) {
   return MakeRandomInstance(spec, &rng).ValueOrDie();
 }
 
-TEST(HybridSwitchTest, StateCountSwitchProducesValidSchedule) {
+TEST(HybridSwitchTest, ExpansionBudgetSwitchProducesValidSchedule) {
   SchedulingProblem problem = HardInstance(3);
   SolverOptions options;
   options.kind = SolverKind::kHybrid;
-  options.hybrid_switch_seconds = 1e9;  // never by time
-  options.hybrid_switch_states = 50;    // switch almost immediately
+  options.hybrid_switch_seconds = 1e9;    // never by time
+  options.hybrid_switch_expansions = 50;  // switch almost immediately
   SolverResult result = SolveSchedule(problem, options).ValueOrDie();
   EXPECT_TRUE(ValidateSchedule(problem, result.schedule).ok());
   // With such an early switch the run cannot be proved optimal unless it
-  // finished within 50 states (it won't for 12 SITs).
+  // finished within 50 expansions (it won't for 12 SITs).
   EXPECT_FALSE(result.proved_optimal);
 }
 
 TEST(HybridSwitchTest, EarlySwitchIsBetweenGreedyAndOptimal) {
   SchedulingProblem problem = HardInstance(7);
-  auto solve = [&](SolverKind kind, uint64_t states) {
+  auto solve = [&](SolverKind kind, uint64_t expansions) {
     SolverOptions options;
     options.kind = kind;
     options.hybrid_switch_seconds = 1e9;
-    options.hybrid_switch_states = states;
+    options.hybrid_switch_expansions = expansions;
     return SolveSchedule(problem, options).ValueOrDie().schedule.cost;
   };
   double greedy = solve(SolverKind::kGreedy, 0);
@@ -55,7 +55,7 @@ TEST(HybridSwitchTest, NoSwitchMeansProvedOptimal) {
   SolverOptions options;
   options.kind = SolverKind::kHybrid;
   options.hybrid_switch_seconds = 1e9;
-  options.hybrid_switch_states = 1'000'000;
+  options.hybrid_switch_expansions = 1'000'000;
   SolverResult result = SolveSchedule(problem, options).ValueOrDie();
   EXPECT_TRUE(result.proved_optimal);
   SolverOptions opt;

@@ -5,14 +5,13 @@
 //     (65'535) came back as kInvalidArgument instead of kOutOfRange;
 //  2. Hybrid's only switch conditions were wall-clock time and state
 //     count, so its output differed from run to run on loaded machines —
-//     the new node-expansion budget (flag or SITSTATS_HYBRID_EXPANSIONS)
+//     the node-expansion budget (SolverOptions::hybrid_switch_expansions)
 //     makes the switch deterministic;
 //  3. SchedulingProblem::Validate accepted NaN memory limits and
 //     non-finite costs/samples, which poisoned cap arithmetic downstream.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <vector>
 
@@ -94,29 +93,6 @@ TEST(SolverRegressionTest, HybridNodeBudgetSwitchIsDeterministic) {
               second.schedule.steps[i].advanced) << "step " << i;
   }
   EXPECT_DOUBLE_EQ(first.schedule.cost, second.schedule.cost);
-}
-
-TEST(SolverRegressionTest, HybridNodeBudgetFromEnvironment) {
-  SchedulingProblem problem = HybridStressInstance();
-  SolverOptions explicit_options = Kind(SolverKind::kHybrid);
-  explicit_options.hybrid_switch_seconds = 1e9;
-  explicit_options.hybrid_switch_expansions = 30;
-  SolverResult from_flag =
-      SolveSchedule(problem, explicit_options).ValueOrDie();
-
-  SolverOptions env_options = Kind(SolverKind::kHybrid);
-  env_options.hybrid_switch_seconds = 1e9;
-  ASSERT_EQ(setenv("SITSTATS_HYBRID_EXPANSIONS", "30", 1), 0);
-  SolverResult from_env = SolveSchedule(problem, env_options).ValueOrDie();
-  EXPECT_DOUBLE_EQ(from_env.schedule.cost, from_flag.schedule.cost);
-  EXPECT_EQ(from_env.schedule.steps.size(), from_flag.schedule.steps.size());
-
-  ASSERT_EQ(setenv("SITSTATS_HYBRID_EXPANSIONS", "bogus", 1), 0);
-  Result<SolverResult> bad = SolveSchedule(problem, env_options);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-
-  ASSERT_EQ(unsetenv("SITSTATS_HYBRID_EXPANSIONS"), 0);
 }
 
 // --- Bug 3: non-finite problem parameters ---------------------------------

@@ -38,7 +38,7 @@
 // the cheapest schedule. Each --sit is "attr" or "attr:join1;join2;..."
 // with joins in A.x=B.y form. --hybrid-expansions N makes Hybrid's
 // A*->Greedy switch fire deterministically after N node expansions
-// (0 defers to $SITSTATS_HYBRID_EXPANSIONS, else pure wall-clock).
+// (0 = wall-clock switch only).
 // --threads N runs independent schedule steps on N
 // worker threads (0 or unset defers to $SITSTATS_THREADS, default serial);
 // built SITs are identical at any thread count.
