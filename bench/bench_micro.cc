@@ -82,6 +82,27 @@ void BM_ReservoirAddRepeatedHuge(benchmark::State& state) {
 }
 BENCHMARK(BM_ReservoirAddRepeatedHuge);
 
+void BM_ReservoirAddRepeatedShort(benchmark::State& state) {
+  // The Sweep loop's common case: one run of 1-64 copies per scanned row,
+  // 100k rows per iteration into a 2k-slot reservoir. Items are calls.
+  Rng lengths_rng(5);
+  std::vector<uint64_t> lengths(100'000);
+  for (uint64_t& len : lengths) {
+    len = static_cast<uint64_t>(lengths_rng.UniformInt(1, 64));
+  }
+  Rng rng(3);
+  for (auto _ : state) {
+    ReservoirSampler sampler(2'000, &rng);
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      sampler.AddRepeated(static_cast<double>(i), lengths[i]);
+    }
+    benchmark::DoNotOptimize(sampler.sample());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(lengths.size()));
+}
+BENCHMARK(BM_ReservoirAddRepeatedShort);
+
 void BM_MOracleLookup(benchmark::State& state) {
   std::vector<double> r = ZipfValues(100'000, 1.0, 10'000);
   std::vector<double> s = ZipfValues(100'000, 1.0, 10'000);

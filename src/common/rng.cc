@@ -10,18 +10,6 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
   return dist(engine_);
 }
 
-double Rng::UniformDouble(double lo, double hi) {
-  std::uniform_real_distribution<double> dist(lo, hi);
-  return dist(engine_);
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  std::bernoulli_distribution dist(p);
-  return dist(engine_);
-}
-
 uint64_t HashString64(std::string_view text) {
   uint64_t hash = 14695981039346656037ull;  // FNV offset basis
   for (char c : text) {

@@ -36,14 +36,26 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
-  /// Uniform double in [lo, hi).
-  double UniformDouble(double lo, double hi);
+  /// Uniform double in [0, 1): one engine output scaled by 2^-64, clamped
+  /// below 1. Bit-identical to libstdc++'s generate_canonical<double, 53>
+  /// over this engine, which the seeded datagen goldens rely on.
+  double NextDouble() {
+    const double u = static_cast<double>(engine_()) * 0x1p-64;
+    return u < 1.0 ? u : 0x1.fffffffffffffp-1;
+  }
 
-  /// Uniform double in [0, 1).
-  double NextDouble() { return UniformDouble(0.0, 1.0); }
+  /// Uniform double in [lo, hi) (std::uniform_real_distribution's formula).
+  double UniformDouble(double lo, double hi) {
+    return NextDouble() * (hi - lo) + lo;
+  }
 
-  /// Bernoulli trial with success probability p.
-  bool Bernoulli(double p);
+  /// Bernoulli trial with success probability p. Draws nothing when p is
+  /// outside (0, 1); otherwise std::bernoulli_distribution's rule.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Raw 64-bit output (for seeding child generators).
   uint64_t NextUint64() { return engine_(); }

@@ -1,31 +1,13 @@
 #include "sampling/reservoir.h"
 
-#include <math.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstddef>
+#include <limits>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
 
 namespace sitstats {
-
-namespace {
-
-/// Thread-safe log-gamma. glibc's lgamma writes the process-global
-/// `signgam`, so concurrent reservoir samplers (parallel schedule steps)
-/// race through std::lgamma; lgamma_r is the reentrant form.
-double LogGamma(double x) {
-#if defined(__GLIBC__) || defined(__APPLE__)
-  int sign = 0;
-  return lgamma_r(x, &sign);
-#else
-  return std::lgamma(x);
-#endif
-}
-
-}  // namespace
 
 ReservoirSampler::ReservoirSampler(size_t capacity, Rng* rng)
     : capacity_(capacity), rng_(rng) {
@@ -49,130 +31,63 @@ Result<ReservoirSampler> ReservoirSampler::Create(size_t capacity,
   return ReservoirSampler(capacity, rng);
 }
 
-void ReservoirSampler::Add(double value) {
-  ++stream_size_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(value);
-    return;
-  }
-  // Element i (1-based) replaces a random slot with probability k/i.
-  uint64_t pos = static_cast<uint64_t>(
-      rng_->UniformInt(0, static_cast<int64_t>(stream_size_) - 1));
-  if (pos < capacity_) {
-    sample_[static_cast<size_t>(pos)] = value;
-  }
-}
-
-void ReservoirSampler::AddBatch(std::span<const double> values) {
-  size_t i = 0;
-  if (sample_.size() < capacity_) {
-    const size_t take = std::min(values.size(), capacity_ - sample_.size());
-    sample_.insert(sample_.end(), values.begin(),
-                   values.begin() + static_cast<ptrdiff_t>(take));
-    stream_size_ += take;
-    i = take;
-  }
-  for (; i < values.size(); ++i) Add(values[i]);
-}
-
 void ReservoirSampler::AddRepeated(double value, uint64_t count) {
-  // Fill phase: plain adds until the reservoir is full.
-  while (count > 0 && sample_.size() < capacity_) {
-    Add(value);
-    --count;
+  // Fill phase: the first `capacity` elements are kept without a draw.
+  if (sample_.size() < capacity_) {
+    const uint64_t take = std::min<uint64_t>(count, capacity_ - sample_.size());
+    sample_.insert(sample_.end(), static_cast<size_t>(take), value);
+    stream_size_ += take;
+    count -= take;
+    if (count == 0) return;
   }
-  if (count == 0) return;
-
-  if (count <= 64) {
-    // Short runs: per-element Bernoulli is cheaper than skip sampling.
-    for (uint64_t j = 0; j < count; ++j) {
-      ++stream_size_;
-      double p = static_cast<double>(capacity_) /
-                 static_cast<double>(stream_size_);
-      if (rng_->Bernoulli(p)) {
-        int64_t slot =
-            rng_->UniformInt(0, static_cast<int64_t>(capacity_) - 1);
-        sample_[static_cast<size_t>(slot)] = value;
-      }
-    }
-    return;
+  if (next_replace_ == 0) next_replace_ = NextReplacement(stream_size_);
+  const uint64_t end = stream_size_ + count;
+  while (next_replace_ <= end) {
+    const int64_t slot =
+        rng_->UniformInt(0, static_cast<int64_t>(capacity_) - 1);
+    sample_[static_cast<size_t>(slot)] = value;
+    next_replace_ = NextReplacement(next_replace_);
   }
+  stream_size_ = end;
+}
 
-  // Long runs (join multiplicities can reach billions): jump directly from
-  // one replacement event to the next. With the reservoir full at stream
-  // position t, the probability that none of the next s elements replaces
-  // a slot is
-  //   Q(s) = prod_{i=t+1}^{t+s} (1 - c/i)
-  //        = exp( lgamma(t+s+1-c) - lgamma(t+1-c)
-  //             - lgamma(t+s+1)   + lgamma(t+1) ),
-  // so the skip length is found by binary-searching the smallest s with
-  // Q(s) < u for u ~ U(0,1). Expected replacements for a run of n elements
+uint64_t ReservoirSampler::NextReplacement(uint64_t t) {
+  // Element i replaces a slot with probability c/i, so the chance that
+  // none of positions t+1 .. t+s does is
+  //   Q(s) = prod_{i=t+1}^{t+s} (1 - c/i),
+  // and the next replacement is at t + S for the smallest S with
+  // Q(S) < u, u ~ U(0,1). Expected replacements over a run of n elements
   // are c * ln((t+n)/t), independent of n's magnitude.
   const double c = static_cast<double>(capacity_);
-  uint64_t remaining = count;
-  while (remaining > 0) {
-    const double t = static_cast<double>(stream_size_);
-    double u = rng_->NextDouble();
-    if (u <= 0.0) u = 1e-300;
-    const double log_u = std::log(u);
-
-    uint64_t next = 0;  // offset (1-based) of the next replacement, 0 = none
-    if (t >= 64.0 * c) {
-      // Large positions: the exact lgamma formula below suffers
-      // catastrophic cancellation (its terms reach ~1e15 while the answer
-      // is O(1)), so invert the continuous approximation
-      //   log Q(s) = -c * ln((t+s-c+.5)/(t-c+.5))        (error O(c/t))
-      // in closed form.
-      double base = t - c + 0.5;
-      double s_real = base * std::expm1(-log_u / c);
-      if (s_real >= static_cast<double>(remaining)) {
-        next = 0;
-      } else {
-        next = static_cast<uint64_t>(std::floor(s_real)) + 1;
-        if (next > remaining) next = 0;
-      }
-    } else {
-      // Small positions: exact inversion of
-      //   Q(s) = prod_{i=t+1}^{t+s} (1 - c/i)
-      //        = exp(lg(t+s+1-c) - lg(t+1-c) - lg(t+s+1) + lg(t+1)).
-      auto log_q = [&](uint64_t s) {
-        double sd = static_cast<double>(s);
-        return LogGamma(t + sd + 1.0 - c) - LogGamma(t + 1.0 - c) -
-               LogGamma(t + sd + 1.0) + LogGamma(t + 1.0);
-      };
-      if (log_q(remaining) >= log_u) {
-        next = 0;
-      } else {
-        // Smallest s in [1, remaining] with log Q(s) < log u.
-        uint64_t lo = 0;
-        uint64_t hi = remaining;  // log_q(hi) < log_u established above
-        while (lo < hi) {
-          uint64_t mid = lo + (hi - lo) / 2;
-          if (log_q(mid) < log_u) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        next = lo;
-      }
-    }
-
-    if (next == 0) {
-      // No replacement in the rest of the run.
-      stream_size_ += remaining;
-      return;
-    }
-    stream_size_ += next;  // next-1 skipped elements + the replacing one
-    remaining -= next;
-    int64_t slot = rng_->UniformInt(0, static_cast<int64_t>(capacity_) - 1);
-    sample_[static_cast<size_t>(slot)] = value;
+  double u = rng_->NextDouble();
+  if (u <= 0.0) u = 1e-300;  // keeps the log below finite
+  // Below 64c, multiply the product out (Vitter's Algorithm X): exact, and
+  // about t/c multiplies per draw.
+  const uint64_t closed_form_from = 64 * static_cast<uint64_t>(capacity_);
+  double q = 1.0;
+  while (t < closed_form_from) {
+    ++t;
+    q *= 1.0 - c / static_cast<double>(t);
+    if (q < u) return t;
   }
+  // From 64c on, where the product would cost t/c multiplies per draw,
+  // invert the continuous approximation
+  //   Q(s) = ((t-c+.5) / (t+s-c+.5))^c                   (error O(c/t))
+  // in closed form, for the threshold left after surviving the product.
+  // Skips past 2^63 saturate to a position no stream reaches.
+  const double log_u = std::log(u / q);
+  const double s_real = (static_cast<double>(t) - c + 0.5) *
+                        std::expm1(-log_u / c);
+  constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+  if (!(s_real < 0x1p63)) return kNever;
+  const uint64_t s = static_cast<uint64_t>(s_real) + 1;
+  return s > kNever - t ? kNever : t + s;
 }
 
 void ReservoirSampler::Reset() {
   sample_.clear();
   stream_size_ = 0;
+  next_replace_ = 0;
 }
 
 }  // namespace sitstats

@@ -2,7 +2,6 @@
 #define SITSTATS_SAMPLING_RESERVOIR_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -10,13 +9,17 @@
 
 namespace sitstats {
 
-/// One-pass uniform reservoir sampler (Vitter's Algorithm R, [19]).
+/// One-pass uniform reservoir sampler with skip-ahead replacement
+/// (Vitter, [19]).
 ///
 /// Sweep streams the approximated join projection — conceptually "n copies
 /// of a_i" per scanned tuple — through one of these (step 4 in Figure 2 of
-/// the paper), so the temporary table is never materialized. AddRepeated
-/// processes a run of equal values in O(expected replacements) instead of
-/// n individual offers.
+/// the paper), so the temporary table is never materialized. Once the
+/// reservoir is full, the sampler carries the stream position of the next
+/// element that replaces a slot. A run that ends before that position
+/// costs one add and one compare; each replacement costs a slot draw plus
+/// the draw of the next position. The draws depend only on the stream, not
+/// on how it is split into Add / AddRepeated calls.
 class ReservoirSampler {
  public:
   /// `capacity`: maximum sample size (> 0). `rng` is borrowed and must
@@ -31,17 +34,11 @@ class ReservoirSampler {
   static Result<ReservoirSampler> Create(size_t capacity, Rng* rng);
 
   /// Offers one stream element.
-  void Add(double value);
+  void Add(double value) { AddRepeated(value, 1); }
 
-  /// Offers `count` consecutive copies of `value` (equivalent to calling
-  /// Add(value) `count` times, with identical distribution).
+  /// Offers `count` consecutive copies of `value`: draw-for-draw identical
+  /// to calling Add(value) `count` times.
   void AddRepeated(double value, uint64_t count);
-
-  /// Offers every element of `values` in order. Draw-for-draw identical to
-  /// calling Add per element — the fill phase consumes no randomness, so
-  /// it is bulk-appended — which keeps samples byte-identical between the
-  /// batched and row-at-a-time sweep paths.
-  void AddBatch(std::span<const double> values);
 
   /// Number of stream elements offered so far.
   uint64_t stream_size() const { return stream_size_; }
@@ -54,10 +51,17 @@ class ReservoirSampler {
   void Reset();
 
  private:
+  /// Draws the 1-based stream position of the first element after
+  /// position `t` (>= capacity) that replaces a slot.
+  uint64_t NextReplacement(uint64_t t);
+
   size_t capacity_;
   Rng* rng_;
   std::vector<double> sample_;
   uint64_t stream_size_ = 0;
+  /// Position of the next replacing element; 0 until the stream first
+  /// passes the capacity.
+  uint64_t next_replace_ = 0;
 };
 
 }  // namespace sitstats

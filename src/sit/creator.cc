@@ -124,6 +124,12 @@ Result<SweepBuild> SweepBuild::Start(Catalog* catalog,
   if (options.variant == SweepVariant::kHistSit) {
     return Status::InvalidArgument("Hist-SIT is not a sweep build");
   }
+  // `!(x > 0)` instead of `x <= 0`: NaN fails both orderings of the
+  // naive spelling and would sail through to the capacity math (where
+  // casting rows * NaN is undefined behavior).
+  if (!(options.sampling_rate > 0.0) || options.sampling_rate > 1.0) {
+    return Status::InvalidArgument("sampling_rate must be in (0, 1]");
+  }
   SITSTATS_ASSIGN_OR_RETURN(
       JoinTree tree,
       JoinTree::Build(descriptor.query(), descriptor.attribute().table));
@@ -237,12 +243,6 @@ Result<Sit> CreateSit(Catalog* catalog, BaseStatsCache* base_stats,
     return Status::InvalidArgument(
         "SIT attribute table is not part of the generating query: " +
         descriptor.ToString());
-  }
-  // `!(x > 0)` instead of `x <= 0`: NaN fails both orderings of the
-  // naive spelling and would sail through to the capacity math (where
-  // casting rows * NaN is undefined behavior).
-  if (!(options.sampling_rate > 0.0) || options.sampling_rate > 1.0) {
-    return Status::InvalidArgument("sampling_rate must be in (0, 1]");
   }
   if (options.variant == SweepVariant::kHistSit) {
     return CreateHistSit(catalog, base_stats, descriptor, options);

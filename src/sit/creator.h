@@ -21,7 +21,8 @@ namespace sitstats {
 struct SitBuildOptions {
   SweepVariant variant = SweepVariant::kSweep;
   /// Reservoir sampling rate relative to the scanned table's size (the
-  /// paper uses 10%). Ignored by the no-sampling variants.
+  /// paper uses 10%); must be in (0, 1] for every Sweep variant. Only the
+  /// sampling variants read it.
   double sampling_rate = 0.1;
   size_t min_sample_size = 100;
   /// Bucketing of the produced SIT and of intermediate SITs.
@@ -57,11 +58,11 @@ uint64_t SitStreamSeed(uint64_t seed, const SitDescriptor& descriptor);
 /// not depend on the caller, the batch, or the thread count.
 class SweepBuild {
  public:
-  /// Plans the scans; none runs yet. Rejects kHistSit (InvalidArgument)
-  /// and composite join predicates between intermediate results
-  /// (NotImplemented: a 1D intermediate SIT cannot carry their joint
-  /// distribution; composite edges towards leaves are fine). `catalog` and
-  /// `base_stats` must outlive the build.
+  /// Plans the scans; none runs yet. Rejects kHistSit and a sampling_rate
+  /// outside (0, 1] (InvalidArgument), and composite join predicates
+  /// between intermediate results (NotImplemented: a 1D intermediate SIT
+  /// cannot carry their joint distribution; composite edges towards leaves
+  /// are fine). `catalog` and `base_stats` must outlive the build.
   static Result<SweepBuild> Start(Catalog* catalog, BaseStatsCache* base_stats,
                                   const SitDescriptor& descriptor,
                                   const SitBuildOptions& options);

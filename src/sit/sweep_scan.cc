@@ -33,10 +33,10 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   if (spec.targets.empty()) {
     return Status::InvalidArgument("sweep scan with no targets");
   }
-  // `!(x >= 0)` (not `x < 0`): NaN fails every ordering, and a NaN or
-  // negative rate would reach the capacity computation below, where
-  // casting ceil(rows * rate) to size_t is undefined behavior.
-  if (spec.use_sampling && !(spec.sampling_rate >= 0.0)) {
+  // A NaN, infinite or negative rate would reach the capacity computation
+  // below, where casting ceil(rows * rate) to size_t is undefined behavior.
+  if (spec.use_sampling &&
+      !(spec.sampling_rate >= 0.0 && std::isfinite(spec.sampling_rate))) {
     return Status::InvalidArgument(
         "sweep sampling rate must be a finite non-negative number");
   }

@@ -53,7 +53,8 @@ struct SweepScanSpec {
   std::string table;
   std::vector<SweepJoin> joins;
   std::vector<SweepTarget> targets;
-  /// Reservoir capacity = max(min_sample_size, sampling_rate * |table|).
+  /// Reservoir capacity = max(min_sample_size, sampling_rate * |table|);
+  /// the rate must be finite and non-negative.
   double sampling_rate = 0.1;
   size_t min_sample_size = 100;
   /// false => stream the full weighted projection through a spillable

@@ -262,7 +262,7 @@ TEST(CreatorTest, StarSitBytesArePinned) {
   Catalog catalog;
   GeneratingQuery q = MakeStarCatalog(&catalog);
   ExpectPinnedBytes(&catalog, SitDescriptor(ColumnRef{"R", "a"}, q),
-                    {0x12e636feea60bed8ull, 0xbda26b76abdaba2aull,
+                    {0xb4a84d4c36c2d9d1ull, 0x96847768eee4d8afull,
                      0xba19c865150464f6ull, 0x4bacb9c6d2fc4922ull});
 }
 

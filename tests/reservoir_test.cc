@@ -7,7 +7,6 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <span>
 
 #include "sampling/bernoulli.h"
 
@@ -165,19 +164,45 @@ TEST(ReservoirTest, CapacityEqualToStreamLengthKeepsEverything) {
   EXPECT_EQ(rng.NextDouble(), control.NextDouble());
 }
 
-TEST(ReservoirTest, CapacityOneLessThanStreamLengthDrawsExactlyOnce) {
-  // Boundary: stream_length == capacity + 1 — exactly one replacement
-  // decision happens, for the final element.
-  Rng rng(43);
-  Rng control(43);
-  const size_t kCap = 255;
-  ReservoirSampler sampler(kCap, &rng);
-  for (size_t i = 0; i < kCap + 1; ++i) sampler.Add(static_cast<double>(i));
-  EXPECT_EQ(sampler.sample().size(), kCap);
-  EXPECT_EQ(sampler.stream_size(), kCap + 1);
-  // The one decision consumed exactly one draw.
-  (void)control.UniformInt(0, static_cast<int64_t>(kCap + 1) - 1);
-  EXPECT_EQ(rng.NextDouble(), control.NextDouble());
+TEST(ReservoirTest, SplitRunsAreDrawIdentical) {
+  // The sampler carries the next replacement position across calls, so
+  // AddRepeated(v, a + b), AddRepeated(v, a) + AddRepeated(v, b), and
+  // a + b calls to Add give the same sample and leave the rng at the same
+  // point — for splits before, at and after the fill boundary, and below
+  // and past the t = 64c skip switch.
+  const size_t kCap = 16;
+  const int kPrefix = 8;  // distinct values, so slot identity shows
+  // Splits after a = 8 fill the reservoir exactly, and a = 1'016 ends at
+  // position 64c = 1'024.
+  for (uint64_t a : {uint64_t{0}, uint64_t{5}, uint64_t{8}, uint64_t{9},
+                     uint64_t{300}, uint64_t{1'016}, uint64_t{1'017},
+                     uint64_t{5'000}}) {
+    for (uint64_t b : {uint64_t{1}, uint64_t{64}, uint64_t{2'000}}) {
+      Rng rng_whole(43);
+      Rng rng_split(43);
+      Rng rng_single(43);
+      ReservoirSampler whole(kCap, &rng_whole);
+      ReservoirSampler split(kCap, &rng_split);
+      ReservoirSampler single(kCap, &rng_single);
+      for (int i = 0; i < kPrefix; ++i) {
+        whole.Add(static_cast<double>(-i));
+        split.Add(static_cast<double>(-i));
+        single.Add(static_cast<double>(-i));
+      }
+      whole.AddRepeated(1.0, a + b);
+      split.AddRepeated(1.0, a);
+      split.AddRepeated(1.0, b);
+      for (uint64_t i = 0; i < a + b; ++i) single.Add(1.0);
+      SCOPED_TRACE(testing::Message() << "a=" << a << " b=" << b);
+      EXPECT_EQ(split.sample(), whole.sample());
+      EXPECT_EQ(single.sample(), whole.sample());
+      EXPECT_EQ(split.stream_size(), whole.stream_size());
+      EXPECT_EQ(single.stream_size(), whole.stream_size());
+      const uint64_t next = rng_whole.NextUint64();
+      EXPECT_EQ(rng_split.NextUint64(), next);
+      EXPECT_EQ(rng_single.NextUint64(), next);
+    }
+  }
 }
 
 TEST(ReservoirTest, AddRepeatedAtCapacityBoundaries) {
@@ -200,26 +225,98 @@ TEST(ReservoirTest, AddRepeatedAtCapacityBoundaries) {
   }
 }
 
-TEST(ReservoirTest, AddBatchMatchesPerElementAddExactly) {
-  // The batched sweep path feeds the reservoir whole spans; the accept
-  // set (and hence the built SIT) must be byte-identical to per-element
-  // offers with the same seed — including when the batch straddles the
-  // fill/replace boundary.
-  std::vector<double> stream;
-  for (int i = 0; i < 5'000; ++i) stream.push_back(i * 0.5);
-  for (size_t batch_size : {1ul, 7ul, 100ul, 4'096ul, 5'000ul}) {
-    Rng rng_batch(53);
-    Rng rng_single(53);
-    ReservoirSampler batched(100, &rng_batch);
-    ReservoirSampler single(100, &rng_single);
-    for (size_t begin = 0; begin < stream.size(); begin += batch_size) {
-      size_t n = std::min(batch_size, stream.size() - begin);
-      batched.AddBatch(std::span<const double>(stream.data() + begin, n));
+// Accuracy gate for the reservoir's draws. Every stream element lands in
+// the sample with probability c/N, so the number of sample slots holding
+// run g's value has expectation c * len_g / N. Summed over many fixed
+// seeds, Pearson's statistic over the 40 runs is (conservatively, since
+// the sample is drawn without replacement) chi-square with 39 degrees of
+// freedom. The seeds are fixed, so the test is deterministic; the bound is
+// the p = 0.001 critical value.
+constexpr size_t kChiSquareRuns = 40;
+constexpr double kChiSquareCritical39 = 72.055;
+
+/// Feeds one stream of runs (run g = `lengths[g]` copies of value g) per
+/// trial into a fresh sampler, via Add per element or AddRepeated per run,
+/// and returns Pearson's chi-square of the summed per-run sample counts.
+double InclusionChiSquare(const std::vector<uint64_t>& lengths,
+                          size_t capacity, int trials, bool per_element,
+                          uint64_t seed) {
+  std::vector<double> observed(lengths.size(), 0.0);
+  for (int trial = 0; trial < trials; ++trial) {
+    Rng rng(seed + static_cast<uint64_t>(trial));
+    ReservoirSampler sampler(capacity, &rng);
+    for (size_t g = 0; g < lengths.size(); ++g) {
+      const double value = static_cast<double>(g);
+      if (per_element) {
+        for (uint64_t i = 0; i < lengths[g]; ++i) sampler.Add(value);
+      } else {
+        sampler.AddRepeated(value, lengths[g]);
+      }
     }
-    for (double v : stream) single.Add(v);
-    EXPECT_EQ(batched.stream_size(), single.stream_size());
-    EXPECT_EQ(batched.sample(), single.sample()) << "batch " << batch_size;
+    for (double v : sampler.sample()) observed[static_cast<size_t>(v)] += 1;
   }
+  const double total = static_cast<double>(
+      std::accumulate(lengths.begin(), lengths.end(), uint64_t{0}));
+  double chi_square = 0.0;
+  for (size_t g = 0; g < lengths.size(); ++g) {
+    const double expected = static_cast<double>(trials) *
+                            static_cast<double>(capacity) *
+                            static_cast<double>(lengths[g]) / total;
+    EXPECT_GE(expected, 5.0) << "run " << g << " too short for the test";
+    const double diff = observed[g] - expected;
+    chi_square += diff * diff / expected;
+  }
+  return chi_square;
+}
+
+/// kChiSquareRuns run lengths drawn uniformly from [lo, hi].
+std::vector<uint64_t> UniformRunLengths(uint64_t lo, uint64_t hi,
+                                        uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> lengths;
+  for (size_t g = 0; g < kChiSquareRuns; ++g) {
+    lengths.push_back(static_cast<uint64_t>(rng.UniformInt(
+        static_cast<int64_t>(lo), static_cast<int64_t>(hi))));
+  }
+  return lengths;
+}
+
+TEST(ReservoirChiSquareTest, PerElementAdd) {
+  // 40 runs of 2 elements, c = 2: N = 40c, all below 64c. With a tiny
+  // capacity, neighbouring positions' replacement odds c/i differ most,
+  // so an off-by-one in the skip draw shows.
+  std::vector<uint64_t> lengths(kChiSquareRuns, 2);
+  const double chi = InclusionChiSquare(lengths, 2, 10'000, true, 1'000);
+  EXPECT_LT(chi, kChiSquareCritical39);
+}
+
+TEST(ReservoirChiSquareTest, ShortRuns) {
+  // Runs of 1-20 copies, c = 20: every replacement decision falls inside
+  // a short run.
+  const double chi = InclusionChiSquare(UniformRunLengths(1, 20, 71), 20,
+                                        1'000, false, 2'000);
+  EXPECT_LT(chi, kChiSquareCritical39);
+}
+
+TEST(ReservoirChiSquareTest, RunsCrossingTheSkipBoundary) {
+  // Runs of 1-100 copies, c = 10: the stream crosses t = 64c mid-run, so
+  // both skip draws (exact product and closed form) decide replacements.
+  const double chi = InclusionChiSquare(UniformRunLengths(1, 100, 73), 10,
+                                        2'000, false, 3'000);
+  EXPECT_LT(chi, kChiSquareCritical39);
+}
+
+TEST(ReservoirChiSquareTest, ZipfRunsFarPastTheSkipBoundary) {
+  // Zipf-like run lengths 1e7 / rank, shuffled, c = 100: N is about 4e7,
+  // so almost every replacement happens at t >> 64c.
+  std::vector<uint64_t> lengths;
+  for (size_t g = 0; g < kChiSquareRuns; ++g) {
+    lengths.push_back(10'000'000 / (g + 1));
+  }
+  Rng shuffle(79);
+  std::shuffle(lengths.begin(), lengths.end(), shuffle.engine());
+  const double chi = InclusionChiSquare(lengths, 100, 300, false, 4'000);
+  EXPECT_LT(chi, kChiSquareCritical39);
 }
 
 TEST(BernoulliSampleTest, RateZeroAndOne) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "datagen/synthetic_db.h"
 #include "estimator/accuracy.h"
@@ -185,6 +187,29 @@ TEST(ScheduleExecutorTest, RejectsHistSitVariant) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(ScheduleExecutorTest, RejectsSamplingRateOutsideUnitInterval) {
+  // The executor starts its builds through SweepBuild::Start, which owns
+  // the (0, 1] check that CreateSit relies on; an infinite rate must not
+  // reach the reservoir capacity cast.
+  Example3Db db = MakeExample3Db();
+  SitProblemOptions poptions;
+  SitSchedulingProblem problem =
+      BuildSitSchedulingProblem(db.catalog, db.sits, poptions).ValueOrDie();
+  SolverResult solved =
+      SolveSchedule(problem.problem, SolverOptions{}).ValueOrDie();
+  for (double rate : {std::numeric_limits<double>::infinity(), 2.0, 0.0}) {
+    BaseStatsCache stats;
+    ScheduleExecutionOptions eoptions;
+    eoptions.sampling_rate = rate;
+    EXPECT_EQ(ExecuteSitSchedule(&db.catalog, &stats, db.sits, problem,
+                                 solved.schedule, eoptions)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "rate " << rate;
+  }
 }
 
 TEST(ScheduleExecutorTest, IncompleteScheduleFails) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 
 namespace sitstats {
@@ -57,6 +59,15 @@ TEST(SweepScanTest, ValidatesInput) {
   spec.targets[0].join_indices = {5};
   EXPECT_EQ(SweepScanTable(&catalog, spec, &rng).status().code(),
             StatusCode::kInvalidArgument);  // join index out of range
+  spec.targets[0].join_indices = {0};
+  spec.use_sampling = true;
+  for (double rate : {-0.5, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    spec.sampling_rate = rate;
+    EXPECT_EQ(SweepScanTable(&catalog, spec, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "rate " << rate;  // capacity would be ceil(rows * rate)
+  }
 }
 
 TEST(SweepScanTest, FullPathIsExactForIntegerMultiplicities) {
