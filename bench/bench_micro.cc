@@ -1,9 +1,13 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // primitives: histogram construction, reservoir sampling (including the
 // skip-ahead path for huge runs), m-Oracle lookups, join-cardinality
-// estimation, one full Sweep scan, and the schedule solvers.
+// estimation, one full Sweep scan, the schedule solvers, and the colfile
+// checksum every load verifies.
 
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "common/logging.h"
 #include "datagen/distributions.h"
@@ -15,6 +19,7 @@
 #include "scheduler/solver.h"
 #include "sit/m_oracle.h"
 #include "sit/creator.h"
+#include "storage/column_file.h"
 #include "telemetry/telemetry.h"
 
 namespace sitstats {
@@ -148,6 +153,22 @@ void BM_SweepSingleJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SweepSingleJoin)->Arg(20'000)->Arg(100'000);
+
+// The hash ReadColumnFile runs over every payload byte on every load; 8 MiB
+// is about one TPC-H-lite lineitem column. Reported as bytes/s.
+void BM_ColumnFileChecksum(benchmark::State& state) {
+  std::vector<uint8_t> payload(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ColumnFileChecksum(payload.data(), payload.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ColumnFileChecksum)->Arg(64 << 10)->Arg(8 << 20);
 
 void BM_SolverGreedy(benchmark::State& state) {
   Rng rng(11);

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fault_injection.h"
@@ -173,6 +174,136 @@ TEST_F(ColumnFileTest, BadMagicIsRejected) {
   Result<Column> result = ReadColumnFile("k", path);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Rewrites the header of the colfile at `path` with `patch` applied and a
+/// freshly computed, valid checksum, so only the structural checks can
+/// reject it.
+template <typename Patch>
+void PatchHeaderAndRestamp(const std::string& path, Patch&& patch) {
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_GE(bytes.size(), sizeof(ColumnFileHeader));
+  ColumnFileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  patch(&header);
+  const uint8_t* payload =
+      reinterpret_cast<const uint8_t*>(bytes.data()) + sizeof(header);
+  ASSERT_EQ(header.payload_bytes, bytes.size() - sizeof(header));
+  header.checksum = ColumnFileDigest(header, payload);
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  WriteFileBytes(path, bytes);
+}
+
+TEST(ColumnFileChecksumTest, MatchesPinnedXxh64Outputs) {
+  // XXH64 with seed 0 reproduces the published reference values.
+  EXPECT_EQ(ColumnFileChecksum(nullptr, 0), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(ColumnFileChecksum("abc", 3), 0x44BC2CF5AD770999ULL);
+  std::vector<uint8_t> bytes(1000);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  // Lengths straddling the 8-byte tail and the 32-byte stripe boundaries.
+  const std::pair<size_t, uint64_t> kPinned[] = {
+      {0, 0xEF46DB3751D8E999ULL},    {1, 0x8A4127811B21E730ULL},
+      {8, 0xC6F1803A5E0B3222ULL},    {31, 0x6AB1C40E29F50073ULL},
+      {32, 0x5A0756FBE9ECD3D1ULL},   {33, 0xDC50CDC37BB9C183ULL},
+      {1000, 0x6BE03ACBF959C413ULL},
+  };
+  for (const auto& [size, expected] : kPinned) {
+    EXPECT_EQ(ColumnFileChecksum(bytes.data(), size), expected)
+        << size << " bytes";
+  }
+}
+
+TEST_F(ColumnFileTest, RowCountOverflowIsRejected) {
+  // Numeric: 2^61 + 4 rows * 8 bytes wraps to the real 32-byte payload.
+  Column ints("k", ValueType::kInt64);
+  for (int64_t v = 0; v < 4; ++v) ints.AppendInt64(v);
+  std::string int_path = dir_ + "/k.col";
+  ASSERT_TRUE(WriteColumnFile(ints, int_path).ok());
+  PatchHeaderAndRestamp(int_path, [](ColumnFileHeader* header) {
+    header->num_rows = (uint64_t{1} << 61) + 4;
+  });
+  Result<Column> numeric = ReadColumnFile("k", int_path);
+  ASSERT_FALSE(numeric.ok()) << "loaded " << numeric.ValueOrDie().size()
+                             << " rows from a 32-byte payload";
+  EXPECT_EQ(numeric.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(numeric.status().message().find("row count"), std::string::npos)
+      << numeric.status().message();
+
+  // String: (2^61 - 1 + 1) * 8 wraps to an empty offset table.
+  Column strings("s", ValueType::kString);
+  strings.AppendString("alpha");
+  strings.AppendString("beta");
+  std::string str_path = dir_ + "/s.col";
+  ASSERT_TRUE(WriteColumnFile(strings, str_path).ok());
+  PatchHeaderAndRestamp(str_path, [](ColumnFileHeader* header) {
+    header->num_rows = (uint64_t{1} << 61) - 1;
+  });
+  Result<Column> text = ReadColumnFile("s", str_path);
+  ASSERT_FALSE(text.ok());
+  EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(text.status().message().find("offset table"), std::string::npos)
+      << text.status().message();
+}
+
+TEST_F(ColumnFileTest, EverySingleBitFlipIsRejected) {
+  Column col("k", ValueType::kInt64);
+  for (int64_t v = 0; v < 100; ++v) col.AppendInt64(v * 1'000'003);
+  std::string path = dir_ + "/k.col";
+  ASSERT_TRUE(WriteColumnFile(col, path).ok());
+  const std::string pristine = ReadFileBytes(path);
+  ASSERT_EQ(pristine.size(), 64u + 800u);
+  std::vector<size_t> offsets;
+  for (size_t i = 8; i < 32; ++i) offsets.push_back(i);  // sized fields
+  for (size_t i = 64; i < pristine.size(); ++i) offsets.push_back(i);
+  size_t accepted = 0;
+  for (size_t offset : offsets) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = pristine;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ (1 << bit));
+      WriteFileBytes(path, flipped);
+      if (ReadColumnFile("k", path).ok()) {
+        ++accepted;
+        ADD_FAILURE() << "flip of byte " << offset << " bit " << bit
+                      << " was accepted";
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 0u);
+  WriteFileBytes(path, pristine);
+  EXPECT_TRUE(ReadColumnFile("k", path).ok());
+}
+
+TEST_F(ColumnFileTest, Version1FileIsRejectedWithImportHint) {
+  Column col("k", ValueType::kInt64);
+  col.AppendInt64(7);
+  std::string path = dir_ + "/k.col";
+  ASSERT_TRUE(WriteColumnFile(col, path).ok());
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(8);
+    char version = 1;
+    f.write(&version, 1);
+  }
+  Result<Column> result = ReadColumnFile("k", path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  const std::string message = result.status().message();
+  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("sitstats_cli import"), std::string::npos)
+      << message;
 }
 
 TEST_F(ColumnFileTest, MmapFailureSurfacesAsStatus) {
