@@ -5,9 +5,8 @@
 //   binary_load   map the colfile catalog from disk (LoadCatalogBinary)
 //   read_pass     map every colfile and sum its 8-byte words, unverified:
 //                 the memory-speed floor under binary_load
-//   scan_row      row-at-a-time SequentialScan::Next over the mapped catalog
 //   scan_batch    batched SequentialScan::NextBatch over the mapped catalog
-//   end_to_end    load + full lineitem scan, CSV/row vs binary/batch
+//   end_to_end    load + full lineitem batched scan, CSV vs binary
 //
 // The acceptance bars for the binary format are end_to_end speedup >= 3x
 // and binary_load <= kMaxLoadOverReadPass x read_pass (verifying every
@@ -107,16 +106,6 @@ double ReadPass(const std::string& dir) {
   return static_cast<double>(sum);
 }
 
-double ScanRowAtATime(Catalog* catalog) {
-  SequentialScan scan =
-      SequentialScan::Open(catalog, "lineitem",
-                           {"l_quantity", "l_extendedprice"})
-          .ValueOrDie();
-  double sum = 0.0;
-  while (scan.Next()) sum += scan.value(0) + scan.value(1);
-  return sum;
-}
-
 double ScanBatched(Catalog* catalog) {
   SequentialScan scan =
       SequentialScan::Open(catalog, "lineitem",
@@ -184,11 +173,6 @@ int main() {
   Report(&json, read_pass);
 
   std::unique_ptr<Catalog> mapped = LoadCatalogBinary(bin_dir).ValueOrDie();
-  Pipeline scan_row{"scan_row", lineitem_rows,
-                    BestSeconds([&] { return ScanRowAtATime(mapped.get()); },
-                                &sink)};
-  Report(&json, scan_row);
-
   Pipeline scan_batch{"scan_batch", lineitem_rows,
                       BestSeconds([&] { return ScanBatched(mapped.get()); },
                                   &sink)};
@@ -199,7 +183,7 @@ int main() {
                               [&] {
                                 auto c =
                                     LoadCatalogCsv(csv_dir).ValueOrDie();
-                                return ScanRowAtATime(c.get());
+                                return ScanBatched(c.get());
                               },
                               &sink)};
   Report(&json, csv_end_to_end);
@@ -215,7 +199,7 @@ int main() {
   Report(&json, bin_end_to_end);
 
   double speedup = csv_end_to_end.seconds / bin_end_to_end.seconds;
-  std::printf("\nend-to-end speedup (binary/batch vs csv/row): %.1fx\n",
+  std::printf("\nend-to-end speedup (binary vs csv): %.1fx\n",
               speedup);
   json.BeginRow();
   json.Add("pipeline", std::string("speedup"));

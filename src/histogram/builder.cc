@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -78,27 +79,6 @@ std::vector<ValueCount> ToValueCountsWeighted(
     }
   }
   return vc;
-}
-
-/// Group boundaries: `ends[k]` is the index one past the last ValueCount of
-/// group k. Builds the final buckets from the groups.
-std::vector<Bucket> GroupsToBuckets(const std::vector<ValueCount>& vc,
-                                    const std::vector<size_t>& ends) {
-  std::vector<Bucket> buckets;
-  size_t begin = 0;
-  for (size_t end : ends) {
-    if (end == begin) continue;
-    Bucket b;
-    b.lo = vc[begin].value;
-    b.hi = vc[end - 1].value;
-    b.distinct_values = static_cast<double>(end - begin);
-    double freq = 0.0;
-    for (size_t i = begin; i < end; ++i) freq += vc[i].count;
-    b.frequency = freq;
-    buckets.push_back(b);
-    begin = end;
-  }
-  return buckets;
 }
 
 std::vector<size_t> EquiWidthGroups(const std::vector<ValueCount>& vc,
@@ -352,6 +332,45 @@ Status CheckVOptimalSize(const HistogramSpec& spec, size_t distinct) {
   }
   return Status::OK();
 }
+
+/// The shared tail of every build, after sort/dedup: partitions the sorted
+/// (value, count) list per spec.type and assembles one bucket per group.
+/// Without `sample_scale` the counts are the population's own (exact
+/// frequencies and distinct counts); with it they come from a sample, so
+/// bucket frequencies are multiplied by the scale N/n and distinct counts
+/// estimated per spec.distinct_estimator.
+Result<Histogram> ValueCountsToHistogram(const std::vector<ValueCount>& vc,
+                                         const HistogramSpec& spec,
+                                         std::optional<double> sample_scale) {
+  SITSTATS_RETURN_IF_ERROR(CheckVOptimalSize(spec, vc.size()));
+  SITSTATS_TRACE_SPAN("histogram.partition");
+  std::vector<size_t> ends = MakeGroups(vc, spec);
+  std::vector<Bucket> buckets;
+  size_t begin = 0;
+  for (size_t end : ends) {
+    if (end == begin) continue;
+    Bucket b;
+    b.lo = vc[begin].value;
+    b.hi = vc[end - 1].value;
+    double freq = 0.0;
+    for (size_t i = begin; i < end; ++i) freq += vc[i].count;
+    if (sample_scale.has_value()) {
+      b.frequency = freq * *sample_scale;
+      b.distinct_values =
+          EstimateBucketDistinct(vc, begin, end, *sample_scale, b.frequency,
+                                 spec.distinct_estimator);
+    } else {
+      b.frequency = freq;
+      b.distinct_values = static_cast<double>(end - begin);
+    }
+    buckets.push_back(b);
+    begin = end;
+  }
+  Histogram h(std::move(buckets));
+  SITSTATS_RETURN_IF_ERROR(h.CheckValid());
+  SITSTATS_DCHECK_OK(h.Validate());
+  return h;
+}
 }  // namespace
 
 Result<Histogram> BuildHistogram(std::vector<double> values,
@@ -370,13 +389,7 @@ Result<Histogram> BuildHistogram(std::vector<double> values,
     SITSTATS_TRACE_SPAN("histogram.sort_dedup");
     vc = ToValueCounts(&values);
   }
-  SITSTATS_RETURN_IF_ERROR(CheckVOptimalSize(spec, vc.size()));
-  SITSTATS_TRACE_SPAN("histogram.partition");
-  std::vector<size_t> ends = MakeGroups(vc, spec);
-  Histogram h(GroupsToBuckets(vc, ends));
-  SITSTATS_RETURN_IF_ERROR(h.CheckValid());
-  SITSTATS_DCHECK_OK(h.Validate());
-  return h;
+  return ValueCountsToHistogram(vc, spec, std::nullopt);
 }
 
 Result<Histogram> BuildHistogramFromSample(std::vector<double> sample,
@@ -396,32 +409,9 @@ Result<Histogram> BuildHistogramFromSample(std::vector<double> sample,
     SITSTATS_TRACE_SPAN("histogram.sort_dedup");
     vc = ToValueCounts(&sample);
   }
-  SITSTATS_RETURN_IF_ERROR(CheckVOptimalSize(spec, vc.size()));
-  SITSTATS_TRACE_SPAN("histogram.partition");
-  std::vector<size_t> ends = MakeGroups(vc, spec);
   double sample_size = 0.0;
   for (const ValueCount& v : vc) sample_size += v.count;
-  double scale = population_size / sample_size;
-
-  std::vector<Bucket> buckets;
-  size_t begin = 0;
-  for (size_t end : ends) {
-    if (end == begin) continue;
-    Bucket b;
-    b.lo = vc[begin].value;
-    b.hi = vc[end - 1].value;
-    double freq = 0.0;
-    for (size_t i = begin; i < end; ++i) freq += vc[i].count;
-    b.frequency = freq * scale;
-    b.distinct_values = EstimateBucketDistinct(
-        vc, begin, end, scale, b.frequency, spec.distinct_estimator);
-    buckets.push_back(b);
-    begin = end;
-  }
-  Histogram h(std::move(buckets));
-  SITSTATS_RETURN_IF_ERROR(h.CheckValid());
-  SITSTATS_DCHECK_OK(h.Validate());
-  return h;
+  return ValueCountsToHistogram(vc, spec, population_size / sample_size);
 }
 
 Result<Histogram> BuildHistogramWeighted(
@@ -438,13 +428,7 @@ Result<Histogram> BuildHistogramWeighted(
     vc = ToValueCountsWeighted(&weighted);
   }
   if (vc.empty()) return Histogram();
-  SITSTATS_RETURN_IF_ERROR(CheckVOptimalSize(spec, vc.size()));
-  SITSTATS_TRACE_SPAN("histogram.partition");
-  std::vector<size_t> ends = MakeGroups(vc, spec);
-  Histogram h(GroupsToBuckets(vc, ends));
-  SITSTATS_RETURN_IF_ERROR(h.CheckValid());
-  SITSTATS_DCHECK_OK(h.Validate());
-  return h;
+  return ValueCountsToHistogram(vc, spec, std::nullopt);
 }
 
 }  // namespace sitstats

@@ -50,7 +50,6 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
   exec_span.AddAttribute("steps",
                          static_cast<double>(schedule.steps.size()));
   exec_span.AddAttribute("threads", static_cast<double>(threads));
-  IoStats before = catalog->SnapshotMetrics();
 
   // Sequence index -> SIT index. Chains only: at most one sequence per
   // SIT.
@@ -137,9 +136,11 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
   }
 
   // Runs one planned step: one shared scan advancing every SIT build the
-  // step names. Thread-safe against other steps: catalog/base-stats reads
-  // are internally locked, and the DAG guarantees exclusive access to
-  // each touched build.
+  // step names, recording the scan's work in its own step_stats slot.
+  // Thread-safe against other steps: catalog/base-stats reads are
+  // internally locked, and the DAG guarantees exclusive access to each
+  // touched build.
+  std::vector<IoStats> step_stats(plan.size());
   auto execute_step = [&](size_t step_idx) -> Status {
     SITSTATS_RETURN_IF_ERROR(abort_token.CheckCancelled("schedule step"));
     SITSTATS_FAULT_SITE("scheduler.step");
@@ -152,7 +153,9 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     std::vector<SweepBuild*> advancing;
     advancing.reserve(planned.sits.size());
     for (size_t s : planned.sits) advancing.push_back(&builds[s]);
-    return AdvanceSweepBuilds(advancing);
+    SITSTATS_ASSIGN_OR_RETURN(step_stats[step_idx],
+                              AdvanceSweepBuilds(advancing));
+    return Status::OK();
   };
 
   if (threads <= 1 || plan.size() <= 1) {
@@ -220,7 +223,7 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
   ScheduleExecutionResult result;
   result.sits.reserve(sits.size());
   result.threads_used = threads;
-  result.total_stats = catalog->SnapshotMetrics() - before;
+  for (const IoStats& stats : step_stats) result.total_stats += stats;
   for (size_t s = 0; s < sits.size(); ++s) {
     SITSTATS_FAULT_SITE("scheduler.finalize");
     // An incomplete schedule leaves a build unfinished: InvalidArgument.

@@ -39,8 +39,10 @@ struct ScheduleExecutionOptions : SitBuildOptions {
 struct ScheduleExecutionResult {
   /// One built SIT per input descriptor, in input order.
   std::vector<Sit> sits;
-  /// Physical work of the whole execution (scans are shared, so per-SIT
-  /// attribution is not meaningful).
+  /// Physical work of the whole execution: the sum of every step's shared
+  /// scan, each counted once. Each SIT's build_stats holds its own share
+  /// of the scans it took part in, equal to its solo CreateSit build; the
+  /// SITs' build_stats add up to more than this wherever scans are shared.
   IoStats total_stats;
   /// Resolved worker-thread count the schedule actually ran with.
   size_t threads_used = 1;

@@ -145,7 +145,7 @@ Result<SweepBuild> SweepBuild::Start(Catalog* catalog,
   return build;
 }
 
-Status AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
+Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
   if (builds.empty()) {
     return Status::InvalidArgument("no sweep builds to advance");
   }
@@ -200,11 +200,18 @@ Status AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
   SITSTATS_ASSIGN_OR_RETURN(
       std::vector<SweepOutput> outputs,
       SweepScanTable(builds.front()->catalog_, spec, nullptr));
+  // Every build brought joins of its own, so the scan's lookups and spills
+  // are the sum of the targets' shares; the scan and its rows are shared.
+  IoStats scan_stats;
+  for (const SweepOutput& output : outputs) scan_stats += output.io_stats;
+  scan_stats.sequential_scans = 1;
+  scan_stats.rows_scanned = outputs.front().io_stats.rows_scanned;
   for (size_t i = 0; i < builds.size(); ++i) {
+    builds[i]->io_stats_ += outputs[i].io_stats;
     builds[i]->node_outputs_[builds[i]->next_node()] = std::move(outputs[i]);
     ++builds[i]->next_scan_;
   }
-  return Status::OK();
+  return scan_stats;
 }
 
 Result<Sit> SweepBuild::Finish() && {
@@ -226,7 +233,7 @@ Result<Sit> SweepBuild::Finish() && {
   }
   SweepOutput& root_output = node_outputs_[tree_.root()];
   return Sit{std::move(descriptor_), std::move(root_output.histogram),
-             options_.variant, root_output.estimated_cardinality, IoStats{}};
+             options_.variant, root_output.estimated_cardinality, io_stats_};
 }
 
 Result<Sit> CreateSit(Catalog* catalog, BaseStatsCache* base_stats,
@@ -250,17 +257,11 @@ Result<Sit> CreateSit(Catalog* catalog, BaseStatsCache* base_stats,
   SITSTATS_ASSIGN_OR_RETURN(
       SweepBuild build,
       SweepBuild::Start(catalog, base_stats, descriptor, options));
-  IoStats before = catalog->SnapshotMetrics();
   SweepBuild* const solo[] = {&build};
   while (!build.done()) {
-    SITSTATS_RETURN_IF_ERROR(AdvanceSweepBuilds(solo));
+    SITSTATS_RETURN_IF_ERROR(AdvanceSweepBuilds(solo).status());
   }
-  SITSTATS_ASSIGN_OR_RETURN(Sit sit, std::move(build).Finish());
-  // A base-table SIT reads cached base statistics only.
-  if (!descriptor.query().IsBaseTable()) {
-    sit.build_stats = catalog->SnapshotMetrics() - before;
-  }
-  return sit;
+  return std::move(build).Finish();
 }
 
 }  // namespace sitstats

@@ -73,14 +73,19 @@ class SweepBuild {
   bool done() const { return next_scan_ == scan_nodes_.size(); }
 
   /// The SIT from the root scan (or the base histogram of a base-table
-  /// SIT), with empty build_stats. InvalidArgument unless done().
+  /// SIT). Its build_stats add up this build's share of every scan it
+  /// took part in (SweepOutput::io_stats), so they are the same whether
+  /// the scans were shared, and on however many threads; a base-table SIT
+  /// reads cached statistics only and reports none. InvalidArgument
+  /// unless done().
   Result<Sit> Finish() &&;
 
  private:
   SweepBuild(Catalog* catalog, BaseStatsCache* base_stats,
              const SitDescriptor& descriptor, const SitBuildOptions& options,
              JoinTree tree);
-  friend Status AdvanceSweepBuilds(std::span<SweepBuild* const> builds);
+  friend Result<IoStats> AdvanceSweepBuilds(
+      std::span<SweepBuild* const> builds);
   int next_node() const { return scan_nodes_[next_scan_]; }
 
   Catalog* catalog_;
@@ -91,6 +96,7 @@ class SweepBuild {
   std::vector<int> scan_nodes_;
   size_t next_scan_ = 0;
   std::map<int, SweepOutput> node_outputs_;
+  IoStats io_stats_;
   Rng rng_;
 };
 
@@ -100,8 +106,10 @@ class SweepBuild {
 /// its own stream. The builds must share the catalog, base statistics and
 /// options they were started with, and their next scans must read the same
 /// table (InvalidArgument otherwise). Builds must not move meanwhile; calls
-/// on disjoint builds may run concurrently.
-Status AdvanceSweepBuilds(std::span<SweepBuild* const> builds);
+/// on disjoint builds may run concurrently. Returns the scan's physical
+/// work: one scan, its rows, every join's lookups and every target's
+/// spills.
+Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds);
 
 /// Creates one SIT over an acyclic-join generating query, dispatching on
 /// options.variant:

@@ -25,7 +25,6 @@ void MultiplicityOracle::MultiplicityBatch(const double* const* columns,
 }
 
 double HistogramMOracle::Multiplicity(double y) const {
-  if (stats_ != nullptr) stats_->AddHistogramLookups();
   int r_idx = other_side_.FindBucket(y);
   if (r_idx < 0) return 0.0;
   const Bucket& br = other_side_.bucket(static_cast<size_t>(r_idx));
@@ -64,7 +63,6 @@ double HistogramMOracle::Multiplicity(double y) const {
 }
 
 double GridMOracle::MultiplicityN(const double* values, size_t n) const {
-  if (stats_ != nullptr) stats_->AddHistogramLookups();
   if (n < 2) return 0.0;
   const GridHistogram2D::Cell* r = other_side_.FindCell(values[0],
                                                         values[1]);
@@ -87,8 +85,7 @@ std::string CompositeExactMOracle::EncodeKey(const double* values,
 }
 
 Result<CompositeExactMOracle> CompositeExactMOracle::BuildFromTable(
-    const Table& table, const std::vector<std::string>& columns,
-    IoCounters* stats) {
+    const Table& table, const std::vector<std::string>& columns) {
   if (columns.empty()) {
     return Status::InvalidArgument("composite oracle needs columns");
   }
@@ -110,23 +107,20 @@ Result<CompositeExactMOracle> CompositeExactMOracle::BuildFromTable(
     }
     counts[EncodeKey(values.data(), values.size())] += 1.0;
   }
-  return CompositeExactMOracle(std::move(counts), cols.size(), stats);
+  return CompositeExactMOracle(std::move(counts), cols.size());
 }
 
 double CompositeExactMOracle::MultiplicityN(const double* values,
                                             size_t n) const {
-  if (stats_ != nullptr) stats_->AddIndexLookups();
   auto it = counts_.find(EncodeKey(values, n));
   return it == counts_.end() ? 0.0 : it->second;
 }
 
 double IndexMOracle::Multiplicity(double y) const {
-  if (stats_ != nullptr) stats_->AddIndexLookups();
   return static_cast<double>(index_->Multiplicity(y));
 }
 
 double ExactMapMOracle::Multiplicity(double y) const {
-  if (stats_ != nullptr) stats_->AddIndexLookups();
   auto it = multiplicities_.find(y);
   return it == multiplicities_.end() ? 0.0 : it->second;
 }

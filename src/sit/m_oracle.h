@@ -8,7 +8,6 @@
 #include "histogram/grid_histogram.h"
 #include "histogram/histogram.h"
 #include "storage/index.h"
-#include "storage/io_stats.h"
 
 namespace sitstats {
 
@@ -43,6 +42,12 @@ class MultiplicityOracle {
                                  size_t num_columns, size_t num_rows,
                                  double* out) const;
 
+  /// True for oracles that return exact multiplicities (an index or an
+  /// exact map), false for approximating ones (histograms). Sweep scans
+  /// count an exact oracle's lookups as index_lookups and an approximating
+  /// one's as histogram_lookups.
+  virtual bool exact() const = 0;
+
   virtual std::string Describe() const = 0;
 };
 
@@ -71,16 +76,14 @@ enum class ContainmentMode {
 /// chain/tree case of Section 3.2).
 class HistogramMOracle : public MultiplicityOracle {
  public:
-  /// `stats` (optional) is bumped once per lookup.
   HistogramMOracle(Histogram other_side, Histogram scanned_side,
-                   IoCounters* stats = nullptr,
                    ContainmentMode mode = ContainmentMode::kDensityNormalized)
       : other_side_(std::move(other_side)),
         scanned_side_(std::move(scanned_side)),
-        stats_(stats),
         mode_(mode) {}
 
   double Multiplicity(double y) const override;
+  bool exact() const override { return false; }
   std::string Describe() const override { return "HistogramMOracle"; }
 
   const Histogram& other_side() const { return other_side_; }
@@ -88,7 +91,6 @@ class HistogramMOracle : public MultiplicityOracle {
  private:
   Histogram other_side_;
   Histogram scanned_side_;
-  IoCounters* stats_;
   ContainmentMode mode_;
 };
 
@@ -97,10 +99,10 @@ class HistogramMOracle : public MultiplicityOracle {
 class IndexMOracle : public MultiplicityOracle {
  public:
   /// `index` is borrowed and must outlive the oracle.
-  IndexMOracle(const SortedIndex* index, IoCounters* stats = nullptr)
-      : index_(index), stats_(stats) {}
+  explicit IndexMOracle(const SortedIndex* index) : index_(index) {}
 
   double Multiplicity(double y) const override;
+  bool exact() const override { return true; }
   std::string Describe() const override {
     return "IndexMOracle(" + index_->table_name() + "." +
            index_->column_name() + ")";
@@ -108,7 +110,6 @@ class IndexMOracle : public MultiplicityOracle {
 
  private:
   const SortedIndex* index_;
-  IoCounters* stats_;
 };
 
 /// Approximating m-Oracle for a *composite* (two-predicate) join between
@@ -121,23 +122,21 @@ class IndexMOracle : public MultiplicityOracle {
 /// independent 1D histograms cannot.
 class GridMOracle : public MultiplicityOracle {
  public:
-  GridMOracle(GridHistogram2D other_side, GridHistogram2D scanned_side,
-              IoCounters* stats = nullptr)
+  GridMOracle(GridHistogram2D other_side, GridHistogram2D scanned_side)
       : other_side_(std::move(other_side)),
-        scanned_side_(std::move(scanned_side)),
-        stats_(stats) {}
+        scanned_side_(std::move(scanned_side)) {}
 
   double Multiplicity(double y) const override {
     return MultiplicityN(&y, 1);
   }
   double MultiplicityN(const double* values, size_t n) const override;
   size_t num_columns() const override { return 2; }
+  bool exact() const override { return false; }
   std::string Describe() const override { return "GridMOracle"; }
 
  private:
   GridHistogram2D other_side_;
   GridHistogram2D scanned_side_;
-  IoCounters* stats_;
 };
 
 /// Exact m-Oracle over a composite key: a hash map from the byte-encoded
@@ -150,25 +149,24 @@ class CompositeExactMOracle : public MultiplicityOracle {
   static std::string EncodeKey(const double* values, size_t n);
 
   CompositeExactMOracle(std::unordered_map<std::string, double> counts,
-                        size_t columns, IoCounters* stats = nullptr)
-      : counts_(std::move(counts)), columns_(columns), stats_(stats) {}
+                        size_t columns)
+      : counts_(std::move(counts)), columns_(columns) {}
 
   /// Builds the exact composite-count map over `columns` of `table`.
   static Result<CompositeExactMOracle> BuildFromTable(
-      const Table& table, const std::vector<std::string>& columns,
-      IoCounters* stats = nullptr);
+      const Table& table, const std::vector<std::string>& columns);
 
   double Multiplicity(double y) const override {
     return MultiplicityN(&y, 1);
   }
   double MultiplicityN(const double* values, size_t n) const override;
   size_t num_columns() const override { return columns_; }
+  bool exact() const override { return true; }
   std::string Describe() const override { return "CompositeExactMOracle"; }
 
  private:
   std::unordered_map<std::string, double> counts_;
   size_t columns_;
-  IoCounters* stats_;
 };
 
 /// Exact m-Oracle over an *intermediate* join result that was never
@@ -179,16 +177,15 @@ class CompositeExactMOracle : public MultiplicityOracle {
 /// has no index.
 class ExactMapMOracle : public MultiplicityOracle {
  public:
-  explicit ExactMapMOracle(std::unordered_map<double, double> multiplicities,
-                           IoCounters* stats = nullptr)
-      : multiplicities_(std::move(multiplicities)), stats_(stats) {}
+  explicit ExactMapMOracle(std::unordered_map<double, double> multiplicities)
+      : multiplicities_(std::move(multiplicities)) {}
 
   double Multiplicity(double y) const override;
+  bool exact() const override { return true; }
   std::string Describe() const override { return "ExactMapMOracle"; }
 
  private:
   std::unordered_map<double, double> multiplicities_;
-  IoCounters* stats_;
 };
 
 }  // namespace sitstats

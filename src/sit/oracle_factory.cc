@@ -37,7 +37,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
     SITSTATS_ASSIGN_OR_RETURN(
         CompositeExactMOracle oracle,
         CompositeExactMOracle::BuildFromTable(
-            *child_table, child.columns_to_parent, &catalog->io_counters()));
+            *child_table, child.columns_to_parent));
     return std::unique_ptr<MultiplicityOracle>(
         std::make_unique<CompositeExactMOracle>(std::move(oracle)));
   }
@@ -76,8 +76,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
       GridHistogram2D scanned_grid,
       GridHistogram2D::Build(scanned_points, bounds));
   return std::unique_ptr<MultiplicityOracle>(std::make_unique<GridMOracle>(
-      std::move(other_grid), std::move(scanned_grid),
-      &catalog->io_counters()));
+      std::move(other_grid), std::move(scanned_grid)));
 }
 
 }  // namespace
@@ -105,15 +104,14 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
           const SortedIndex* index,
           catalog->EnsureIndex(child.table, child.column_to_parent()));
       return std::unique_ptr<MultiplicityOracle>(
-          std::make_unique<IndexMOracle>(index, &catalog->io_counters()));
+          std::make_unique<IndexMOracle>(index));
     }
     if (child_output == nullptr) {
       return Status::Internal("exact oracle for internal child " +
                               child.table + " without its sweep output");
     }
     return std::unique_ptr<MultiplicityOracle>(
-        std::make_unique<ExactMapMOracle>(std::move(child_output->exact_map),
-                                          &catalog->io_counters()));
+        std::make_unique<ExactMapMOracle>(std::move(child_output->exact_map)));
   }
 
   Histogram other_side;
@@ -136,8 +134,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
                              rng));
   return std::unique_ptr<MultiplicityOracle>(
       std::make_unique<HistogramMOracle>(std::move(other_side),
-                                         *scanned_side,
-                                         &catalog->io_counters(), mode));
+                                         *scanned_side, mode));
 }
 
 }  // namespace sitstats

@@ -67,7 +67,12 @@ struct Sit {
   /// The builder's estimate of |query| (total weight of the approximated
   /// stream; for kSweepExact this is exact).
   double estimated_cardinality = 0.0;
-  /// Physical work performed while building this SIT.
+  /// Physical work of this SIT's own build: one sequential scan and its
+  /// rows per scan it took part in, the lookups of its own m-Oracle joins
+  /// and the rows its own temporary stores spilled (the sum of its
+  /// SweepOutput::io_stats shares). The same whether built alone, in a
+  /// shared-scan schedule, or beside concurrent builds; empty for Hist-SIT
+  /// and base-table SITs, which scan nothing.
   IoStats build_stats;
 };
 

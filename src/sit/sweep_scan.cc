@@ -126,14 +126,6 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     }
   }
 
-  // Counter handles resolved once, not per row.
-  static telemetry::Counter& rows_swept =
-      telemetry::MetricsRegistry::Global().GetCounter("sit.rows_swept");
-  static telemetry::Counter& moracle_calls =
-      telemetry::MetricsRegistry::Global().GetCounter("sit.moracle_calls");
-  static telemetry::Counter& sweep_scans =
-      telemetry::MetricsRegistry::Global().GetCounter("sit.sweep_scans");
-
   telemetry::TraceSpan span("sweep.scan");
   span.AddAttribute("table", spec.table);
   span.AddAttribute("targets", static_cast<double>(spec.targets.size()));
@@ -176,44 +168,90 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     return Status::OK();
   };
 
+  // Rows read and looked up by every join, counted per batch so the row
+  // loop touches no counter.
+  uint64_t rows = 0;
   ScanBatch batch;
   std::vector<const double*> oracle_columns;
-  while (scan.NextBatch(&batch)) {
-    // Poll the token once per batch: a timeout or first-error abort lands
-    // within a few thousand rows of scanning.
-    SITSTATS_RETURN_IF_ERROR(spec.cancel.CheckCancelled("sweep scan"));
-    const size_t n = batch.num_rows;
-    // Step 2, batched: one oracle call per distinct join covers the whole
-    // batch, shared across targets.
-    for (size_t j = 0; j < spec.joins.size(); ++j) {
-      batch_multiplicities[j].resize(n);
-      oracle_columns.clear();
-      for (size_t slot : join_slots[j]) {
-        oracle_columns.push_back(batch.column(slot).data());
+  auto sweep = [&]() -> Status {
+    while (scan.NextBatch(&batch)) {
+      // Poll the token once per batch: a timeout or first-error abort
+      // lands within a few thousand rows of scanning.
+      SITSTATS_RETURN_IF_ERROR(spec.cancel.CheckCancelled("sweep scan"));
+      const size_t n = batch.num_rows;
+      // Step 2, batched: one oracle call per distinct join covers the
+      // whole batch, shared across targets.
+      for (size_t j = 0; j < spec.joins.size(); ++j) {
+        batch_multiplicities[j].resize(n);
+        oracle_columns.clear();
+        for (size_t slot : join_slots[j]) {
+          oracle_columns.push_back(batch.column(slot).data());
+        }
+        spec.joins[j].oracle->MultiplicityBatch(
+            oracle_columns.data(), oracle_columns.size(), n,
+            batch_multiplicities[j].data());
       }
-      spec.joins[j].oracle->MultiplicityBatch(
-          oracle_columns.data(), oracle_columns.size(), n,
-          batch_multiplicities[j].data());
-    }
-    // Target-major: all of a batch's rows for target 0, then target 1, ...
-    // keeps each target's work on one reservoir and one accumulator. Each
-    // drawing target has a private stream, so the order across targets
-    // does not change any target's draws.
-    for (size_t t = 0; t < spec.targets.size(); ++t) {
-      const SweepTarget& target = spec.targets[t];
-      TargetState& state = states[t];
-      std::span<const double> attr_values =
-          batch.column(state.attribute_slot);
-      for (size_t r = 0; r < n; ++r) {
-        SITSTATS_RETURN_IF_ERROR(process_row(target, state, attr_values, r));
+      rows += n;
+      // Target-major: all of a batch's rows for target 0, then target 1,
+      // ... keeps each target's work on one reservoir and one accumulator.
+      // Each drawing target has a private stream, so the order across
+      // targets does not change any target's draws.
+      for (size_t t = 0; t < spec.targets.size(); ++t) {
+        const SweepTarget& target = spec.targets[t];
+        TargetState& state = states[t];
+        std::span<const double> attr_values =
+            batch.column(state.attribute_slot);
+        for (size_t r = 0; r < n; ++r) {
+          SITSTATS_RETURN_IF_ERROR(
+              process_row(target, state, attr_values, r));
+        }
       }
     }
-  }
+    return Status::OK();
+  };
+  const Status swept = sweep();
 
+  // Tally the scan's work, per target and in total (each join once), and
+  // book the total into the registry whether or not the loop finished.
+  auto add_lookups = [&](size_t join, IoStats* stats) {
+    (spec.joins[join].oracle->exact() ? stats->index_lookups
+                                      : stats->histogram_lookups) += rows;
+  };
+  IoStats total;
+  for (size_t j = 0; j < spec.joins.size(); ++j) add_lookups(j, &total);
+  std::vector<IoStats> shares(spec.targets.size());
+  for (size_t t = 0; t < spec.targets.size(); ++t) {
+    IoStats& share = shares[t];
+    share.sequential_scans = 1;
+    share.rows_scanned = rows;
+    for (size_t idx : spec.targets[t].join_indices) add_lookups(idx, &share);
+    if (states[t].store != nullptr) {
+      share.temp_rows_spilled = states[t].store->runs_spilled();
+    }
+    total.temp_rows_spilled += share.temp_rows_spilled;
+  }
+  static telemetry::Counter& index_lookups =
+      telemetry::MetricsRegistry::Global().GetCounter("storage.index_lookups");
+  static telemetry::Counter& histogram_lookups =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "storage.histogram_lookups");
+  static telemetry::Counter& temp_rows_spilled =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "storage.temp_rows_spilled");
+  static telemetry::Counter& rows_swept =
+      telemetry::MetricsRegistry::Global().GetCounter("sit.rows_swept");
+  static telemetry::Counter& moracle_calls =
+      telemetry::MetricsRegistry::Global().GetCounter("sit.moracle_calls");
+  index_lookups.Increment(total.index_lookups);
+  histogram_lookups.Increment(total.histogram_lookups);
+  temp_rows_spilled.Increment(total.temp_rows_spilled);
+  rows_swept.Increment(rows);
+  moracle_calls.Increment(rows * spec.joins.size());
+  SITSTATS_RETURN_IF_ERROR(swept);
+  static telemetry::Counter& sweep_scans =
+      telemetry::MetricsRegistry::Global().GetCounter("sit.sweep_scans");
   sweep_scans.Increment();
-  rows_swept.Increment(scan.num_rows());
-  moracle_calls.Increment(scan.num_rows() * spec.joins.size());
-  span.AddAttribute("rows", static_cast<double>(scan.num_rows()));
+  span.AddAttribute("rows", static_cast<double>(rows));
 
   // Step 5: build the statistic per target.
   SITSTATS_TRACE_SPAN("sweep.build_outputs");
@@ -234,12 +272,12 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     } else {
       std::vector<std::pair<double, double>> runs;
       SITSTATS_RETURN_IF_ERROR(state.store->ReadAll(&runs));
-      catalog->io_counters().AddTempRowsSpilled(state.store->runs_spilled());
       SITSTATS_ASSIGN_OR_RETURN(
           out.histogram,
           BuildHistogramWeighted(std::move(runs), spec.histogram_spec));
     }
     out.exact_map = std::move(state.exact_map);
+    out.io_stats = shares[t];
     outputs.push_back(std::move(out));
   }
   return outputs;

@@ -11,6 +11,7 @@
 #include "histogram/builder.h"
 #include "sit/m_oracle.h"
 #include "storage/catalog.h"
+#include "storage/io_stats.h"
 
 namespace sitstats {
 
@@ -82,6 +83,12 @@ struct SweepOutput {
   double estimated_cardinality = 0.0;
   /// Exact weighted multiplicity map (only if build_exact_map was set).
   std::unordered_map<double, double> exact_map;
+  /// This target's share of the scan's physical work: the scan and its
+  /// rows, rows x this target's joins in m-Oracle lookups (index_lookups
+  /// for exact oracles, histogram_lookups for approximating ones), and
+  /// the rows its own temporary store spilled. Joins are shared per scan,
+  /// so targets that share a join both count its lookups.
+  IoStats io_stats;
 };
 
 /// Performs one sequential scan over spec.table and builds every target
@@ -95,6 +102,11 @@ struct SweepOutput {
 /// spec.use_sampling, two targets resolving to the same stream are an
 /// InvalidArgument. Rows are processed target by target within each
 /// batch, which only private streams make order-independent.
+///
+/// Counts its own work: m-Oracle lookups are rows x joins, tallied once
+/// per batch, and the scan books them (with the temp-store spills and the
+/// sit.* counters) into the telemetry registry once, when it ends. Each
+/// output carries its target's share in SweepOutput::io_stats.
 Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                                 const SweepScanSpec& spec,
                                                 Rng* rng);

@@ -14,7 +14,6 @@ Catalog::Catalog(Catalog&& other) noexcept {
   WriterLock other_lock(other.mu_);
   tables_ = std::move(other.tables_);
   indexes_ = std::move(other.indexes_);
-  io_counters_ = std::move(other.io_counters_);
 }
 
 Catalog& Catalog::operator=(Catalog&& other) noexcept {
@@ -25,7 +24,6 @@ Catalog& Catalog::operator=(Catalog&& other) noexcept {
     WriterLock other_lock(other.mu_);
     tables_ = std::move(other.tables_);
     indexes_ = std::move(other.indexes_);
-    io_counters_ = std::move(other.io_counters_);
   }
   return *this;
 }

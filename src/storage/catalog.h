@@ -10,14 +10,12 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "storage/index.h"
-#include "storage/io_stats.h"
 #include "storage/table.h"
 
 namespace sitstats {
 
-/// The database: owns tables and secondary indexes, and tracks I/O
-/// statistics. Column references are resolved through the catalog using
-/// "Table.column" qualified names.
+/// The database: owns tables and secondary indexes. Column references are
+/// resolved through the catalog using "Table.column" qualified names.
 ///
 /// Thread safety: the table/index registries are guarded by a
 /// reader-writer lock, so lookups (GetTable, GetIndex, ResolveColumn, ...)
@@ -88,23 +86,12 @@ class Catalog {
   /// bulk-load boundaries via SITSTATS_DCHECK_OK and exposed to tests.
   Status ValidateConsistency() const;
 
-  /// Live I/O counters for instrumentation sites (also mirrored into the
-  /// process-wide telemetry registry under "storage.*").
-  IoCounters& io_counters() { return io_counters_; }
-
-  /// Point-in-time snapshot of this catalog's I/O work. Callers that need
-  /// the work of a region subtract two snapshots; nobody mutates the
-  /// returned value in place.
-  IoStats SnapshotMetrics() const { return io_counters_.Snapshot(); }
-
  private:
   /// Guards tables_ and indexes_ (the registries, not table contents).
-  /// io_counters_ is internally-sharded atomics and needs no lock.
   mutable SharedMutex mu_;
   std::map<std::string, std::unique_ptr<Table>> tables_ GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, SortedIndex> indexes_
       GUARDED_BY(mu_);
-  IoCounters io_counters_;
 };
 
 }  // namespace sitstats

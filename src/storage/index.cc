@@ -33,13 +33,11 @@ Result<SortedIndex> SortedIndex::Build(const Table& table,
 }
 
 size_t SortedIndex::Multiplicity(double key) const {
-  lookup_count_.fetch_add(1, std::memory_order_relaxed);
   auto range = std::equal_range(keys_.begin(), keys_.end(), key);
   return static_cast<size_t>(range.second - range.first);
 }
 
 std::vector<uint64_t> SortedIndex::LookupRange(double lo, double hi) const {
-  lookup_count_.fetch_add(1, std::memory_order_relaxed);
   std::vector<uint64_t> out;
   auto begin = std::lower_bound(keys_.begin(), keys_.end(), lo);
   auto end = std::upper_bound(keys_.begin(), keys_.end(), hi);
@@ -50,7 +48,6 @@ std::vector<uint64_t> SortedIndex::LookupRange(double lo, double hi) const {
 }
 
 size_t SortedIndex::CountRange(double lo, double hi) const {
-  lookup_count_.fetch_add(1, std::memory_order_relaxed);
   auto begin = std::lower_bound(keys_.begin(), keys_.end(), lo);
   auto end = std::upper_bound(keys_.begin(), keys_.end(), hi);
   return static_cast<size_t>(end - begin);

@@ -1,7 +1,6 @@
 #ifndef SITSTATS_STORAGE_INDEX_H_
 #define SITSTATS_STORAGE_INDEX_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -21,23 +20,6 @@ class SortedIndex {
   static Result<SortedIndex> Build(const Table& table,
                                    const std::string& column_name);
 
-  // Moves carry the lookup count; not safe concurrently with lookups.
-  SortedIndex(SortedIndex&& other) noexcept
-      : table_name_(std::move(other.table_name_)),
-        column_name_(std::move(other.column_name_)),
-        keys_(std::move(other.keys_)),
-        row_ids_(std::move(other.row_ids_)),
-        lookup_count_(other.lookup_count_.load(std::memory_order_relaxed)) {}
-  SortedIndex& operator=(SortedIndex&& other) noexcept {
-    table_name_ = std::move(other.table_name_);
-    column_name_ = std::move(other.column_name_);
-    keys_ = std::move(other.keys_);
-    row_ids_ = std::move(other.row_ids_);
-    lookup_count_.store(other.lookup_count_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    return *this;
-  }
-
   const std::string& table_name() const { return table_name_; }
   const std::string& column_name() const { return column_name_; }
   size_t num_entries() const { return keys_.size(); }
@@ -54,13 +36,6 @@ class SortedIndex {
   /// Number of rows whose key lies in [lo, hi] (inclusive).
   size_t CountRange(double lo, double hi) const;
 
-  /// Total point/range lookups served since construction (mutable
-  /// bookkeeping; an index lookup is physical work the experiments track).
-  /// Atomic: parallel schedule steps probe shared indexes concurrently.
-  uint64_t lookup_count() const {
-    return lookup_count_.load(std::memory_order_relaxed);
-  }
-
   /// Deep invariants against the indexed table: entry count matches the
   /// table's row count, keys are sorted, row ids are in range and unique,
   /// and each key equals the cell it points at. O(n) over the index;
@@ -76,7 +51,6 @@ class SortedIndex {
   std::string column_name_;
   std::vector<double> keys_;      // sorted
   std::vector<uint64_t> row_ids_;  // aligned with keys_
-  mutable std::atomic<uint64_t> lookup_count_{0};
 };
 
 }  // namespace sitstats

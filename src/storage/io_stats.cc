@@ -4,14 +4,13 @@
 
 namespace sitstats {
 
-IoStats IoStats::operator-(const IoStats& other) const {
-  IoStats delta;
-  delta.sequential_scans = sequential_scans - other.sequential_scans;
-  delta.rows_scanned = rows_scanned - other.rows_scanned;
-  delta.index_lookups = index_lookups - other.index_lookups;
-  delta.histogram_lookups = histogram_lookups - other.histogram_lookups;
-  delta.temp_rows_spilled = temp_rows_spilled - other.temp_rows_spilled;
-  return delta;
+IoStats& IoStats::operator+=(const IoStats& other) {
+  sequential_scans += other.sequential_scans;
+  rows_scanned += other.rows_scanned;
+  index_lookups += other.index_lookups;
+  histogram_lookups += other.histogram_lookups;
+  temp_rows_spilled += other.temp_rows_spilled;
+  return *this;
 }
 
 std::string IoStats::ToString() const {
@@ -21,112 +20,6 @@ std::string IoStats::ToString() const {
      << " histogram_lookups=" << histogram_lookups
      << " temp_rows_spilled=" << temp_rows_spilled;
   return os.str();
-}
-
-namespace {
-
-/// Dense per-thread shard index: threads round-robin across shards once at
-/// first use, so up to kNumShards concurrent threads touch distinct cache
-/// lines. Shared across IoCounters instances (the index, not the shards).
-size_t CurrentShardIndex() {
-  static std::atomic<size_t> next_index{0};
-  thread_local size_t index =
-      next_index.fetch_add(1, std::memory_order_relaxed) %
-      IoCounters::kNumShards;
-  return index;
-}
-
-}  // namespace
-
-IoCounters::IoCounters()
-    : sequential_scans_(telemetry::MetricsRegistry::Global().GetCounter(
-          "storage.sequential_scans")),
-      rows_scanned_(telemetry::MetricsRegistry::Global().GetCounter(
-          "storage.rows_scanned")),
-      index_lookups_(telemetry::MetricsRegistry::Global().GetCounter(
-          "storage.index_lookups")),
-      histogram_lookups_(telemetry::MetricsRegistry::Global().GetCounter(
-          "storage.histogram_lookups")),
-      temp_rows_spilled_(telemetry::MetricsRegistry::Global().GetCounter(
-          "storage.temp_rows_spilled")) {}
-
-IoCounters::IoCounters(IoCounters&& other) noexcept : IoCounters() {
-  IoStats totals = other.Snapshot();
-  shards_[0].sequential_scans.store(totals.sequential_scans,
-                                    std::memory_order_relaxed);
-  shards_[0].rows_scanned.store(totals.rows_scanned,
-                                std::memory_order_relaxed);
-  shards_[0].index_lookups.store(totals.index_lookups,
-                                 std::memory_order_relaxed);
-  shards_[0].histogram_lookups.store(totals.histogram_lookups,
-                                     std::memory_order_relaxed);
-  shards_[0].temp_rows_spilled.store(totals.temp_rows_spilled,
-                                     std::memory_order_relaxed);
-}
-
-IoCounters& IoCounters::operator=(IoCounters&& other) noexcept {
-  IoStats totals = other.Snapshot();
-  for (Shard& shard : shards_) {
-    shard.sequential_scans.store(0, std::memory_order_relaxed);
-    shard.rows_scanned.store(0, std::memory_order_relaxed);
-    shard.index_lookups.store(0, std::memory_order_relaxed);
-    shard.histogram_lookups.store(0, std::memory_order_relaxed);
-    shard.temp_rows_spilled.store(0, std::memory_order_relaxed);
-  }
-  shards_[0].sequential_scans.store(totals.sequential_scans,
-                                    std::memory_order_relaxed);
-  shards_[0].rows_scanned.store(totals.rows_scanned,
-                                std::memory_order_relaxed);
-  shards_[0].index_lookups.store(totals.index_lookups,
-                                 std::memory_order_relaxed);
-  shards_[0].histogram_lookups.store(totals.histogram_lookups,
-                                     std::memory_order_relaxed);
-  shards_[0].temp_rows_spilled.store(totals.temp_rows_spilled,
-                                     std::memory_order_relaxed);
-  return *this;
-}
-
-IoCounters::Shard& IoCounters::shard() { return shards_[CurrentShardIndex()]; }
-
-IoStats IoCounters::Snapshot() const {
-  IoStats totals;
-  for (const Shard& shard : shards_) {
-    totals.sequential_scans +=
-        shard.sequential_scans.load(std::memory_order_relaxed);
-    totals.rows_scanned += shard.rows_scanned.load(std::memory_order_relaxed);
-    totals.index_lookups +=
-        shard.index_lookups.load(std::memory_order_relaxed);
-    totals.histogram_lookups +=
-        shard.histogram_lookups.load(std::memory_order_relaxed);
-    totals.temp_rows_spilled +=
-        shard.temp_rows_spilled.load(std::memory_order_relaxed);
-  }
-  return totals;
-}
-
-void IoCounters::AddSequentialScans(uint64_t n) {
-  shard().sequential_scans.fetch_add(n, std::memory_order_relaxed);
-  sequential_scans_.Increment(n);
-}
-
-void IoCounters::AddRowsScanned(uint64_t n) {
-  shard().rows_scanned.fetch_add(n, std::memory_order_relaxed);
-  rows_scanned_.Increment(n);
-}
-
-void IoCounters::AddIndexLookups(uint64_t n) {
-  shard().index_lookups.fetch_add(n, std::memory_order_relaxed);
-  index_lookups_.Increment(n);
-}
-
-void IoCounters::AddHistogramLookups(uint64_t n) {
-  shard().histogram_lookups.fetch_add(n, std::memory_order_relaxed);
-  histogram_lookups_.Increment(n);
-}
-
-void IoCounters::AddTempRowsSpilled(uint64_t n) {
-  shard().temp_rows_spilled.fetch_add(n, std::memory_order_relaxed);
-  temp_rows_spilled_.Increment(n);
 }
 
 }  // namespace sitstats

@@ -1,24 +1,20 @@
 #ifndef SITSTATS_STORAGE_IO_STATS_H_
 #define SITSTATS_STORAGE_IO_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
-#include "telemetry/metrics.h"
-
 namespace sitstats {
 
-/// Point-in-time snapshot of the physical work performed by the engine.
-/// SIT-creation experiments use these to compare the I/O footprint of
-/// techniques (e.g. how many sequential scans a schedule really performed,
-/// or how many index lookups SweepIndex issued).
+/// The physical work of one operation: the sequential scans a build or a
+/// schedule step performed, the rows they read, and the m-Oracle lookups
+/// and temp-store spills they caused. SIT-creation experiments compare
+/// techniques by these counts.
 ///
-/// IoStats is a plain value: subtract two snapshots to get the work done
-/// in between. The *live* counters are IoCounters below; there is no
-/// Reset() on live state because resetting mutable counters mid-flight is
-/// exactly how deltas drift (a reset between a caller's before/after
-/// snapshots silently corrupts the difference).
+/// A plain per-operation tally: each sweep scan counts its own work and
+/// hands every target its share (SweepOutput::io_stats); builds and
+/// schedules add those shares up. The process-wide totals live in the
+/// telemetry registry under "storage.*", booked once per scan.
 struct IoStats {
   uint64_t sequential_scans = 0;
   uint64_t rows_scanned = 0;
@@ -26,68 +22,10 @@ struct IoStats {
   uint64_t histogram_lookups = 0;
   uint64_t temp_rows_spilled = 0;
 
-  /// Field-wise difference (for before/after deltas).
-  IoStats operator-(const IoStats& other) const;
+  IoStats& operator+=(const IoStats& other);
+  bool operator==(const IoStats& other) const = default;
 
   std::string ToString() const;
-};
-
-/// The live storage-layer counters: the compatibility shim between the old
-/// mutable-IoStats call sites and the telemetry MetricsRegistry. Every
-/// increment lands in two places:
-///   - a catalog-local snapshot, so per-catalog deltas (and tests using a
-///     fresh Catalog) keep working, and
-///   - the process-wide registry under "storage.*", so metrics dumps and
-///     traces see the totals without reaching into any Catalog.
-///
-/// Increments are thread-safe: the catalog-local state is sharded across
-/// cache-line-aligned atomic shards, with each thread pinned to one shard,
-/// so concurrent sweep scans (the parallel schedule executor) don't
-/// ping-pong a single hot cache line. Snapshot() sums the shards; it is
-/// safe concurrently with increments but, like any multi-word snapshot,
-/// only exact once the increments it should cover have completed (the
-/// executor snapshots strictly before and after the parallel region).
-class IoCounters {
- public:
-  static constexpr size_t kNumShards = 16;
-
-  IoCounters();
-
-  IoCounters(const IoCounters&) = delete;
-  IoCounters& operator=(const IoCounters&) = delete;
-  /// Moves carry the accumulated totals over (into one shard of the
-  /// destination). Not safe concurrently with increments on either side.
-  IoCounters(IoCounters&& other) noexcept;
-  IoCounters& operator=(IoCounters&& other) noexcept;
-
-  void AddSequentialScans(uint64_t n = 1);
-  void AddRowsScanned(uint64_t n = 1);
-  void AddIndexLookups(uint64_t n = 1);
-  void AddHistogramLookups(uint64_t n = 1);
-  void AddTempRowsSpilled(uint64_t n = 1);
-
-  /// The catalog-local totals since this IoCounters was created.
-  IoStats Snapshot() const;
-
- private:
-  /// One cache line per shard so threads on different shards never
-  /// contend. 64-byte alignment covers the five counters exactly.
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> sequential_scans{0};
-    std::atomic<uint64_t> rows_scanned{0};
-    std::atomic<uint64_t> index_lookups{0};
-    std::atomic<uint64_t> histogram_lookups{0};
-    std::atomic<uint64_t> temp_rows_spilled{0};
-  };
-
-  Shard& shard();
-
-  Shard shards_[kNumShards];
-  telemetry::Counter& sequential_scans_;
-  telemetry::Counter& rows_scanned_;
-  telemetry::Counter& index_lookups_;
-  telemetry::Counter& histogram_lookups_;
-  telemetry::Counter& temp_rows_spilled_;
 };
 
 }  // namespace sitstats

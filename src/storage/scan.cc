@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/fault_injection.h"
+#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace sitstats {
@@ -17,7 +18,6 @@ Result<SequentialScan> SequentialScan::Open(
   SequentialScan scan;
   scan.table_name_ = table_name;
   scan.num_rows_ = table->num_rows();
-  scan.io_counters_ = &catalog->io_counters();
   for (const std::string& name : columns) {
     SITSTATS_ASSIGN_OR_RETURN(const Column* col, table->GetColumn(name));
     if (col->type() == ValueType::kString) {
@@ -26,57 +26,16 @@ Result<SequentialScan> SequentialScan::Open(
     }
     scan.columns_.push_back(col);
   }
-  scan.current_.resize(scan.columns_.size());
   scan.staging_.resize(scan.columns_.size());
-  scan.io_counters_->AddSequentialScans();
+  static telemetry::Counter& sequential_scans =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "storage.sequential_scans");
+  sequential_scans.Increment();
   return scan;
-}
-
-SequentialScan::SequentialScan(SequentialScan&& other) noexcept
-    : table_name_(std::move(other.table_name_)),
-      columns_(std::move(other.columns_)),
-      current_(std::move(other.current_)),
-      staging_(std::move(other.staging_)),
-      num_rows_(other.num_rows_),
-      next_row_(other.next_row_),
-      unflushed_rows_(other.unflushed_rows_),
-      io_counters_(other.io_counters_) {
-  other.unflushed_rows_ = 0;
-  other.io_counters_ = nullptr;
-}
-
-SequentialScan& SequentialScan::operator=(SequentialScan&& other) noexcept {
-  if (this == &other) return *this;
-  FlushRowCount();
-  table_name_ = std::move(other.table_name_);
-  columns_ = std::move(other.columns_);
-  current_ = std::move(other.current_);
-  staging_ = std::move(other.staging_);
-  num_rows_ = other.num_rows_;
-  next_row_ = other.next_row_;
-  unflushed_rows_ = other.unflushed_rows_;
-  io_counters_ = other.io_counters_;
-  other.unflushed_rows_ = 0;
-  other.io_counters_ = nullptr;
-  return *this;
-}
-
-bool SequentialScan::Next() {
-  if (next_row_ >= num_rows_) {
-    FlushRowCount();
-    return false;
-  }
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    current_[i] = columns_[i]->GetNumeric(next_row_);
-  }
-  ++next_row_;
-  ++unflushed_rows_;
-  return true;
 }
 
 bool SequentialScan::NextBatch(ScanBatch* out, size_t max_rows) {
   if (next_row_ >= num_rows_ || max_rows == 0) {
-    FlushRowCount();
     out->num_rows = 0;
     return false;
   }
@@ -100,15 +59,10 @@ bool SequentialScan::NextBatch(ScanBatch* out, size_t max_rows) {
   }
   out->num_rows = n;
   next_row_ += n;
-  unflushed_rows_ += n;
+  static telemetry::Counter& rows_scanned =
+      telemetry::MetricsRegistry::Global().GetCounter("storage.rows_scanned");
+  rows_scanned.Increment(n);
   return true;
-}
-
-void SequentialScan::FlushRowCount() {
-  if (io_counters_ != nullptr && unflushed_rows_ > 0) {
-    io_counters_->AddRowsScanned(unflushed_rows_);
-  }
-  unflushed_rows_ = 0;
 }
 
 }  // namespace sitstats

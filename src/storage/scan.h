@@ -30,7 +30,9 @@ struct ScanBatch {
 
 /// Cursor for one sequential scan over a table, restricted to a projection
 /// of numeric columns. This is the physical operation Sweep performs once
-/// per (non-root) table; opening a scan bumps the catalog's I/O counters.
+/// per (non-root) table. Opening a scan books one storage.sequential_scans
+/// and every batch books its rows into storage.rows_scanned (telemetry
+/// registry), so the row loop touches no shared state.
 ///
 ///   SITSTATS_ASSIGN_OR_RETURN(SequentialScan scan,
 ///       SequentialScan::Open(&catalog, "S", {"y", "a"}));
@@ -38,10 +40,6 @@ struct ScanBatch {
 ///   while (scan.NextBatch(&batch)) {
 ///     std::span<const double> y = batch.column(0), a = batch.column(1);
 ///   }
-///
-/// The row-at-a-time Next()/value() pair remains for callers that want a
-/// cursor; both drive the same position, so a scan should stick to one
-/// style.
 class SequentialScan {
  public:
   /// Opens a scan over `columns` of `table_name`. All projected columns
@@ -50,24 +48,15 @@ class SequentialScan {
                                      const std::string& table_name,
                                      const std::vector<std::string>& columns);
 
-  ~SequentialScan() { FlushRowCount(); }
-
-  SequentialScan(SequentialScan&& other) noexcept;
-  SequentialScan& operator=(SequentialScan&& other) noexcept;
+  SequentialScan(SequentialScan&&) noexcept = default;
+  SequentialScan& operator=(SequentialScan&&) noexcept = default;
   SequentialScan(const SequentialScan&) = delete;
   SequentialScan& operator=(const SequentialScan&) = delete;
-
-  /// Advances to the next row; false once the input is exhausted.
-  bool Next();
 
   /// Fills `out` with the next run of up to `max_rows` rows; false (with
   /// `out->num_rows == 0`) once the input is exhausted. The spans in `out`
   /// stay valid until the next call on this scan.
   bool NextBatch(ScanBatch* out, size_t max_rows = kScanBatchRows);
-
-  /// Value of the i-th projected column in the current row. Only valid
-  /// after Next() returned true.
-  double value(size_t i) const { return current_[i]; }
 
   size_t num_columns() const { return columns_.size(); }
   size_t num_rows() const { return num_rows_; }
@@ -76,22 +65,12 @@ class SequentialScan {
  private:
   SequentialScan() = default;
 
-  /// Books the rows read since the last flush into the I/O counters.
-  /// Rows are counted locally during the scan and flushed in bulk (at
-  /// exhaustion and at destruction) so the per-row hot loop touches no
-  /// shared state — essential when parallel schedule steps scan
-  /// concurrently.
-  void FlushRowCount();
-
   std::string table_name_;
   std::vector<const Column*> columns_;
-  std::vector<double> current_;
-  /// Per-slot widening buffers for int64 columns on the batched path.
+  /// Per-slot widening buffers for int64 columns.
   std::vector<std::vector<double>> staging_;
   size_t num_rows_ = 0;
   size_t next_row_ = 0;
-  size_t unflushed_rows_ = 0;
-  IoCounters* io_counters_ = nullptr;
 };
 
 }  // namespace sitstats

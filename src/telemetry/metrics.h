@@ -140,8 +140,8 @@ class MetricsRegistry {
   Status WriteJson(const std::string& path) const;
 
   /// Zeroes every registered metric (registrations are kept). Intended for
-  /// tests and benchmark harness resets, not for steady-state operation —
-  /// see IoCounters for why resetting live counters invites drift.
+  /// tests and benchmark harness resets, not for steady-state operation:
+  /// a reset between a reader's before/after values corrupts its delta.
   void ResetAll();
 
  private:

@@ -379,7 +379,7 @@ TEST_F(ColumnFileTest, LoadCatalogPrefersBinaryManifest) {
   EXPECT_FALSE(csv->GetTable("M").ValueOrDie()->column(0).is_mapped());
 }
 
-TEST_F(ColumnFileTest, BatchedScanMatchesRowAtATimeOnMappedColumns) {
+TEST_F(ColumnFileTest, BatchedScanOfMappedColumnsMatchesOwnedCatalog) {
   Catalog catalog;
   {
     Schema schema;
@@ -397,22 +397,31 @@ TEST_F(ColumnFileTest, BatchedScanMatchesRowAtATimeOnMappedColumns) {
   ASSERT_TRUE(SaveCatalogBinary(catalog, dir_).ok());
   std::unique_ptr<Catalog> mapped = LoadCatalogBinary(dir_).ValueOrDie();
 
-  SequentialScan row_scan =
+  SequentialScan owned_scan =
       SequentialScan::Open(&catalog, "N", {"k", "x"}).ValueOrDie();
-  SequentialScan batch_scan =
+  SequentialScan mapped_scan =
       SequentialScan::Open(mapped.get(), "N", {"k", "x"}).ValueOrDie();
-  // An odd batch size exercises a ragged final batch.
+  // Read the owned catalog in default-size batches and the mapped one in
+  // batches of an odd size, so batch boundaries never line up and the
+  // mapped scan ends on a ragged final batch.
+  std::vector<double> owned_k, owned_x;
   ScanBatch batch;
+  while (owned_scan.NextBatch(&batch)) {
+    owned_k.insert(owned_k.end(), batch.column(0).begin(),
+                   batch.column(0).end());
+    owned_x.insert(owned_x.end(), batch.column(1).begin(),
+                   batch.column(1).end());
+  }
+  ASSERT_EQ(owned_k.size(), 10'000u);
   size_t rows_seen = 0;
-  while (batch_scan.NextBatch(&batch, 997)) {
+  while (mapped_scan.NextBatch(&batch, 997)) {
     for (size_t r = 0; r < batch.num_rows; ++r) {
-      ASSERT_TRUE(row_scan.Next());
-      ASSERT_EQ(batch.column(0)[r], row_scan.value(0)) << rows_seen;
-      ASSERT_EQ(batch.column(1)[r], row_scan.value(1)) << rows_seen;
+      ASSERT_LT(rows_seen, owned_k.size());
+      ASSERT_EQ(batch.column(0)[r], owned_k[rows_seen]) << rows_seen;
+      ASSERT_EQ(batch.column(1)[r], owned_x[rows_seen]) << rows_seen;
       ++rows_seen;
     }
   }
-  EXPECT_FALSE(row_scan.Next());
   EXPECT_EQ(rows_seen, 10'000u);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "datagen/synthetic_db.h"
@@ -10,6 +12,7 @@
 #include "histogram/builder.h"
 #include "sit/serialization.h"
 #include "sit/sit_catalog.h"
+#include "telemetry/metrics.h"
 
 namespace sitstats {
 namespace {
@@ -127,11 +130,72 @@ TEST(CreatorTest, HistSitPerformsNoScans) {
   SitDescriptor desc(db.sit_attribute, db.query);
   SitBuildOptions options;
   options.variant = SweepVariant::kHistSit;
-  uint64_t scans_before = db.catalog->SnapshotMetrics().sequential_scans;
+  telemetry::Counter& scans =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "storage.sequential_scans");
+  const uint64_t scans_before = scans.value();
   Sit sit = CreateSit(db.catalog.get(), &stats, desc, options).ValueOrDie();
-  EXPECT_EQ(db.catalog->SnapshotMetrics().sequential_scans, scans_before);
+  EXPECT_EQ(scans.value(), scans_before);
+  EXPECT_EQ(sit.build_stats, IoStats{});
   EXPECT_GT(sit.estimated_cardinality, 0.0);
   EXPECT_FALSE(sit.histogram.empty());
+}
+
+TEST(CreatorTest, ConcurrentBuildsCountOwnWork) {
+  // Two threads build different SITs over one catalog at the same time,
+  // over and over: each build_stats must hold that build's work alone,
+  // exactly what the same build reports when it runs by itself.
+  ChainDatabase db = SmallDb(3);
+  const SitDescriptor chain(db.sit_attribute, db.query);
+  const SitDescriptor prefix(
+      ColumnRef{"R2", "a"},
+      GeneratingQuery::Create({"R1", "R2"},
+                              {JoinPredicate{ColumnRef{"R1", "jn"},
+                                             ColumnRef{"R2", "jp"}}})
+          .ValueOrDie());
+  SitBuildOptions sweep;
+  SitBuildOptions sweep_index;
+  sweep_index.variant = SweepVariant::kSweepIndex;
+  BaseStatsCache stats;
+  const IoStats chain_solo =
+      CreateSit(db.catalog.get(), &stats, chain, sweep)
+          .ValueOrDie()
+          .build_stats;
+  const IoStats prefix_solo =
+      CreateSit(db.catalog.get(), &stats, prefix, sweep_index)
+          .ValueOrDie()
+          .build_stats;
+  EXPECT_EQ(chain_solo.sequential_scans, 2u);
+  EXPECT_EQ(chain_solo.histogram_lookups, 6'000u);
+  EXPECT_EQ(prefix_solo.sequential_scans, 1u);
+  EXPECT_EQ(prefix_solo.index_lookups, 3'000u);
+
+  constexpr int kRounds = 20;
+  auto build_repeatedly = [&](const SitDescriptor& desc,
+                              const SitBuildOptions& options,
+                              std::vector<IoStats>* out) {
+    for (int round = 0; round < kRounds; ++round) {
+      out->push_back(CreateSit(db.catalog.get(), &stats, desc, options)
+                         .ValueOrDie()
+                         .build_stats);
+    }
+  };
+  std::vector<IoStats> chain_stats;
+  std::vector<IoStats> prefix_stats;
+  std::thread a(build_repeatedly, std::cref(chain), std::cref(sweep),
+                &chain_stats);
+  std::thread b(build_repeatedly, std::cref(prefix), std::cref(sweep_index),
+                &prefix_stats);
+  a.join();
+  b.join();
+  ASSERT_EQ(chain_stats.size(), static_cast<size_t>(kRounds));
+  ASSERT_EQ(prefix_stats.size(), static_cast<size_t>(kRounds));
+  for (int round = 0; round < kRounds; ++round) {
+    EXPECT_EQ(chain_stats[round], chain_solo)
+        << "round " << round << ": " << chain_stats[round].ToString();
+    EXPECT_EQ(prefix_stats[round], prefix_solo)
+        << "round " << round << ": " << prefix_stats[round].ToString();
+  }
 }
 
 TEST(CreatorTest, AllVariantsBeatOrMatchHistSitOnCorrelatedData) {

@@ -13,6 +13,7 @@ TEST(HistogramMOracleTest, PaperFormula) {
   Histogram r({Bucket{0, 14, 100, 10}});
   Histogram s({Bucket{0, 14, 60, 15}});
   HistogramMOracle oracle(r, s);
+  EXPECT_FALSE(oracle.exact());
   // dv_S > dv_R: expected multiplicity f_R / dv_S = 100/15.
   EXPECT_NEAR(oracle.Multiplicity(5.0), 100.0 / 15.0, 1e-9);
 
@@ -37,15 +38,6 @@ TEST(HistogramMOracleTest, ValueOutsideScannedSideUsesDvOne) {
   EXPECT_NEAR(oracle.Multiplicity(5.0), 10.0, 1e-9);
 }
 
-TEST(HistogramMOracleTest, CountsLookups) {
-  IoCounters stats;
-  Histogram r({Bucket{0, 9, 100, 10}});
-  HistogramMOracle oracle(r, r, &stats);
-  oracle.Multiplicity(1.0);
-  oracle.Multiplicity(2.0);
-  EXPECT_EQ(stats.Snapshot().histogram_lookups, 2u);
-}
-
 TEST(IndexMOracleTest, ExactCounts) {
   Catalog catalog;
   Schema schema;
@@ -55,21 +47,19 @@ TEST(IndexMOracleTest, ExactCounts) {
     SITSTATS_CHECK_OK(t->AppendRow({Value(v)}));
   }
   SITSTATS_CHECK_OK(catalog.BuildIndex("R", "x"));
-  IoCounters stats;
-  IndexMOracle oracle(catalog.GetIndex("R", "x").ValueOrDie(), &stats);
+  IndexMOracle oracle(catalog.GetIndex("R", "x").ValueOrDie());
+  EXPECT_TRUE(oracle.exact());
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(1.0), 3.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(2.0), 1.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(3.0), 0.0);
-  EXPECT_EQ(stats.Snapshot().index_lookups, 3u);
 }
 
 TEST(ExactMapMOracleTest, LookupAndMissing) {
-  IoCounters stats;
-  ExactMapMOracle oracle({{1.0, 2.5}, {2.0, 4.0}}, &stats);
+  ExactMapMOracle oracle({{1.0, 2.5}, {2.0, 4.0}});
+  EXPECT_TRUE(oracle.exact());
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(1.0), 2.5);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(2.0), 4.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(9.0), 0.0);
-  EXPECT_EQ(stats.Snapshot().index_lookups, 3u);
 }
 
 TEST(MOracleTest, DescribeIsInformative) {

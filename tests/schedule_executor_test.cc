@@ -153,6 +153,49 @@ TEST(ScheduleExecutorTest, SharedExecutionMatchesOneAtATimeAccuracy) {
   }
 }
 
+TEST(ScheduleExecutorTest, SitBuildStatsMatchSoloBuild) {
+  // Every SIT built by a schedule reports its own share of the shared
+  // scans, field for field what its solo CreateSit build reports — at any
+  // thread count, with sampled or exact oracles.
+  Example3Db db = MakeExample3Db();
+  SitProblemOptions poptions;
+  SitSchedulingProblem problem =
+      BuildSitSchedulingProblem(db.catalog, db.sits, poptions).ValueOrDie();
+  SolverOptions soptions;
+  soptions.kind = SolverKind::kOptimal;
+  SolverResult solved =
+      SolveSchedule(problem.problem, soptions).ValueOrDie();
+  for (SweepVariant variant :
+       {SweepVariant::kSweep, SweepVariant::kSweepIndex}) {
+    for (int threads : {1, 4}) {
+      BaseStatsCache stats;
+      ScheduleExecutionOptions eoptions;
+      eoptions.variant = variant;
+      eoptions.num_threads = threads;
+      ScheduleExecutionResult result =
+          ExecuteSitSchedule(&db.catalog, &stats, db.sits, problem,
+                             solved.schedule, eoptions)
+              .ValueOrDie();
+      ASSERT_EQ(result.sits.size(), db.sits.size());
+      for (size_t i = 0; i < db.sits.size(); ++i) {
+        SitBuildOptions boptions;
+        boptions.variant = variant;
+        Sit solo =
+            CreateSit(&db.catalog, &stats, db.sits[i], boptions).ValueOrDie();
+        EXPECT_GT(solo.build_stats.sequential_scans, 0u);
+        EXPECT_EQ(result.sits[i].build_stats, solo.build_stats)
+            << db.sits[i].ToString() << " " << SweepVariantToString(variant)
+            << " at " << threads << " threads: "
+            << result.sits[i].build_stats.ToString() << " vs solo "
+            << solo.build_stats.ToString();
+      }
+      // The shared scan of S is physical work done once.
+      EXPECT_EQ(result.total_stats.sequential_scans, 2u);
+      EXPECT_EQ(result.total_stats.rows_scanned, 8'000u);
+    }
+  }
+}
+
 TEST(ScheduleExecutorTest, NaiveScheduleAlsoExecutes) {
   Example3Db db = MakeExample3Db(/*seed=*/17);
   SitProblemOptions poptions;

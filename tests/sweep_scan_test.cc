@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "telemetry/metrics.h"
 
 namespace sitstats {
 namespace {
@@ -15,6 +16,7 @@ class ConstantOracle : public MultiplicityOracle {
  public:
   explicit ConstantOracle(double m) : m_(m) {}
   double Multiplicity(double) const override { return m_; }
+  bool exact() const override { return true; }
   std::string Describe() const override { return "Constant"; }
 
  private:
@@ -25,8 +27,13 @@ class ConstantOracle : public MultiplicityOracle {
 class IdentityOracle : public MultiplicityOracle {
  public:
   double Multiplicity(double y) const override { return y; }
+  bool exact() const override { return true; }
   std::string Describe() const override { return "Identity"; }
 };
+
+uint64_t CounterValue(const char* name) {
+  return telemetry::MetricsRegistry::Global().GetCounter(name).value();
+}
 
 Catalog MakeCatalog() {
   Catalog catalog;
@@ -129,13 +136,19 @@ TEST(SweepScanTest, SharedScanProducesIndependentTargets) {
   t2.attribute = "b";
   t2.join_indices = {1};
   spec.targets = {t1, t2};
+  const uint64_t scans_before = CounterValue("storage.sequential_scans");
+  const uint64_t rows_before = CounterValue("storage.rows_scanned");
   auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
   ASSERT_EQ(outputs.size(), 2u);
   EXPECT_DOUBLE_EQ(outputs[0].estimated_cardinality, 100.0);
   EXPECT_DOUBLE_EQ(outputs[1].estimated_cardinality, 300.0);
-  // One shared scan only.
-  EXPECT_EQ(catalog.SnapshotMetrics().sequential_scans, 1u);
-  EXPECT_EQ(catalog.SnapshotMetrics().rows_scanned, 100u);
+  // One shared scan only, which each target reports as its own.
+  EXPECT_EQ(CounterValue("storage.sequential_scans") - scans_before, 1u);
+  EXPECT_EQ(CounterValue("storage.rows_scanned") - rows_before, 100u);
+  for (const SweepOutput& output : outputs) {
+    EXPECT_EQ(output.io_stats.sequential_scans, 1u);
+    EXPECT_EQ(output.io_stats.rows_scanned, 100u);
+  }
 }
 
 TEST(SweepScanTest, SamplingTargetsMustNotShareAStream) {
@@ -160,9 +173,11 @@ TEST(SweepScanTest, SamplingTargetsMustNotShareAStream) {
   // Both name the same private stream.
   spec.targets[0].rng = &own;
   spec.targets[1].rng = &own;
+  const uint64_t scans_before = CounterValue("storage.sequential_scans");
   EXPECT_EQ(SweepScanTable(&catalog, spec, nullptr).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(catalog.SnapshotMetrics().sequential_scans, 0u);
+  // Rejected before the scan opens.
+  EXPECT_EQ(CounterValue("storage.sequential_scans"), scans_before);
   // Distinct streams: fine.
   spec.targets[1].rng = &rng;
   auto outputs = SweepScanTable(&catalog, spec, nullptr).ValueOrDie();
@@ -211,6 +226,75 @@ TEST(SweepScanTest, FractionalMultiplicityIsUnbiasedUnderSampling) {
   }
   // About half the 100 distinct `a` values survive rounding on average.
   EXPECT_NEAR(total_sampled / kTrials, 50.0, 5.0);
+}
+
+TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
+  // Two targets over one 100-row scan: one through an approximating
+  // (histogram) join, one through an exact (index) join. Each reports the
+  // shared scan plus rows x its own joins, booked under the oracle's kind,
+  // and the registry receives the scan's tally once.
+  Catalog catalog = MakeCatalog();
+  {
+    Schema schema;
+    schema.AddColumn("x", ValueType::kInt64);
+    Table* r = catalog.CreateTable("R", schema).ValueOrDie();
+    for (int64_t v : {0, 1, 1, 2, 3, 3, 3}) {
+      SITSTATS_CHECK_OK(r->AppendRow({Value(v)}));
+    }
+  }
+  const SortedIndex* index = catalog.EnsureIndex("R", "x").ValueOrDie();
+  IndexMOracle exact(index);
+  HistogramMOracle approximate(Histogram({Bucket{0, 4, 7, 4}}),
+                               Histogram({Bucket{0, 4, 100, 5}}));
+  Rng rng(8);
+  SweepScanSpec spec;
+  spec.table = "S";
+  spec.use_sampling = false;
+  spec.temp_memory_runs = 8;  // force both temp stores to spill
+  spec.joins.push_back(SweepJoin{{"y"}, &approximate});
+  spec.joins.push_back(SweepJoin{{"y"}, &exact});
+  SweepTarget by_histogram;
+  by_histogram.attribute = "a";
+  by_histogram.join_indices = {0};
+  SweepTarget by_index;
+  by_index.attribute = "b";
+  by_index.join_indices = {1};
+  spec.targets = {by_histogram, by_index};
+
+  const char* const kCounters[] = {
+      "storage.sequential_scans", "storage.rows_scanned",
+      "storage.histogram_lookups", "storage.index_lookups",
+      "storage.temp_rows_spilled", "sit.moracle_calls"};
+  std::vector<uint64_t> before;
+  for (const char* name : kCounters) before.push_back(CounterValue(name));
+  auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
+  ASSERT_EQ(outputs.size(), 2u);
+
+  const IoStats& hist_share = outputs[0].io_stats;
+  const IoStats& index_share = outputs[1].io_stats;
+  EXPECT_EQ(hist_share.sequential_scans, 1u);
+  EXPECT_EQ(hist_share.rows_scanned, 100u);
+  EXPECT_EQ(hist_share.histogram_lookups, 100u);
+  EXPECT_EQ(hist_share.index_lookups, 0u);
+  EXPECT_EQ(index_share.sequential_scans, 1u);
+  EXPECT_EQ(index_share.rows_scanned, 100u);
+  EXPECT_EQ(index_share.histogram_lookups, 0u);
+  EXPECT_EQ(index_share.index_lookups, 100u);
+  EXPECT_GT(hist_share.temp_rows_spilled, 0u);
+  EXPECT_GT(index_share.temp_rows_spilled, 0u);
+
+  std::vector<uint64_t> delta;
+  for (size_t i = 0; i < std::size(kCounters); ++i) {
+    delta.push_back(CounterValue(kCounters[i]) - before[i]);
+  }
+  EXPECT_EQ(delta[0], 1u);  // one scan for both targets
+  EXPECT_EQ(delta[1], 100u);
+  EXPECT_EQ(delta[2], hist_share.histogram_lookups);
+  EXPECT_EQ(delta[3], index_share.index_lookups);
+  EXPECT_EQ(delta[4],
+            hist_share.temp_rows_spilled + index_share.temp_rows_spilled);
+  EXPECT_EQ(delta[5],
+            hist_share.histogram_lookups + index_share.index_lookups);
 }
 
 TEST(SweepScanTest, UnknownTableOrColumn) {
