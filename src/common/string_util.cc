@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include <sstream>
@@ -38,6 +39,12 @@ std::string FormatDouble(double value, int precision) {
   os.precision(precision);
   os << std::fixed << value;
   return os.str();
+}
+
+std::string FormatExact(double value) {
+  char buffer[64];
+  (void)std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
 }
 
 Result<int64_t> ParseInt64(const std::string& text) {

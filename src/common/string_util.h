@@ -20,6 +20,11 @@ std::vector<std::string> Split(const std::string& s, char sep);
 /// Formats a double with `precision` significant decimal digits.
 std::string FormatDouble(double value, int precision = 4);
 
+/// Formats a double with "%.17g": enough digits that ParseDouble returns
+/// the identical value. Used wherever a double is written as text and read
+/// back (SIT files, CSV export, the server wire protocol).
+std::string FormatExact(double value);
+
 /// Parses the *entire* string as a base-10 int64. Unlike atoll, trailing
 /// garbage ("12x"), an empty string, and out-of-range magnitudes are
 /// errors rather than silent zeros / clamps.

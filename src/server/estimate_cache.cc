@@ -10,7 +10,8 @@ uint64_t EstimateCache::epoch() const {
   return epoch_;
 }
 
-bool EstimateCache::Lookup(const std::string& key, std::string* payload) {
+bool EstimateCache::Lookup(const std::string& key,
+                           CardinalityEstimator::Estimate* estimate) {
   MutexLock lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -19,21 +20,21 @@ bool EstimateCache::Lookup(const std::string& key, std::string* payload) {
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);
-  *payload = it->second->payload;
+  *estimate = it->second->estimate;
   return true;
 }
 
 void EstimateCache::Insert(uint64_t observed_epoch, const std::string& key,
-                           std::string payload) {
+                           const CardinalityEstimator::Estimate& estimate) {
   MutexLock lock(mu_);
   if (observed_epoch != epoch_) return;  // raced with an invalidation
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->payload = std::move(payload);
+    it->second->estimate = estimate;
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.push_front(Entry{key, std::move(payload)});
+  lru_.push_front(Entry{key, estimate});
   index_[key] = lru_.begin();
   EvictToCapacityLocked();
 }

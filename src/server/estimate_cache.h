@@ -8,14 +8,15 @@
 #include <unordered_map>
 
 #include "common/sync.h"
+#include "estimator/sit_estimator.h"
 
 namespace sitstats {
 
-/// LRU cache of rendered estimate responses, keyed by the request's wire
-/// form (spec + bounds normalize a query exactly). Invalidation is
-/// epoch-based: every catalog mutation (a completed SIT build) bumps the
-/// epoch and clears the cache, and inserts computed against a stale epoch
-/// are dropped — an estimate that raced with a build can never park a
+/// LRU cache of estimator results, keyed by the request's wire form (spec
+/// + bounds normalize a query exactly). Invalidation is epoch-based:
+/// every catalog mutation (a completed SIT build) bumps the epoch and
+/// clears the cache, and inserts computed against a stale epoch are
+/// dropped — an estimate that raced with a build can never park a
 /// pre-mutation answer in a post-mutation cache.
 class EstimateCache {
  public:
@@ -32,14 +33,15 @@ class EstimateCache {
   /// Insert().
   uint64_t epoch() const;
 
-  /// Copies the cached payload into `*payload` on hit (and refreshes
+  /// Copies the cached estimate into `*estimate` on hit (and refreshes
   /// recency); false on miss.
-  bool Lookup(const std::string& key, std::string* payload);
+  bool Lookup(const std::string& key,
+              CardinalityEstimator::Estimate* estimate);
 
   /// Inserts unless the cache has been invalidated since `observed_epoch`
   /// was read. Evicts the least-recently-used entry at capacity.
   void Insert(uint64_t observed_epoch, const std::string& key,
-              std::string payload);
+              const CardinalityEstimator::Estimate& estimate);
 
   /// Bumps the epoch and drops every entry. Called on catalog mutation.
   void Invalidate();
@@ -49,7 +51,7 @@ class EstimateCache {
  private:
   struct Entry {
     std::string key;
-    std::string payload;
+    CardinalityEstimator::Estimate estimate;
   };
 
   /// Unlinks the least-recently-used entries until the cache fits

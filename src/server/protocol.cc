@@ -1,7 +1,5 @@
 #include "server/protocol.h"
 
-#include <cstdio>
-
 #include <vector>
 
 #include "common/string_util.h"
@@ -11,13 +9,6 @@
 namespace sitstats {
 
 namespace {
-
-/// Full-precision double rendering so estimate bounds survive the wire.
-std::string FormatExact(double v) {
-  char buffer[64];
-  (void)std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 /// Applies one "key=value" option token to `request`; errors on unknown
 /// keys so typos fail loudly instead of silently using a default.

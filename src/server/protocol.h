@@ -30,10 +30,14 @@ namespace sitstats {
 /// <sit-spec> is the ParseSitSpec grammar ("T.col" or
 /// "T.col:A.x=B.y;B.y=C.z") and therefore contains no spaces. Recognized
 /// options: timeout_ms=N (ESTIMATE/BUILD/SLEEP), variant=<SweepVariant>,
-/// rate=<sampling rate>, buckets=N (BUILD only). SLEEP is a test-only
-/// endpoint that occupies a build slot for <ms> milliseconds while
-/// honouring cancellation — it exists to make queue-full and timeout
-/// behaviour testable without large data.
+/// rate=<sampling rate>, buckets=N (BUILD only). timeout_ms is honoured
+/// on all three verbs: the deadline starts when a worker picks the
+/// request up, and an expired one answers ERR DeadlineExceeded (an
+/// ESTIMATE checks it before computing an uncached estimate, a BUILD or
+/// SLEEP while it runs). SLEEP is a test-only endpoint that occupies a
+/// build slot for <ms> milliseconds while honouring cancellation — it
+/// exists to make queue-full and timeout behaviour testable without large
+/// data.
 ///
 /// METRICS scrapes the server's metrics registry; TRACE toggles runtime
 /// span collection or dumps the collected trace to a server-side file;

@@ -7,12 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include <algorithm>
-#include <limits>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -36,39 +33,6 @@ constexpr size_t kMaxLineBytes = 1 << 20;
 /// a long-lived server without a caller draining the list must not
 /// accumulate errors without bound.
 constexpr size_t kMaxTransportErrors = 16;
-
-/// Extracts the double following "<key>=" in a payload like
-/// "cardinality=42 provenance=sit"; NaN when absent. Used to recover the
-/// numeric estimate from a cached response payload without widening the
-/// cache's value type.
-double PayloadDoubleField(const std::string& payload, const std::string& key) {
-  const std::string needle = key + "=";
-  size_t pos = payload.find(needle);
-  if (pos != 0 && (pos == std::string::npos || payload[pos - 1] != ' ')) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return std::strtod(payload.c_str() + pos + needle.size(), nullptr);
-}
-
-/// Extracts the token following "<key>=" in a payload; "" when absent.
-std::string PayloadStringField(const std::string& payload,
-                               const std::string& key) {
-  const std::string needle = key + "=";
-  size_t pos = payload.find(needle);
-  if (pos != 0 && (pos == std::string::npos || payload[pos - 1] != ' ')) {
-    return "";
-  }
-  size_t start = pos + needle.size();
-  size_t end = payload.find(' ', start);
-  return payload.substr(start, end == std::string::npos ? std::string::npos
-                                                        : end - start);
-}
-
-std::string FormatExact(double v) {
-  char buffer[64];
-  (void)std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 Status ErrnoError(const std::string& what) {
   return Status::IOError(what + ": " + std::strerror(errno));
@@ -177,13 +141,15 @@ Status SitStatsServer::Start() {
     return setup;
   }
 
-  build_pool_ = std::make_unique<ThreadPool>(options_.build_threads);
   poll_thread_ = std::thread([this] { PollLoop(); });
   deadline_thread_ = std::thread([this] { DeadlineLoop(); });
-  for (size_t i = 0; i < std::max<size_t>(options_.estimate_threads, 1);
-       ++i) {
-    estimate_workers_.emplace_back([this] { EstimateWorker(); });
-  }
+  auto spawn = [this](BoundedQueue<WorkItem>* queue, size_t threads) {
+    for (size_t i = 0; i < std::max<size_t>(threads, 1); ++i) {
+      workers_.emplace_back([this, queue] { WorkerLoop(queue); });
+    }
+  };
+  spawn(&estimate_queue_, options_.estimate_threads);
+  spawn(&build_queue_, options_.build_threads);
   SITSTATS_LOG(kInfo) << "sitstats-server listening on "
                      << options_.socket_path;
   return Status::OK();
@@ -211,14 +177,13 @@ void SitStatsServer::Stop() {
   if (stopped_.exchange(true)) return;
   RequestStop();
   if (poll_thread_.joinable()) poll_thread_.join();
+  // Closed queues still hand out what they hold; those requests fail fast
+  // via the cancelled server token.
   estimate_queue_.Close();
   build_queue_.Close();
-  for (std::thread& worker : estimate_workers_) {
+  for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  // The pool destructor drains queued build tasks; their requests fail
-  // fast via the cancelled server token.
-  build_pool_.reset();
   if (deadline_thread_.joinable()) deadline_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -234,14 +199,6 @@ void SitStatsServer::Stop() {
 void SitStatsServer::PreloadSits(SitCatalog sits) {
   WriterLock lock(sit_mu_);
   sits_ = std::move(sits);
-}
-
-Status SitStatsServer::TakeTransportError() {
-  MutexLock lock(transport_mu_);
-  Status error =
-      transport_errors_.empty() ? Status::OK() : transport_errors_.front();
-  transport_errors_.clear();
-  return error;
 }
 
 std::vector<Status> SitStatsServer::TakeTransportErrors() {
@@ -271,6 +228,11 @@ Status SitStatsServer::ValidateCatalog() const {
 size_t SitStatsServer::num_sits() const {
   ReaderLock lock(sit_mu_);
   return sits_.size();
+}
+
+size_t SitStatsServer::pending_deadlines() const {
+  MutexLock lock(deadline_mu_);
+  return deadlines_.size();
 }
 
 std::string SitStatsServer::StatsPayload() const {
@@ -399,23 +361,18 @@ void SitStatsServer::DispatchLine(const std::shared_ptr<Connection>& conn,
       .GetCounter(std::string("server.requests.") +
                   RequestKindToString(parsed->kind))
       .Increment();
-  const bool estimate_class = parsed->IsEstimateClass();
-  WorkItem item{conn, seq, std::move(parsed).ValueOrDie(),
-                telemetry::MintTraceId(),
-                telemetry::Tracer::Global().NowMicros()};
-  Status admitted = estimate_class ? estimate_queue_.TryPush(std::move(item))
-                                   : build_queue_.TryPush(std::move(item));
+  BoundedQueue<WorkItem>& queue =
+      parsed->IsEstimateClass() ? estimate_queue_ : build_queue_;
+  Status admitted = queue.TryPush(
+      WorkItem{conn, seq, std::move(parsed).ValueOrDie(),
+               telemetry::MintTraceId(),
+               telemetry::Tracer::Global().NowMicros()});
   if (!admitted.ok()) {
     requests_rejected_.fetch_add(1, std::memory_order_relaxed);
     telemetry::MetricsRegistry::Global()
         .GetCounter("server.requests.rejected")
         .Increment();
     DeliverResponse(conn, seq, FormatErrorResponse(admitted));
-    return;
-  }
-  if (!estimate_class) {
-    // One pool task per admitted request; the queue only bounds admission.
-    build_pool_->Submit([this] { BuildWorker(); });
   }
 }
 
@@ -458,18 +415,12 @@ void SitStatsServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
   ::shutdown(conn->fd, SHUT_RDWR);
 }
 
-void SitStatsServer::EstimateWorker() {
+void SitStatsServer::WorkerLoop(BoundedQueue<WorkItem>* queue) {
   WorkItem item;
-  while (estimate_queue_.Pop(&item)) {
-    ProcessEstimateClass(item);
+  while (queue->Pop(&item)) {
+    Process(item);
     item = WorkItem{};  // release the connection reference while blocked
   }
-}
-
-void SitStatsServer::BuildWorker() {
-  WorkItem item;
-  if (!build_queue_.Pop(&item)) return;
-  ProcessBuildClass(item);
 }
 
 void SitStatsServer::RecordQueueWait(const WorkItem& item,
@@ -529,18 +480,30 @@ void SitStatsServer::LogSlowRequest(const WorkItem& item, double total_ms,
   }
 }
 
-void SitStatsServer::ProcessEstimateClass(const WorkItem& item) {
+void SitStatsServer::Process(const WorkItem& item) {
+  const Request& request = item.request;
+  const bool estimate_class = request.IsEstimateClass();
   telemetry::TraceIdScope trace_scope(item.trace_id);
-  RecordQueueWait(item, "estimate");
-  SITSTATS_TRACE_SPAN("server.estimate_class");
+  RecordQueueWait(item, estimate_class ? "estimate" : "build");
+  SITSTATS_TRACE_SPAN(estimate_class ? "server.estimate_class"
+                                     : "server.build_class");
   const auto start = std::chrono::steady_clock::now();
   Status fault = SITSTATS_FAULT_CHECK("server.dispatch");
   if (!fault.ok()) {
     Respond(item, fault, "");
     return;
   }
+  // Only a request with a timeout pays for its own linked source; the
+  // rest observe the server stop token directly.
+  std::shared_ptr<CancellationSource> deadline;
+  CancellationToken cancel = stop_source_.token();
+  if (request.timeout_ms > 0) {
+    deadline = ArmDeadline(request.timeout_ms);
+    cancel = deadline->token();
+  }
+
   Result<std::string> payload = std::string();
-  switch (item.request.kind) {
+  switch (request.kind) {
     case Request::Kind::kPing:
       payload = std::string("pong");
       break;
@@ -548,11 +511,16 @@ void SitStatsServer::ProcessEstimateClass(const WorkItem& item) {
       payload = StatsPayload();
       break;
     case Request::Kind::kShutdown:
-      Respond(item, Status::OK(), "stopping");
-      RequestStop();
-      return;
+      payload = std::string("stopping");
+      break;
     case Request::Kind::kEstimate:
-      payload = HandleEstimate(item);
+      payload = HandleEstimate(item, cancel);
+      break;
+    case Request::Kind::kBuild:
+      payload = HandleBuild(item, cancel);
+      break;
+    case Request::Kind::kSleep:
+      payload = HandleSleep(item, cancel);
       break;
     case Request::Kind::kMetrics:
       payload = HandleMetrics();
@@ -563,74 +531,81 @@ void SitStatsServer::ProcessEstimateClass(const WorkItem& item) {
     case Request::Kind::kAccuracy:
       payload = HandleAccuracy(item);
       break;
-    case Request::Kind::kBuild:
-    case Request::Kind::kSleep:
-      payload = Status::Internal("build-class request on estimate path");
-      break;
   }
-  Respond(item, payload.ok() ? Status::OK() : payload.status(),
-          payload.ok() ? *payload : "");
+  if (deadline != nullptr) {
+    const bool expired = ReleaseDeadline(deadline.get());
+    if (expired && !payload.ok() &&
+        payload.status().code() == StatusCode::kCancelled) {
+      payload = Status::DeadlineExceeded(
+          "deadline of " + std::to_string(request.timeout_ms) +
+          " ms exceeded: " + payload.status().message());
+    }
+  }
+  const Status status = payload.ok() ? Status::OK() : payload.status();
+  Respond(item, status, payload.ok() ? *payload : "");
+  if (request.kind == Request::Kind::kShutdown) {
+    // Answered first, so the client sees the acknowledgement.
+    RequestStop();
+    return;
+  }
   telemetry::MetricsRegistry::Global()
-      .GetHistogram("server.latency.estimate_ms")
+      .GetHistogram(estimate_class ? "server.latency.estimate_ms"
+                                   : "server.latency.build_ms")
       .Record(ElapsedMs(start));
   const double total_ms =
       static_cast<double>(telemetry::Tracer::Global().NowMicros() -
                           item.enqueue_us) /
       1000.0;
   RecordRequestLatency(item, total_ms);
-  if (total_ms > options_.slo_ms) {
-    LogSlowRequest(item, total_ms,
-                   payload.ok() ? Status::OK() : payload.status());
-  }
+  if (total_ms > options_.slo_ms) LogSlowRequest(item, total_ms, status);
 }
 
-Result<std::string> SitStatsServer::HandleEstimate(const WorkItem& item) {
+Result<std::string> SitStatsServer::HandleEstimate(
+    const WorkItem& item, const CancellationToken& cancel) {
   const Request& request = item.request;
   const std::string spec = FormatSitSpec(*request.descriptor);
   const std::string key = spec + "|" + FormatExact(request.lo) + "|" +
                           FormatExact(request.hi);
-  const uint64_t epoch = cache_.epoch();
-
-  // The estimate_id is minted per response, never cached: a cached
-  // payload served twice must yield two distinct feedback slots, or the
-  // second ACCURACY would silently target the first request's entry.
-  auto finish = [&](std::string payload, bool cached) -> std::string {
-    LedgerEntry entry;
-    entry.spec = spec;
-    entry.lo = request.lo;
-    entry.hi = request.hi;
-    entry.estimate = PayloadDoubleField(payload, "cardinality");
-    entry.provenance = PayloadStringField(payload, "provenance");
-    entry.trace_id = item.trace_id;
-    std::string id = ledger_.Remember(std::move(entry));
-    return payload + (cached ? " cached=1" : " cached=0") +
-           " estimate_id=" + id +
-           " trace_id=" + telemetry::FormatTraceId(item.trace_id);
-  };
-
-  std::string payload;
-  if (cache_.Lookup(key, &payload)) return finish(std::move(payload), true);
-  SITSTATS_RETURN_IF_ERROR(
-      stop_source_.token().CheckCancelled("estimate on stopping server"));
 
   CardinalityEstimator::Estimate estimate;
-  {
-    // Read-mostly path: estimates share the SIT catalog under the reader
-    // lock and run concurrently with each other and with in-flight builds
-    // (which only take the writer lock to register a finished SIT).
-    SITSTATS_TRACE_SPAN("server.catalog.read_lock");
-    ReaderLock lock(sit_mu_);
-    CardinalityEstimator estimator(catalog_.get(), &base_stats_, &sits_);
-    SITSTATS_ASSIGN_OR_RETURN(
-        estimate,
-        estimator.EstimateRangeQuery(request.descriptor->query(),
-                                     request.descriptor->attribute(),
-                                     request.lo, request.hi));
+  const bool cached = cache_.Lookup(key, &estimate);
+  if (!cached) {
+    const uint64_t epoch = cache_.epoch();
+    SITSTATS_RETURN_IF_ERROR(
+        cancel.CheckCancelled("estimate on stopping server"));
+    {
+      // Read-mostly path: estimates share the SIT catalog under the reader
+      // lock and run concurrently with each other and with in-flight
+      // builds (which only take the writer lock to register a finished
+      // SIT).
+      SITSTATS_TRACE_SPAN("server.catalog.read_lock");
+      ReaderLock lock(sit_mu_);
+      CardinalityEstimator estimator(catalog_.get(), &base_stats_, &sits_);
+      SITSTATS_ASSIGN_OR_RETURN(
+          estimate,
+          estimator.EstimateRangeQuery(request.descriptor->query(),
+                                       request.descriptor->attribute(),
+                                       request.lo, request.hi));
+    }
+    cache_.Insert(epoch, key, estimate);
   }
-  payload = "cardinality=" + FormatExact(estimate.cardinality) +
-            " provenance=" + ProvenanceToString(estimate.provenance);
-  cache_.Insert(epoch, key, payload);
-  return finish(std::move(payload), false);
+
+  // The estimate_id is minted per response, never cached: an estimate
+  // served twice must yield two distinct feedback slots, or the second
+  // ACCURACY would silently target the first request's entry.
+  LedgerEntry entry;
+  entry.spec = spec;
+  entry.lo = request.lo;
+  entry.hi = request.hi;
+  entry.estimate = estimate.cardinality;
+  entry.provenance = ProvenanceToString(estimate.provenance);
+  entry.trace_id = item.trace_id;
+  const std::string payload = "cardinality=" +
+                              FormatExact(estimate.cardinality) +
+                              " provenance=" + entry.provenance +
+                              (cached ? " cached=1" : " cached=0");
+  return payload + " estimate_id=" + ledger_.Remember(std::move(entry)) +
+         " trace_id=" + telemetry::FormatTraceId(item.trace_id);
 }
 
 Result<std::string> SitStatsServer::HandleMetrics() {
@@ -689,52 +664,6 @@ Result<std::string> SitStatsServer::HandleAccuracy(const WorkItem& item) {
          " provenance=" + entry.provenance;
 }
 
-void SitStatsServer::ProcessBuildClass(const WorkItem& item) {
-  telemetry::TraceIdScope trace_scope(item.trace_id);
-  RecordQueueWait(item, "build");
-  SITSTATS_TRACE_SPAN("server.build_class");
-  const auto start = std::chrono::steady_clock::now();
-  Status fault = SITSTATS_FAULT_CHECK("server.dispatch");
-  if (!fault.ok()) {
-    Respond(item, fault, "");
-    return;
-  }
-  if (item.request.kind != Request::Kind::kBuild &&
-      item.request.kind != Request::Kind::kSleep) {
-    Respond(item, Status::Internal("estimate-class request on build path"),
-            "");
-    return;
-  }
-  auto source = std::make_shared<CancellationSource>(stop_source_.token());
-  auto expired = std::make_shared<std::atomic<bool>>(false);
-  RegisterDeadline(item.request.timeout_ms, source, expired);
-
-  Result<std::string> payload =
-      item.request.kind == Request::Kind::kBuild
-          ? HandleBuild(item, source->token())
-          : HandleSleep(item, source->token());
-  if (!payload.ok() && payload.status().code() == StatusCode::kCancelled &&
-      expired->load(std::memory_order_acquire)) {
-    payload = Status::DeadlineExceeded(
-        "deadline of " + std::to_string(item.request.timeout_ms) +
-        " ms exceeded: " + payload.status().message());
-  }
-  Respond(item, payload.ok() ? Status::OK() : payload.status(),
-          payload.ok() ? *payload : "");
-  telemetry::MetricsRegistry::Global()
-      .GetHistogram("server.latency.build_ms")
-      .Record(ElapsedMs(start));
-  const double total_ms =
-      static_cast<double>(telemetry::Tracer::Global().NowMicros() -
-                          item.enqueue_us) /
-      1000.0;
-  RecordRequestLatency(item, total_ms);
-  if (total_ms > options_.slo_ms) {
-    LogSlowRequest(item, total_ms,
-                   payload.ok() ? Status::OK() : payload.status());
-  }
-}
-
 Result<std::string> SitStatsServer::HandleBuild(
     const WorkItem& item, const CancellationToken& cancel) {
   const Request& request = item.request;
@@ -778,18 +707,29 @@ Result<std::string> SitStatsServer::HandleSleep(
   return "slept_ms=" + std::to_string(item.request.sleep_ms);
 }
 
-void SitStatsServer::RegisterDeadline(
-    uint64_t timeout_ms, std::shared_ptr<CancellationSource> source,
-    std::shared_ptr<std::atomic<bool>> expired) {
-  if (timeout_ms == 0) return;
+std::shared_ptr<CancellationSource> SitStatsServer::ArmDeadline(
+    uint64_t timeout_ms) {
+  auto source = std::make_shared<CancellationSource>(stop_source_.token());
   {
     MutexLock lock(deadline_mu_);
     deadlines_.push_back(DeadlineEntry{
         std::chrono::steady_clock::now() +
             std::chrono::milliseconds(timeout_ms),
-        std::move(source), std::move(expired)});
+        source});
   }
   deadline_cv_.NotifyOne();
+  return source;
+}
+
+bool SitStatsServer::ReleaseDeadline(const CancellationSource* source) {
+  MutexLock lock(deadline_mu_);
+  auto it = std::find_if(deadlines_.begin(), deadlines_.end(),
+                         [source](const DeadlineEntry& entry) {
+                           return entry.source.get() == source;
+                         });
+  if (it == deadlines_.end()) return true;  // the deadline thread fired it
+  deadlines_.erase(it);
+  return false;
 }
 
 void SitStatsServer::DeadlineLoop() {
@@ -809,14 +749,15 @@ void SitStatsServer::DeadlineLoop() {
       deadline_cv_.WaitUntil(deadline_mu_, next->deadline);
       continue;
     }
-    DeadlineEntry entry = std::move(*next);
+    // Removing the entry is what marks it expired: ReleaseDeadline then
+    // finds nothing and reports DeadlineExceeded instead of Cancelled.
+    std::shared_ptr<CancellationSource> source = std::move(next->source);
     deadlines_.erase(next);
     // Cancel outside the lock: the callback chain (executor links, queue
     // broadcasts) takes its own locks and must not nest under
     // deadline_mu_.
     lock.Unlock();
-    entry.expired->store(true, std::memory_order_release);
-    entry.source->Cancel();
+    source->Cancel();
     lock.Lock();
   }
 }

@@ -12,7 +12,6 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "common/sync.h"
-#include "common/thread_pool.h"
 #include "server/accuracy_log.h"
 #include "server/estimate_cache.h"
 #include "server/protocol.h"
@@ -32,7 +31,7 @@ struct ServerOptions {
   /// Dedicated threads serving the read-mostly estimate class (PING /
   /// STATS / ESTIMATE / METRICS / TRACE / ACCURACY / SHUTDOWN).
   size_t estimate_threads = 2;
-  /// ThreadPool workers executing SIT builds (BUILD / SLEEP).
+  /// Dedicated threads executing SIT builds (BUILD / SLEEP).
   size_t build_threads = 2;
   /// Admission-control bounds; a full queue rejects with
   /// ResourceExhausted instead of queueing without limit.
@@ -64,33 +63,37 @@ struct ServerOptions {
 /// and SIT-build requests over a local Unix-domain socket (protocol in
 /// server/protocol.h).
 ///
-/// Architecture — one poll(2) event loop plus two request classes:
+/// Architecture — one poll(2) event loop plus two request classes, each a
+/// bounded queue drained by its own dedicated worker threads:
 ///
 ///   poll thread        accepts connections, reads request lines, parses,
 ///                      and routes each request through admission control
 ///                      into its class queue; never blocks on work.
 ///   estimate class     options.estimate_threads workers serve PING /
-///                      STATS / ESTIMATE from a bounded queue. Estimates
-///                      take the SIT catalog's reader lock only — they
-///                      run concurrently with each other and with builds.
-///   build class        BUILD / SLEEP requests pass a (small) bounded
-///                      queue and execute on the embedded ThreadPool;
-///                      a completed build takes the writer lock for the
-///                      few microseconds of SitCatalog::Add, then
-///                      invalidates the estimate cache.
+///                      STATS / ESTIMATE / METRICS / TRACE / ACCURACY /
+///                      SHUTDOWN. Estimates take the SIT catalog's reader
+///                      lock only — they run concurrently with each other
+///                      and with builds.
+///   build class        options.build_threads workers serve BUILD / SLEEP
+///                      from a (small) queue; a completed build takes the
+///                      writer lock for the few microseconds of
+///                      SitCatalog::Add, then invalidates the estimate
+///                      cache.
 ///
-/// Responses are delivered in request order per connection, so a client
-/// may pipeline. Every request may carry timeout_ms=N: a deadline thread
-/// cancels the request's CancellationToken on expiry and the worker
-/// reports DeadlineExceeded; build cancellation is cooperative via the
-/// sweep-scan polling sites.
+/// Both classes run the same worker loop, and every dequeued request goes
+/// through Process(); the class only picks the queue and the metric and
+/// span labels. Responses are delivered in request order per connection,
+/// so a client may pipeline. Every request may carry timeout_ms=N: a
+/// deadline thread cancels the request's CancellationToken on expiry and
+/// the worker reports DeadlineExceeded; build cancellation is cooperative
+/// via the sweep-scan polling sites.
 ///
 /// Fault-injection sites (exercised by the fault sweep, which asserts the
 /// server survives each): "server.accept" per accepted connection,
 /// "server.read" per parsed request line, "server.dispatch" per executed
 /// request, "server.write" per delivered response. Transport-level
 /// injected faults close the affected connection and are recorded for
-/// TakeTransportError(); dispatch faults surface to the client as ERR.
+/// TakeTransportErrors(); dispatch faults surface to the client as ERR.
 class SitStatsServer {
  public:
   SitStatsServer(std::unique_ptr<Catalog> catalog, ServerOptions options);
@@ -123,15 +126,11 @@ class SitStatsServer {
   /// Start().
   void PreloadSits(SitCatalog sits);
 
-  /// First transport-level error observed (injected or real) since the
-  /// last call; OK when none. The fault sweep surfaces injected
-  /// accept/read/write faults through this.
-  Status TakeTransportError();
-
-  /// Every transport-level error recorded since the last Take* call (a
-  /// bounded, in-order list). The fault sweep scans the whole list for
-  /// its injected marker: under an armed fault a real peer-reset can
-  /// race in first, so first-error-wins alone is not deterministic.
+  /// Every transport-level error (injected or real) recorded since the
+  /// last call: a bounded, in-order list, empty when none. The fault sweep
+  /// scans the whole list for its injected marker: under an armed fault a
+  /// real peer-reset can race in first, so first-error-wins alone is not
+  /// deterministic.
   std::vector<Status> TakeTransportErrors();
 
   /// Self-check: storage invariants plus SitCatalog::ValidateConsistency
@@ -143,6 +142,9 @@ class SitStatsServer {
   std::string StatsPayload() const;
 
   size_t num_sits() const;
+  /// Deadlines armed by in-flight requests that have neither fired nor
+  /// been released by their finished request.
+  size_t pending_deadlines() const;
   EstimateCache::Stats cache_stats() const { return cache_.GetStats(); }
 
  private:
@@ -179,17 +181,17 @@ class SitStatsServer {
   };
 
   /// Deadline-thread entry: cancel `source` at `deadline` unless the
-  /// request finished first.
+  /// request finished first. Exactly one side removes it: the deadline
+  /// thread when it fires, otherwise the request when it finishes.
   struct DeadlineEntry {
     std::chrono::steady_clock::time_point deadline;
     std::shared_ptr<CancellationSource> source;
-    std::shared_ptr<std::atomic<bool>> expired;
   };
 
   void PollLoop();
   void DeadlineLoop();
-  void EstimateWorker();
-  void BuildWorker();
+  /// Pops and processes `queue`'s requests until it is closed and drained.
+  void WorkerLoop(BoundedQueue<WorkItem>* queue);
 
   void AcceptConnections();
   /// Reads from `conn`; false when the connection is done (EOF, error, or
@@ -204,9 +206,11 @@ class SitStatsServer {
                        std::string line);
   void CloseConnection(const std::shared_ptr<Connection>& conn);
 
-  void ProcessEstimateClass(const WorkItem& item);
-  void ProcessBuildClass(const WorkItem& item);
-  Result<std::string> HandleEstimate(const WorkItem& item);
+  /// Serves one dequeued request of either class and delivers its
+  /// response.
+  void Process(const WorkItem& item);
+  Result<std::string> HandleEstimate(const WorkItem& item,
+                                     const CancellationToken& cancel);
   Result<std::string> HandleBuild(const WorkItem& item,
                                   const CancellationToken& cancel);
   Result<std::string> HandleSleep(const WorkItem& item,
@@ -226,12 +230,12 @@ class SitStatsServer {
   void LogSlowRequest(const WorkItem& item, double total_ms,
                       const Status& status);
 
-  /// Arms the deadline thread to cancel `source` after `timeout_ms`
-  /// (no-op when 0); `expired` is set before the cancel so the worker can
-  /// report DeadlineExceeded instead of Cancelled.
-  void RegisterDeadline(uint64_t timeout_ms,
-                        std::shared_ptr<CancellationSource> source,
-                        std::shared_ptr<std::atomic<bool>> expired);
+  /// Returns a source linked to the server stop token that the deadline
+  /// thread cancels after `timeout_ms`.
+  std::shared_ptr<CancellationSource> ArmDeadline(uint64_t timeout_ms);
+  /// Removes `source`'s entry unless the deadline thread already fired
+  /// it; true when it fired.
+  bool ReleaseDeadline(const CancellationSource* source);
 
   void RecordTransportError(const Status& status);
 
@@ -261,18 +265,17 @@ class SitStatsServer {
 
   std::thread poll_thread_;
   std::thread deadline_thread_;
-  std::vector<std::thread> estimate_workers_;
-  /// Builds run here; constructed lazily in Start() so the thread count
-  /// follows options_.
-  std::unique_ptr<ThreadPool> build_pool_;
+  /// The estimate-class and build-class workers, each running WorkerLoop
+  /// over its class queue.
+  std::vector<std::thread> workers_;
 
-  Mutex deadline_mu_;
+  mutable Mutex deadline_mu_;
   CondVar deadline_cv_;
   std::vector<DeadlineEntry> deadlines_ GUARDED_BY(deadline_mu_);
 
   Mutex transport_mu_;
   /// In-order, bounded (kMaxTransportErrors) record of transport-level
-  /// failures since the last TakeTransportError(s) call.
+  /// failures since the last TakeTransportErrors call.
   std::vector<Status> transport_errors_ GUARDED_BY(transport_mu_);
 
   /// Recent estimates awaiting ACCURACY feedback.

@@ -1,7 +1,6 @@
 #include "sit/serialization.h"
 
 #include <cinttypes>
-#include <cstdio>
 
 #include <fstream>
 #include <sstream>
@@ -13,13 +12,6 @@
 namespace sitstats {
 
 namespace {
-
-/// Full-precision double formatting (%.17g round-trips IEEE doubles).
-std::string FormatExact(double v) {
-  char buffer[64];
-  (void)std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 /// Reads one line; fails with a contextual message at EOF.
 Status ReadLine(std::istringstream* in, const std::string& what,

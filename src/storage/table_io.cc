@@ -1,6 +1,5 @@
 #include "storage/table_io.h"
 
-#include <cstdio>
 #include <filesystem>
 
 #include <fstream>
@@ -16,12 +15,6 @@
 namespace sitstats {
 
 namespace {
-
-std::string FormatExact(double v) {
-  char buffer[64];
-  (void)std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
 
 Result<ValueType> TypeFromName(const std::string& name) {
   if (name == "int64") return ValueType::kInt64;

@@ -9,6 +9,16 @@
 namespace sitstats {
 namespace {
 
+using Estimate = CardinalityEstimator::Estimate;
+
+Estimate SitEstimate(double cardinality) {
+  Estimate estimate;
+  estimate.cardinality = cardinality;
+  estimate.provenance = CardinalityEstimator::Provenance::kSit;
+  estimate.used_sit = true;
+  return estimate;
+}
+
 /// Built with += rather than operator+ on a string literal: the latter
 /// trips GCC 12's -Wrestrict false positive (PR105651) at -O2 under
 /// -Werror (see NumberedName in common/string_util.h).
@@ -22,11 +32,13 @@ std::string WorkerKey(int worker, int i) {
 
 TEST(EstimateCacheTest, LookupHitAfterInsert) {
   EstimateCache cache(4);
-  cache.Insert(cache.epoch(), "q1", "answer1");
-  std::string payload;
-  ASSERT_TRUE(cache.Lookup("q1", &payload));
-  EXPECT_EQ(payload, "answer1");
-  EXPECT_FALSE(cache.Lookup("q2", &payload));
+  cache.Insert(cache.epoch(), "q1", SitEstimate(42.5));
+  Estimate estimate;
+  ASSERT_TRUE(cache.Lookup("q1", &estimate));
+  EXPECT_EQ(estimate.cardinality, 42.5);
+  EXPECT_EQ(estimate.provenance, CardinalityEstimator::Provenance::kSit);
+  EXPECT_TRUE(estimate.used_sit);
+  EXPECT_FALSE(cache.Lookup("q2", &estimate));
   EstimateCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -35,14 +47,16 @@ TEST(EstimateCacheTest, LookupHitAfterInsert) {
 
 TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
   EstimateCache cache(2);
-  cache.Insert(cache.epoch(), "a", "1");
-  cache.Insert(cache.epoch(), "b", "2");
-  std::string payload;
-  ASSERT_TRUE(cache.Lookup("a", &payload));  // refresh a; b becomes LRU
-  cache.Insert(cache.epoch(), "c", "3");
-  EXPECT_TRUE(cache.Lookup("a", &payload));
-  EXPECT_FALSE(cache.Lookup("b", &payload));
-  EXPECT_TRUE(cache.Lookup("c", &payload));
+  cache.Insert(cache.epoch(), "a", SitEstimate(1));
+  cache.Insert(cache.epoch(), "b", SitEstimate(2));
+  Estimate estimate;
+  ASSERT_TRUE(cache.Lookup("a", &estimate));  // refresh a; b becomes LRU
+  cache.Insert(cache.epoch(), "c", SitEstimate(3));
+  EXPECT_TRUE(cache.Lookup("a", &estimate));
+  EXPECT_EQ(estimate.cardinality, 1.0);
+  EXPECT_FALSE(cache.Lookup("b", &estimate));
+  EXPECT_TRUE(cache.Lookup("c", &estimate));
+  EXPECT_EQ(estimate.cardinality, 3.0);
 }
 
 TEST(EstimateCacheTest, StaleEpochInsertIsDropped) {
@@ -54,28 +68,28 @@ TEST(EstimateCacheTest, StaleEpochInsertIsDropped) {
   // until the *next* mutation.
   EstimateCache cache(4);
   uint64_t observed = cache.epoch();  // step 1: capture
-  std::string computed = "stale answer";  // step 2: compute (pre-mutation)
+  Estimate computed = SitEstimate(7);  // step 2: compute (pre-mutation)
   cache.Invalidate();  // step 3: catalog mutates
   cache.Insert(observed, "q", computed);  // step 4: insert loses the race
-  std::string payload;
-  EXPECT_FALSE(cache.Lookup("q", &payload));
+  Estimate estimate;
+  EXPECT_FALSE(cache.Lookup("q", &estimate));
   EXPECT_EQ(cache.GetStats().entries, 0u);
 
   // Same sequence without the intervening mutation: the insert lands.
   uint64_t fresh = cache.epoch();
-  cache.Insert(fresh, "q", "fresh answer");
-  ASSERT_TRUE(cache.Lookup("q", &payload));
-  EXPECT_EQ(payload, "fresh answer");
+  cache.Insert(fresh, "q", SitEstimate(8));
+  ASSERT_TRUE(cache.Lookup("q", &estimate));
+  EXPECT_EQ(estimate.cardinality, 8.0);
 }
 
 TEST(EstimateCacheTest, InvalidateDropsEntriesAndBumpsEpoch) {
   EstimateCache cache(4);
   uint64_t before = cache.epoch();
-  cache.Insert(before, "q", "v");
+  cache.Insert(before, "q", SitEstimate(1));
   cache.Invalidate();
   EXPECT_GT(cache.epoch(), before);
-  std::string payload;
-  EXPECT_FALSE(cache.Lookup("q", &payload));
+  Estimate estimate;
+  EXPECT_FALSE(cache.Lookup("q", &estimate));
   EXPECT_EQ(cache.GetStats().invalidations, 1u);
 }
 
@@ -89,10 +103,10 @@ TEST(EstimateCacheTest, EveryInterleavingOfComputeAndInvalidate) {
     if (invalidate_at == 0) cache.Invalidate();  // before capture: harmless
     uint64_t observed = cache.epoch();
     if (invalidate_at == 1) cache.Invalidate();  // between capture and insert
-    cache.Insert(observed, "q", "answer");
+    cache.Insert(observed, "q", SitEstimate(5));
     if (invalidate_at == 2) cache.Invalidate();  // after insert: entry drops
-    std::string payload;
-    bool hit = cache.Lookup("q", &payload);
+    Estimate estimate;
+    bool hit = cache.Lookup("q", &estimate);
     if (invalidate_at == 0) {
       EXPECT_TRUE(hit) << "pre-capture invalidation must not block inserts";
     } else {
@@ -113,21 +127,22 @@ TEST(EstimateCacheTest, ConcurrentInsertsNeverResurrectAcrossInvalidate) {
     workers.emplace_back([&cache, w] {
       for (int i = 0; i < 500; ++i) {
         uint64_t observed = cache.epoch();
-        cache.Insert(observed, WorkerKey(w, i), std::to_string(observed));
+        cache.Insert(observed, WorkerKey(w, i),
+                     SitEstimate(static_cast<double>(observed)));
       }
     });
   }
   for (int i = 0; i < 50; ++i) cache.Invalidate();
   for (std::thread& t : workers) t.join();
   const uint64_t final_epoch = cache.epoch();
-  // Every cached payload records the epoch it was computed against; any
+  // Every cached estimate records the epoch it was computed against; any
   // entry that survived the last Invalidate must have observed it.
-  std::string payload;
+  Estimate estimate;
   size_t checked = 0;
   for (int w = 0; w < 4; ++w) {
     for (int i = 0; i < 500; ++i) {
-      if (cache.Lookup(WorkerKey(w, i), &payload)) {
-        EXPECT_EQ(payload, std::to_string(final_epoch));
+      if (cache.Lookup(WorkerKey(w, i), &estimate)) {
+        EXPECT_EQ(estimate.cardinality, static_cast<double>(final_epoch));
         ++checked;
       }
     }

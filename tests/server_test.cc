@@ -49,7 +49,7 @@ class ServerTest : public ::testing::Test {
   void TearDown() override {
     if (server_ != nullptr) {
       server_->Stop();
-      EXPECT_TRUE(server_->TakeTransportError().ok());
+      EXPECT_TRUE(server_->TakeTransportErrors().empty());
       EXPECT_TRUE(server_->ValidateCatalog().ok());
     }
     std::remove(socket_path_.c_str());
@@ -185,6 +185,57 @@ TEST_F(ServerTest, RequestTimeoutReportsDeadlineExceeded) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds(30'000));
   // The worker survived to serve the next request.
   EXPECT_TRUE(client.Sleep(1).ok());
+}
+
+TEST_F(ServerTest, FinishedRequestsReleaseTheirDeadlines) {
+  StartServer();
+  SitStatsClient client = Connect();
+  // Each request finishes long before its ten-minute deadline; none may
+  // leave its deadline (and the cancellation source it holds) behind.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client.Sleep(/*ms=*/1, /*timeout_ms=*/600'000).ok());
+  }
+  // A timed estimate goes through the same deadline path.
+  ASSERT_TRUE(client.Estimate(kSpec, 0.0, 1e6, /*timeout_ms=*/600'000).ok());
+  EXPECT_EQ(server_->pending_deadlines(), 0u);
+}
+
+/// The token following "<key>=" in a space-separated payload; "" when
+/// absent.
+std::string PayloadField(const std::string& payload, const std::string& key) {
+  for (const std::string& token : Split(payload, ' ')) {
+    if (token.rfind(key + "=", 0) == 0) return token.substr(key.size() + 1);
+  }
+  return "";
+}
+
+TEST_F(ServerTest, CachedEstimateAnswersLikeTheUncachedOne) {
+  StartServer();
+  SitStatsClient client = Connect();
+  ASSERT_TRUE(client.Build(kSpec).status().ok());
+  const std::string line = std::string("ESTIMATE ") + kSpec + " 17.25 4321.5";
+  Result<std::string> miss = client.CallRaw(line);
+  Result<std::string> hit = client.CallRaw(line);
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(PayloadField(*miss, "cached"), "0") << *miss;
+  EXPECT_EQ(PayloadField(*hit, "cached"), "1") << *hit;
+  ASSERT_FALSE(PayloadField(*miss, "cardinality").empty()) << *miss;
+  EXPECT_EQ(PayloadField(*hit, "cardinality"),
+            PayloadField(*miss, "cardinality"));
+  EXPECT_EQ(PayloadField(*miss, "provenance"), "sit");
+  EXPECT_EQ(PayloadField(*hit, "provenance"), "sit");
+
+  // Both responses left the same estimate in the feedback ledger.
+  for (const std::string* reply : {&*miss, &*hit}) {
+    Result<std::string> feedback = client.CallRaw(
+        "ACCURACY " + PayloadField(*reply, "estimate_id") + " true_card=1000");
+    ASSERT_TRUE(feedback.ok()) << feedback.status().ToString();
+    EXPECT_EQ(PayloadField(*feedback, "estimate"),
+              PayloadField(*miss, "cardinality"))
+        << *feedback;
+    EXPECT_EQ(PayloadField(*feedback, "provenance"), "sit") << *feedback;
+  }
 }
 
 TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
@@ -378,7 +429,7 @@ TEST_F(ServerTest, SlowAndInaccurateRequestsLandInTheStructuredLog) {
   // Snapshot only after the queues drain: Stop() joins every worker, so
   // the log is complete when read.
   server_->Stop();
-  EXPECT_TRUE(server_->TakeTransportError().ok());
+  EXPECT_TRUE(server_->TakeTransportErrors().empty());
   EXPECT_TRUE(server_->ValidateCatalog().ok());
   server_.reset();
 
@@ -407,7 +458,7 @@ TEST_F(ServerTest, ShutdownRequestStopsTheServer) {
   EXPECT_TRUE(client.Shutdown().ok());
   EXPECT_TRUE(server_->stop_token().WaitForCancellation(milliseconds(5'000)));
   server_->Stop();
-  EXPECT_TRUE(server_->TakeTransportError().ok());
+  EXPECT_TRUE(server_->TakeTransportErrors().empty());
   EXPECT_TRUE(server_->ValidateCatalog().ok());
   server_.reset();
 }

@@ -55,6 +55,19 @@ TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(-0.5, 3), "-0.500");
 }
 
+TEST(StringUtilTest, FormatExactRoundTripsThroughParseDouble) {
+  EXPECT_EQ(FormatExact(0.1), "0.10000000000000001");
+  EXPECT_EQ(FormatExact(42.0), "42");
+  for (double v : {0.1, -2.5, 1.0 / 3.0, 1e300, -1e300,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::min(),
+                   std::numeric_limits<double>::max()}) {
+    Result<double> parsed = ParseDouble(FormatExact(v));
+    ASSERT_TRUE(parsed.ok()) << FormatExact(v);
+    EXPECT_EQ(*parsed, v) << FormatExact(v);
+  }
+}
+
 TEST(StringUtilTest, ParseInt64Valid) {
   EXPECT_EQ(ParseInt64("0").ValueOrDie(), 0);
   EXPECT_EQ(ParseInt64("42").ValueOrDie(), 42);

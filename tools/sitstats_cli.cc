@@ -110,16 +110,6 @@ struct Args {
     args.flags = std::move(parsed);
     return args;
   }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    return flags.Get(key, fallback);
-  }
-  Result<double> GetDouble(const std::string& key, double fallback) const {
-    return flags.GetDouble(key, fallback);
-  }
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    return flags.GetInt(key, fallback);
-  }
 };
 
 /// Binds a numeric flag inside the int-returning command handlers; a
@@ -155,11 +145,11 @@ Result<GeneratingQuery> ParseQuery(const Args& args,
 
 int GenerateChain(const Args& args) {
   if (args.positional.empty()) return Fail("generate-chain needs DIR");
-  CLI_FLAG_OR_FAIL(int64_t, tables, args.GetInt("tables", 3));
-  CLI_FLAG_OR_FAIL(int64_t, rows, args.GetInt("rows", 20'000));
-  CLI_FLAG_OR_FAIL(int64_t, domain, args.GetInt("domain", 1'000));
-  CLI_FLAG_OR_FAIL(double, zipf, args.GetDouble("zipf", 1.0));
-  CLI_FLAG_OR_FAIL(int64_t, seed, args.GetInt("seed", 42));
+  CLI_FLAG_OR_FAIL(int64_t, tables, args.flags.GetInt("tables", 3));
+  CLI_FLAG_OR_FAIL(int64_t, rows, args.flags.GetInt("rows", 20'000));
+  CLI_FLAG_OR_FAIL(int64_t, domain, args.flags.GetInt("domain", 1'000));
+  CLI_FLAG_OR_FAIL(double, zipf, args.flags.GetDouble("zipf", 1.0));
+  CLI_FLAG_OR_FAIL(int64_t, seed, args.flags.GetInt("seed", 42));
   ChainDbSpec spec;
   spec.num_tables = static_cast<int>(tables);
   spec.table_rows.assign(static_cast<size_t>(spec.num_tables),
@@ -181,9 +171,9 @@ int GenerateChain(const Args& args) {
 
 int GenerateTpch(const Args& args) {
   if (args.positional.empty()) return Fail("generate-tpch needs DIR");
-  CLI_FLAG_OR_FAIL(int64_t, customers, args.GetInt("customers", 5'000));
-  CLI_FLAG_OR_FAIL(int64_t, orders, args.GetInt("orders", 30'000));
-  CLI_FLAG_OR_FAIL(int64_t, seed, args.GetInt("seed", 42));
+  CLI_FLAG_OR_FAIL(int64_t, customers, args.flags.GetInt("customers", 5'000));
+  CLI_FLAG_OR_FAIL(int64_t, orders, args.flags.GetInt("orders", 30'000));
+  CLI_FLAG_OR_FAIL(int64_t, seed, args.flags.GetInt("seed", 42));
   TpchLiteSpec spec;
   spec.num_customers = static_cast<size_t>(customers);
   spec.num_orders = static_cast<size_t>(orders);
@@ -233,15 +223,15 @@ int BuildSit(const Args& args) {
   if (!catalog_result.ok()) return FailStatus(catalog_result.status());
   std::unique_ptr<Catalog> catalog = std::move(catalog_result).ValueOrDie();
 
-  auto attr = ParseColumnSpec(args.Get("attr", ""));
+  auto attr = ParseColumnSpec(args.flags.Get("attr", ""));
   if (!attr.ok()) return FailStatus(attr.status());
   auto query = ParseQuery(args, *attr);
   if (!query.ok()) return FailStatus(query.status());
-  auto variant = SweepVariantFromString(args.Get("variant", "Sweep"));
+  auto variant = SweepVariantFromString(args.flags.Get("variant", "Sweep"));
   if (!variant.ok()) return FailStatus(variant.status());
 
-  CLI_FLAG_OR_FAIL(double, rate, args.GetDouble("rate", 0.1));
-  CLI_FLAG_OR_FAIL(int64_t, buckets, args.GetInt("buckets", 100));
+  CLI_FLAG_OR_FAIL(double, rate, args.flags.GetDouble("rate", 0.1));
+  CLI_FLAG_OR_FAIL(int64_t, buckets, args.flags.GetInt("buckets", 100));
   BaseStatsCache stats;
   SitBuildOptions options;
   options.variant = *variant;
@@ -257,7 +247,7 @@ int BuildSit(const Args& args) {
               static_cast<unsigned long long>(
                   sit->build_stats.sequential_scans));
 
-  std::string out = args.Get("out", "");
+  std::string out = args.flags.Get("out", "");
   if (!out.empty()) {
     SitCatalog sits;
     // Merge into an existing statistics file when present.
@@ -277,15 +267,15 @@ int Estimate(const Args& args) {
   if (!catalog_result.ok()) return FailStatus(catalog_result.status());
   std::unique_ptr<Catalog> catalog = std::move(catalog_result).ValueOrDie();
 
-  auto attr = ParseColumnSpec(args.Get("attr", ""));
+  auto attr = ParseColumnSpec(args.flags.Get("attr", ""));
   if (!attr.ok()) return FailStatus(attr.status());
   auto query = ParseQuery(args, *attr);
   if (!query.ok()) return FailStatus(query.status());
-  CLI_FLAG_OR_FAIL(double, lo, args.GetDouble("lo", 0));
-  CLI_FLAG_OR_FAIL(double, hi, args.GetDouble("hi", 0));
+  CLI_FLAG_OR_FAIL(double, lo, args.flags.GetDouble("lo", 0));
+  CLI_FLAG_OR_FAIL(double, hi, args.flags.GetDouble("hi", 0));
 
   SitCatalog sits;
-  std::string stats_path = args.Get("stats", "");
+  std::string stats_path = args.flags.Get("stats", "");
   if (!stats_path.empty()) {
     Result<SitCatalog> loaded = LoadSitCatalog(stats_path);
     if (!loaded.ok()) return FailStatus(loaded.status());
@@ -326,22 +316,22 @@ int RunSchedule(const Args& args) {
     if (!descriptor.ok()) return FailStatus(descriptor.status());
     descriptors.push_back(std::move(descriptor).ValueOrDie());
   }
-  auto variant = SweepVariantFromString(args.Get("variant", "Sweep"));
+  auto variant = SweepVariantFromString(args.flags.Get("variant", "Sweep"));
   if (!variant.ok()) return FailStatus(variant.status());
 
-  CLI_FLAG_OR_FAIL(double, rate, args.GetDouble("rate", 0.1));
+  CLI_FLAG_OR_FAIL(double, rate, args.flags.GetDouble("rate", 0.1));
   CLI_FLAG_OR_FAIL(double, memory,
-                   args.GetDouble("memory",
-                                  std::numeric_limits<double>::infinity()));
+                   args.flags.GetDouble(
+                       "memory", std::numeric_limits<double>::infinity()));
   CLI_FLAG_OR_FAIL(int64_t, max_expansions,
-                   args.GetInt("max-expansions", 2'000'000));
+                   args.flags.GetInt("max-expansions", 2'000'000));
   CLI_FLAG_OR_FAIL(int64_t, hybrid_expansions,
-                   args.GetInt("hybrid-expansions", 0));
+                   args.flags.GetInt("hybrid-expansions", 0));
   if (hybrid_expansions < 0) {
     return Fail("--hybrid-expansions must be >= 0");
   }
-  CLI_FLAG_OR_FAIL(int64_t, buckets, args.GetInt("buckets", 100));
-  CLI_FLAG_OR_FAIL(int64_t, threads, args.GetInt("threads", 0));
+  CLI_FLAG_OR_FAIL(int64_t, buckets, args.flags.GetInt("buckets", 100));
+  CLI_FLAG_OR_FAIL(int64_t, threads, args.flags.GetInt("threads", 0));
   SitProblemOptions problem_options;
   problem_options.sampling_rate = rate;
   problem_options.memory_limit = memory;
@@ -399,7 +389,7 @@ int RunSchedule(const Args& args) {
                 sit.estimated_cardinality, sit.histogram.num_buckets());
   }
 
-  std::string out = args.Get("out", "");
+  std::string out = args.flags.Get("out", "");
   if (!out.empty()) {
     SitCatalog sits;
     Result<SitCatalog> existing = LoadSitCatalog(out);
@@ -421,7 +411,7 @@ int RunSchedule(const Args& args) {
 ///   sitstats_cli query --socket S "ESTIMATE O.o_total 100 500"
 ///       "ACCURACY @last_estimate true_card=1234" "METRICS"
 int RunQuery(const Args& args) {
-  std::string socket_path = args.Get("socket", "");
+  std::string socket_path = args.flags.Get("socket", "");
   if (socket_path.empty()) return Fail("query needs --socket PATH");
   if (args.positional.empty()) {
     return Fail("query needs at least one REQUEST line, e.g. "
@@ -484,7 +474,7 @@ int Main(int argc, char** argv) {
   Result<Args> args = Args::Parse(argc, argv, 2);
   if (!args.ok()) return FailStatus(args.status());
 
-  std::string log_level_text = args->Get("log-level", "");
+  std::string log_level_text = args->flags.Get("log-level", "");
   if (!log_level_text.empty()) {
     LogLevel level;
     if (!ParseLogLevel(log_level_text, &level)) {
@@ -492,7 +482,7 @@ int Main(int argc, char** argv) {
     }
     SetLogLevel(level);
   }
-  std::string trace_out = args->Get("trace-out", "");
+  std::string trace_out = args->flags.Get("trace-out", "");
   if (!trace_out.empty()) telemetry::Tracer::Global().SetEnabled(true);
 
   int rc = Dispatch(command, *args);
@@ -503,7 +493,7 @@ int Main(int argc, char** argv) {
     std::printf("wrote %zu trace events to %s\n",
                 telemetry::Tracer::Global().num_events(), trace_out.c_str());
   }
-  std::string metrics_out = args->Get("metrics-out", "");
+  std::string metrics_out = args->flags.Get("metrics-out", "");
   if (!metrics_out.empty()) {
     Status saved =
         telemetry::MetricsRegistry::Global().WriteJson(metrics_out);

@@ -56,47 +56,24 @@ int Fail(const std::string& message) {
 
 int FailStatus(const Status& status) { return Fail(status.ToString()); }
 
-/// Shared grammar (common/cli_flags.h): --key value / --key=value flags
-/// plus exactly one positional DIR.
-struct Flags {
-  std::string dir;
-  CliFlags flags;
-
-  static Result<Flags> Parse(int argc, char** argv) {
-    CliParseOptions options;
-    options.boolean_keys = {"trace"};
-    options.max_positional = 1;
-    SITSTATS_ASSIGN_OR_RETURN(CliFlags parsed,
-                              CliFlags::Parse(argc, argv, 1, options));
-    if (parsed.positional().empty()) {
-      return Status::InvalidArgument("missing catalog DIR argument");
-    }
-    Flags result;
-    result.dir = parsed.positional()[0];
-    result.flags = std::move(parsed);
-    return result;
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    return flags.Get(key, fallback);
-  }
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    return flags.GetInt(key, fallback);
-  }
-  Result<double> GetDouble(const std::string& key, double fallback) const {
-    return flags.GetDouble(key, fallback);
-  }
-  bool GetBool(const std::string& key) const { return flags.GetBool(key); }
-};
-
 int Main(int argc, char** argv) {
-  Result<Flags> flags = Flags::Parse(argc, argv);
+  // Shared grammar (common/cli_flags.h): --key value / --key=value flags
+  // plus exactly one positional DIR.
+  CliParseOptions parse_options;
+  parse_options.boolean_keys = {"trace"};
+  parse_options.max_positional = 1;
+  Result<CliFlags> flags = CliFlags::Parse(argc, argv, 1, parse_options);
   if (!flags.ok()) return FailStatus(flags.status());
+  if (flags->positional().empty()) {
+    return FailStatus(
+        Status::InvalidArgument("missing catalog DIR argument"));
+  }
+  const std::string dir = flags->positional()[0];
 
   std::string socket_path = flags->Get("socket", "");
   if (socket_path.empty()) return Fail("--socket PATH is required");
 
-  Result<std::unique_ptr<Catalog>> catalog = LoadCatalog(flags->dir);
+  Result<std::unique_ptr<Catalog>> catalog = LoadCatalog(dir);
   if (!catalog.ok()) return FailStatus(catalog.status());
 
   ServerOptions options;
@@ -175,7 +152,7 @@ int Main(int argc, char** argv) {
   Status started = server.Start();
   if (!started.ok()) return FailStatus(started);
   std::printf("serving %s on %s (estimate x%zu, build x%zu)\n",
-              flags->dir.c_str(), socket_path.c_str(),
+              dir.c_str(), socket_path.c_str(),
               options.estimate_threads, options.build_threads);
   std::fflush(stdout);
 
