@@ -1,15 +1,17 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: histogram construction, reservoir sampling (including the
-// skip-ahead path for huge runs), m-Oracle lookups, join-cardinality
-// estimation, one full Sweep scan, the schedule solvers, and the colfile
-// checksum every load verifies.
+// primitives: histogram construction and its sort, reservoir sampling
+// (including the skip-ahead path for huge runs), m-Oracle lookups,
+// join-cardinality estimation, one full Sweep scan, the schedule solvers,
+// and the colfile checksum every load verifies.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "datagen/distributions.h"
 #include "datagen/synthetic_db.h"
 #include "histogram/builder.h"
@@ -47,6 +49,32 @@ void BM_BuildMaxDiff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BuildMaxDiff)->Arg(10'000)->Arg(100'000);
+
+// The sort inside every histogram build, on BM_BuildMaxDiff's 100k Zipf
+// input: the RadixSort that ToValueCounts runs against a std::sort of the
+// same doubles. Both copy the input each iteration; CI fails if the radix
+// case takes more than half the reference's time.
+void BM_SortZipfRadix(benchmark::State& state) {
+  const std::vector<double> values = ZipfValues(100'000, 1.0, 10'000);
+  for (auto _ : state) {
+    std::vector<double> sorted = values;
+    RadixSort(&sorted);
+    benchmark::DoNotOptimize(sorted.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 100'000);
+}
+BENCHMARK(BM_SortZipfRadix);
+
+void BM_SortZipfStdSort(benchmark::State& state) {
+  const std::vector<double> values = ZipfValues(100'000, 1.0, 10'000);
+  for (auto _ : state) {
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    benchmark::DoNotOptimize(sorted.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 100'000);
+}
+BENCHMARK(BM_SortZipfStdSort);
 
 void BM_BuildEquiDepth(benchmark::State& state) {
   std::vector<double> values =

@@ -1,0 +1,44 @@
+#ifndef SITSTATS_COMMON_RADIX_SORT_H_
+#define SITSTATS_COMMON_RADIX_SORT_H_
+
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+namespace sitstats {
+
+/// Maps a double to a 64-bit key whose unsigned order is the double's
+/// numeric order: the sign bit is flipped for positive values and every
+/// bit is inverted for negative ones. -0.0 is first folded into +0.0
+/// (`v + 0.0` is +0.0 for either zero and `v` for anything else), so the
+/// two zeros share one key just as they compare equal under `==`.
+/// Non-finite values get keys too (±inf at the ends, NaNs beyond them);
+/// callers that must not see them reject them before sorting.
+inline uint64_t OrderedKey(double v) {
+  const uint64_t bits = std::bit_cast<uint64_t>(v + 0.0);
+  const uint64_t sign = bits >> 63;
+  return bits ^ ((uint64_t{0} - sign) | (uint64_t{1} << 63));
+}
+
+// Stable LSD radix sorts on OrderedKey, one byte per pass, ascending.
+// Keys are computed on the fly, so the only allocation is one scratch
+// array the size of the input, held for the duration of the call. A pass
+// whose byte is the same in every key is skipped: integers or a narrow
+// value range cost a few passes, and an input of equal keys allocates
+// nothing.
+
+/// Sorts `values` numerically; -0.0 and +0.0 tie.
+void RadixSort(std::vector<double>* values);
+
+/// Sorts (value, weight) pairs by (OrderedKey(value), OrderedKey(weight)):
+/// the order std::sort gives the pairs, up to the order of tied zeros.
+void RadixSort(std::vector<std::pair<double, double>>* pairs);
+
+/// Sorts (key, row id) entries by OrderedKey(key) alone; entries with
+/// equal keys keep their input order.
+void RadixSortByKey(std::vector<std::pair<double, uint64_t>>* entries);
+
+}  // namespace sitstats
+
+#endif  // SITSTATS_COMMON_RADIX_SORT_H_

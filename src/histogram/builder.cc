@@ -8,6 +8,7 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "common/radix_sort.h"
 #include "common/timer.h"
 #include "telemetry/telemetry.h"
 
@@ -50,35 +51,61 @@ struct ValueCount {
   double count;
 };
 
-/// Sorts `values` and collapses duplicates into (value, count) pairs.
-std::vector<ValueCount> ToValueCounts(std::vector<double>* values) {
-  std::sort(values->begin(), values->end());
+Status NonFinite(const char* what, double v) {
+  return Status::InvalidArgument(std::string("histogram input has a ") +
+                                 what + " that is not finite: " +
+                                 std::to_string(v));
+}
+
+/// Collapses sorted (value, weight) items into one (value, count) pair per
+/// run of equal values, summing the weights in input order; -0.0 is stored
+/// as +0.0. Sized exactly, so the result never holds a doubled growth
+/// buffer.
+template <typename T, typename Value, typename Weight>
+std::vector<ValueCount> CollapseSorted(const std::vector<T>& items,
+                                       Value value, Weight weight) {
+  size_t distinct = 0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    distinct += i == 0 || value(items[i]) != value(items[i - 1]);
+  }
   std::vector<ValueCount> vc;
-  for (double v : *values) {
-    if (!vc.empty() && vc.back().value == v) {
-      vc.back().count += 1.0;
+  vc.reserve(distinct);
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (i > 0 && value(items[i]) == value(items[i - 1])) {
+      vc.back().count += weight(items[i]);
     } else {
-      vc.push_back(ValueCount{v, 1.0});
+      vc.push_back(ValueCount{value(items[i]) + 0.0, weight(items[i])});
     }
   }
   return vc;
 }
 
-/// Sorts weighted pairs by value and merges duplicates, dropping
-/// zero-weight entries.
-std::vector<ValueCount> ToValueCountsWeighted(
-    std::vector<std::pair<double, double>>* weighted) {
-  std::sort(weighted->begin(), weighted->end());
-  std::vector<ValueCount> vc;
-  for (const auto& [value, weight] : *weighted) {
-    if (weight <= 0.0) continue;
-    if (!vc.empty() && vc.back().value == value) {
-      vc.back().count += weight;
-    } else {
-      vc.push_back(ValueCount{value, weight});
-    }
+/// Radix-sorts `values` and collapses duplicates into (value, count)
+/// pairs. Fails on a non-finite value.
+Result<std::vector<ValueCount>> ToValueCounts(std::vector<double> values) {
+  for (double v : values) {
+    if (!std::isfinite(v)) return NonFinite("value", v);
   }
-  return vc;
+  RadixSort(&values);
+  return CollapseSorted(
+      values, [](double v) { return v; }, [](double) { return 1.0; });
+}
+
+/// Drops non-positive weights, radix-sorts the pairs by (value, weight) --
+/// the order std::sort gives them, so each value's weights are summed in
+/// the same order -- and merges equal values. Fails on a non-finite value
+/// or weight.
+Result<std::vector<ValueCount>> ToValueCountsWeighted(
+    std::vector<std::pair<double, double>> weighted) {
+  for (const auto& [value, weight] : weighted) {
+    if (!std::isfinite(value)) return NonFinite("value", value);
+    if (!std::isfinite(weight)) return NonFinite("weight", weight);
+  }
+  std::erase_if(weighted, [](const auto& p) { return p.second <= 0.0; });
+  RadixSort(&weighted);
+  return CollapseSorted(
+      weighted, [](const auto& p) { return p.first; },
+      [](const auto& p) { return p.second; });
 }
 
 std::vector<size_t> EquiWidthGroups(const std::vector<ValueCount>& vc,
@@ -380,14 +407,17 @@ Result<Histogram> BuildHistogram(std::vector<double> values,
     return Status::InvalidArgument("num_buckets must be positive");
   }
   if (values.empty()) return Histogram();
-  // The sort/dedup staging buffer is the build's peak allocation.
-  SITSTATS_OOM_SITE("oom.histogram.value_counts",
-                    values.size() * sizeof(ValueCount));
+  // The build's peak allocation: the radix scratch array (a double per
+  // value) during the sort, then the value counts (a ValueCount per
+  // distinct value, at most one per value).
+  SITSTATS_OOM_SITE(
+      "oom.histogram.value_counts",
+      values.size() * std::max(sizeof(double), sizeof(ValueCount)));
   BuildTelemetry telemetry(spec, "values");
   std::vector<ValueCount> vc;
   {
     SITSTATS_TRACE_SPAN("histogram.sort_dedup");
-    vc = ToValueCounts(&values);
+    SITSTATS_ASSIGN_OR_RETURN(vc, ToValueCounts(std::move(values)));
   }
   return ValueCountsToHistogram(vc, spec, std::nullopt);
 }
@@ -407,7 +437,7 @@ Result<Histogram> BuildHistogramFromSample(std::vector<double> sample,
   std::vector<ValueCount> vc;
   {
     SITSTATS_TRACE_SPAN("histogram.sort_dedup");
-    vc = ToValueCounts(&sample);
+    SITSTATS_ASSIGN_OR_RETURN(vc, ToValueCounts(std::move(sample)));
   }
   double sample_size = 0.0;
   for (const ValueCount& v : vc) sample_size += v.count;
@@ -425,7 +455,7 @@ Result<Histogram> BuildHistogramWeighted(
   std::vector<ValueCount> vc;
   {
     SITSTATS_TRACE_SPAN("histogram.sort_dedup");
-    vc = ToValueCountsWeighted(&weighted);
+    SITSTATS_ASSIGN_OR_RETURN(vc, ToValueCountsWeighted(std::move(weighted)));
   }
   if (vc.empty()) return Histogram();
   return ValueCountsToHistogram(vc, spec, std::nullopt);

@@ -45,7 +45,8 @@ struct HistogramSpec {
 
 /// Builds a histogram over the full `values` population (exact frequencies
 /// and distinct counts). `values` is taken by value because construction
-/// sorts it.
+/// sorts it. Every builder fails with InvalidArgument on a non-finite
+/// value or weight, which has no place in a bucket order.
 Result<Histogram> BuildHistogram(std::vector<double> values,
                                  const HistogramSpec& spec);
 

@@ -272,6 +272,9 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     } else {
       std::vector<std::pair<double, double>> runs;
       SITSTATS_RETURN_IF_ERROR(state.store->ReadAll(&runs));
+      // Free the store's buffer (and spill file) before the histogram
+      // build allocates its sort scratch array.
+      *state.store = TempValueStore();
       SITSTATS_ASSIGN_OR_RETURN(
           out.histogram,
           BuildHistogramWeighted(std::move(runs), spec.histogram_spec));

@@ -1,9 +1,10 @@
 #include "storage/index.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 
 #include "common/fault_injection.h"
+#include "common/radix_sort.h"
 
 namespace sitstats {
 
@@ -17,16 +18,25 @@ Result<SortedIndex> SortedIndex::Build(const Table& table,
   }
   SortedIndex index(table.name(), column_name);
   const size_t n = col->size();
-  std::vector<uint64_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::vector<double> values = col->ToNumericVector();
-  std::sort(order.begin(), order.end(), [&values](uint64_t a, uint64_t b) {
-    return values[a] < values[b];
-  });
+  std::vector<std::pair<double, uint64_t>> entries;
+  {
+    const std::vector<double> values = col->ToNumericVector();
+    entries.reserve(n);
+    for (uint64_t row = 0; row < n; ++row) {
+      if (std::isnan(values[row])) {
+        return Status::InvalidArgument("cannot index NaN in " + table.name() +
+                                       "." + column_name + " row " +
+                                       std::to_string(row));
+      }
+      entries.emplace_back(values[row], row);
+    }
+  }
+  // Stable: the row ids of equal keys stay ascending.
+  RadixSortByKey(&entries);
   index.keys_.reserve(n);
   index.row_ids_.reserve(n);
-  for (uint64_t row : order) {
-    index.keys_.push_back(values[row]);
+  for (const auto& [key, row] : entries) {
+    index.keys_.push_back(key);
     index.row_ids_.push_back(row);
   }
   return index;

@@ -15,8 +15,8 @@ namespace sitstats {
 /// leaf level. SweepIndex uses Multiplicity() as its exact m-Oracle.
 class SortedIndex {
  public:
-  /// Builds an index over `table`.`column_name`. Fails on string columns
-  /// or unknown columns.
+  /// Builds an index over `table`.`column_name`. Fails on string columns,
+  /// unknown columns, or a NaN cell (NaN has no place in key order).
   static Result<SortedIndex> Build(const Table& table,
                                    const std::string& column_name);
 
@@ -28,7 +28,8 @@ class SortedIndex {
   /// O(log n) binary search.
   size_t Multiplicity(double key) const;
 
-  /// Row ids whose key lies in [lo, hi] (inclusive), in key order.
+  /// Row ids whose key lies in [lo, hi] (inclusive), in key order; row ids
+  /// of equal keys are ascending.
   /// 64-bit row ids: 32 bits would silently truncate beyond 2^32-row
   /// tables (the paper's temp populations reach billions of rows).
   std::vector<uint64_t> LookupRange(double lo, double hi) const;

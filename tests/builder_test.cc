@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "datagen/distributions.h"
@@ -143,6 +146,76 @@ TEST(BuilderTest, WeightedMatchesExpanded) {
     EXPECT_DOUBLE_EQ(a.bucket(i).frequency, b.bucket(i).frequency);
     EXPECT_DOUBLE_EQ(a.bucket(i).distinct_values,
                      b.bucket(i).distinct_values);
+  }
+}
+
+TEST(BuilderTest, RejectsNonFiniteInput) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  HistogramSpec spec;
+  EXPECT_EQ(BuildHistogram({3, nan, 1, 2, nan, 5, 4}, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildHistogram({1, inf}, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildHistogramFromSample({1, -inf, 2}, 30, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildHistogramFromSample({nan}, 30, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      BuildHistogramWeighted({{1, 1}, {nan, 2}}, spec).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      BuildHistogramWeighted({{1, 1}, {2, nan}}, spec).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildHistogramWeighted({{1, inf}}, spec).status().code(),
+            StatusCode::kInvalidArgument);
+  // A NaN value is rejected even when its weight would drop it.
+  EXPECT_EQ(BuildHistogramWeighted({{nan, 0}}, spec).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BuilderTest, NegativeZeroMergesWithZero) {
+  HistogramSpec spec;
+  Histogram h = BuildHistogram({0.0, -0.0, 1.0}, spec).ValueOrDie();
+  ASSERT_EQ(h.num_buckets(), 2u);
+  EXPECT_EQ(h.bucket(0).lo, 0.0);
+  EXPECT_FALSE(std::signbit(h.bucket(0).lo));
+  EXPECT_EQ(h.bucket(0).frequency, 2.0);
+  EXPECT_EQ(h.bucket(0).distinct_values, 1.0);
+  EXPECT_DOUBLE_EQ(h.TotalDistinct(), 2.0);
+}
+
+TEST(BuilderTest, WeightedSumsFollowPairOrder) {
+  // Fractional weights with heavy value duplicates: the per-value sums
+  // depend on summation order, and must equal summing in the order
+  // std::sort gives the (value, weight) pairs.
+  Rng rng(23);
+  std::vector<std::pair<double, double>> weighted;
+  for (int i = 0; i < 20'000; ++i) {
+    weighted.emplace_back(static_cast<double>(rng.UniformInt(-50, 50)),
+                          rng.UniformDouble(0.0, 3.0) * 1e-3 +
+                              static_cast<double>(rng.UniformInt(0, 5)));
+  }
+  std::vector<std::pair<double, double>> sorted = weighted;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::pair<double, double>> sums;
+  for (const auto& [value, weight] : sorted) {
+    if (weight <= 0.0) continue;
+    if (!sums.empty() && sums.back().first == value) {
+      sums.back().second += weight;
+    } else {
+      sums.emplace_back(value, weight);
+    }
+  }
+  HistogramSpec spec;
+  spec.num_buckets = 200;  // one bucket per distinct value
+  Histogram h = BuildHistogramWeighted(weighted, spec).ValueOrDie();
+  ASSERT_EQ(h.num_buckets(), sums.size());
+  for (size_t i = 0; i < sums.size(); ++i) {
+    EXPECT_EQ(h.bucket(i).lo, sums[i].first);
+    EXPECT_EQ(std::bit_cast<uint64_t>(h.bucket(i).frequency),
+              std::bit_cast<uint64_t>(sums[i].second))
+        << "value " << sums[i].first;
   }
 }
 

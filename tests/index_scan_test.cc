@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.h"
+#include "common/rng.h"
 #include "storage/catalog.h"
 #include "storage/cost_model.h"
 #include "storage/index.h"
@@ -49,6 +53,37 @@ TEST(SortedIndexTest, RejectsStringColumn) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(SortedIndex::Build(*t, "zz").status().code(),
             StatusCode::kNotFound);
+}
+
+TEST(SortedIndexTest, EqualKeysListRowIdsAscending) {
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("k", ValueType::kInt64);
+  Table* t = catalog.CreateTable("T", schema).ValueOrDie();
+  Rng rng(9);
+  for (int i = 0; i < 100'000; ++i) {
+    SITSTATS_CHECK_OK(t->AppendRow({Value(rng.UniformInt(0, 9))}));
+  }
+  SortedIndex index = SortedIndex::Build(*t, "k").ValueOrDie();
+  size_t total = 0;
+  for (int k = 0; k <= 9; ++k) {
+    std::vector<uint64_t> rows = index.LookupRange(k, k);
+    total += rows.size();
+    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end())) << "key " << k;
+  }
+  EXPECT_EQ(total, 100'000u);
+}
+
+TEST(SortedIndexTest, RejectsNaNKey) {
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("v", ValueType::kDouble);
+  Table* t = catalog.CreateTable("T", schema).ValueOrDie();
+  for (double v : {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0}) {
+    SITSTATS_CHECK_OK(t->AppendRow({Value(v)}));
+  }
+  EXPECT_EQ(SortedIndex::Build(*t, "v").status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(SequentialScanTest, ProjectsColumnsInOrder) {
