@@ -112,12 +112,10 @@ Result<SitAdvisor::Recommendation> SitAdvisor::Recommend(
         JoinTree tree,
         JoinTree::Build(descriptor.query(), descriptor.attribute().table));
     double cost = 0.0;
-    for (const std::vector<std::string>& seq : tree.DependencySequences()) {
-      for (const std::string& table : seq) {
-        SITSTATS_ASSIGN_OR_RETURN(const Table* t,
-                                  catalog_->GetTable(table));
-        cost += options_.cost_model.SequentialScanCost(t->num_rows());
-      }
+    for (int node_index : tree.ScanNodes()) {
+      const std::string& table = tree.node(node_index).table;
+      SITSTATS_ASSIGN_OR_RETURN(const Table* t, catalog_->GetTable(table));
+      cost += options_.cost_model.SequentialScanCost(t->num_rows());
     }
 
     // Benefit proxy: workload-weighted disagreement between the pilot-

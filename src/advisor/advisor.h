@@ -37,9 +37,9 @@ class SitAdvisor {
     /// Pilot build: cheap and rough.
     double pilot_sampling_rate = 0.01;
     int pilot_buckets = 25;
-    /// Creation budget in scheduler cost units (sum of Cost(T) over the
-    /// selected SITs' dependency sequences, without sharing). Infinity =
-    /// select everything with positive benefit.
+    /// Creation budget in scheduler cost units (sum of the selected SITs'
+    /// one-at-a-time costs, without sharing). Infinity = select everything
+    /// with positive benefit.
     double budget = std::numeric_limits<double>::infinity();
     /// Candidates whose relative benefit score is below this are dropped
     /// even with budget to spare.
@@ -56,7 +56,9 @@ class SitAdvisor {
     /// in [0, 1); the benefit proxy (0 = propagation already agrees,
     /// large = propagation is far off and the SIT will correct it).
     double benefit = 0.0;
-    /// One-at-a-time creation cost (scheduler units).
+    /// One-at-a-time creation cost (scheduler units): Cost(T) summed over
+    /// the scans its SweepBuild runs (JoinTree::ScanNodes), so a node that
+    /// several root-to-leaf paths share is paid once.
     double cost = 0.0;
     /// Number of workload queries the candidate applies to.
     int applicable_queries = 0;
@@ -83,9 +85,9 @@ class SitAdvisor {
   Result<Recommendation> Recommend(const Workload& workload);
 
   /// Builds the selected SITs (with `variant`) and registers them in
-  /// `sits`. Creation currently builds one SIT at a time; callers wanting
-  /// shared scans can feed recommendation.selected into
-  /// BuildSitSchedulingProblem / ExecuteSitSchedule instead.
+  /// `sits`. Creation builds one SIT at a time; callers wanting shared
+  /// scans can feed recommendation.selected, chains, stars and trees
+  /// alike, into BuildSitSchedulingProblem / ExecuteSitSchedule instead.
   Status CreateSelected(const Recommendation& recommendation,
                         SweepVariant variant, SitCatalog* sits);
 

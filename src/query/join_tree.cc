@@ -1,10 +1,7 @@
 #include "query/join_tree.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
-
-#include "common/logging.h"
 
 namespace sitstats {
 
@@ -80,67 +77,12 @@ std::vector<int> JoinTree::PostOrder() const {
   return order;
 }
 
-size_t JoinTree::Height() const {
-  std::vector<size_t> depth(nodes_.size(), 0);
-  size_t height = 0;
-  // Parents precede children in nodes_ (BFS construction), so one pass.
-  for (size_t i = 1; i < nodes_.size(); ++i) {
-    depth[i] = depth[static_cast<size_t>(nodes_[i].parent)] + 1;
-    height = std::max(height, depth[i]);
+std::vector<int> JoinTree::ScanNodes() const {
+  std::vector<int> scans;
+  for (int node_index : PostOrder()) {
+    if (!IsLeaf(node_index)) scans.push_back(node_index);
   }
-  return height;
-}
-
-std::vector<std::vector<std::string>> JoinTree::DependencySequences() const {
-  std::vector<std::vector<std::string>> sequences;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].children.empty()) continue;  // not a leaf
-    // Walk leaf -> root, dropping the leaf itself; the resulting list is
-    // already in scan order (deepest internal node first).
-    std::vector<std::string> seq;
-    int current = nodes_[i].parent;
-    while (current >= 0) {
-      seq.push_back(nodes_[static_cast<size_t>(current)].table);
-      current = nodes_[static_cast<size_t>(current)].parent;
-    }
-    if (!seq.empty()) sequences.push_back(std::move(seq));
-  }
-  return sequences;
-}
-
-std::vector<std::string> JoinTree::SubtreeTables(int node_index) const {
-  std::vector<std::string> tables;
-  std::vector<int> stack = {node_index};
-  while (!stack.empty()) {
-    int idx = stack.back();
-    stack.pop_back();
-    tables.push_back(nodes_[static_cast<size_t>(idx)].table);
-    for (int child : nodes_[static_cast<size_t>(idx)].children) {
-      stack.push_back(child);
-    }
-  }
-  std::sort(tables.begin(), tables.end());
-  return tables;
-}
-
-Result<GeneratingQuery> JoinTree::SubtreeQuery(int node_index) const {
-  std::vector<std::string> tables = SubtreeTables(node_index);
-  std::set<std::string> table_set(tables.begin(), tables.end());
-  std::vector<JoinPredicate> joins;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const Node& n = nodes_[i];
-    if (n.parent < 0) continue;
-    const Node& p = nodes_[static_cast<size_t>(n.parent)];
-    if (table_set.contains(n.table) && table_set.contains(p.table)) {
-      for (size_t j = 0; j < n.columns_to_parent.size(); ++j) {
-        JoinPredicate join;
-        join.left = ColumnRef{n.table, n.columns_to_parent[j]};
-        join.right = ColumnRef{p.table, n.parent_columns[j]};
-        joins.push_back(join);
-      }
-    }
-  }
-  return GeneratingQuery::Create(std::move(tables), std::move(joins));
+  return scans;
 }
 
 }  // namespace sitstats

@@ -57,23 +57,14 @@ class JoinTree {
   /// Node indices in post-order (children before parents, root last).
   std::vector<int> PostOrder() const;
 
-  /// Height of the tree (a root-only tree has height 0).
-  size_t Height() const;
-
-  /// Dependency sequences (Section 4, Figure 6), one per root-to-leaf path
-  /// with the leaf omitted, listed in *scan order*: deepest internal node
-  /// first, root last. Scanning the tables of every sequence in order is
-  /// exactly the set of ordering constraints Sweep imposes.
-  /// A base-table query yields no sequences.
-  std::vector<std::vector<std::string>> DependencySequences() const;
-
-  /// The generating query induced by the subtree rooted at `node_index`
-  /// (its tables and the join predicates among them). Used to name the
-  /// intermediate SITs Sweep produces.
-  Result<GeneratingQuery> SubtreeQuery(int node_index) const;
-
-  /// Tables in the subtree rooted at `node_index`.
-  std::vector<std::string> SubtreeTables(int node_index) const;
+  /// The internal nodes in post-order: the scan plan of a Sweep build
+  /// (Section 3.2). Each is one sequential scan, every child's scan comes
+  /// before its parent's, and the root scan is last. Leaves contribute
+  /// base statistics and are never scanned, so a base-table tree has no
+  /// scans. SweepBuild runs exactly these scans, the scheduler models a
+  /// SIT as the sequence of their tables, and the advisor prices a SIT by
+  /// them.
+  std::vector<int> ScanNodes() const;
 
  private:
   std::vector<Node> nodes_;

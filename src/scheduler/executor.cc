@@ -51,19 +51,14 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
                          static_cast<double>(schedule.steps.size()));
   exec_span.AddAttribute("threads", static_cast<double>(threads));
 
-  // Sequence index -> SIT index. Chains only: at most one sequence per
-  // SIT.
+  // Sequence index -> SIT index; a SIT's one sequence is its scan plan.
   std::vector<int> sit_of_sequence(mapping.problem.num_sequences(), -1);
   std::vector<bool> has_sequence(sits.size(), false);
   for (size_t seq = 0; seq < mapping.sequence_sit.size(); ++seq) {
     size_t s = mapping.sequence_sit[seq];
-    if (s >= sits.size()) {
-      return Status::InvalidArgument("mapping references unknown SIT");
-    }
-    if (has_sequence[s]) {
-      return Status::NotImplemented(
-          "shared-scan execution supports chain generating queries only "
-          "(SIT " + sits[s].ToString() + " has multiple dependency paths)");
+    if (s >= sits.size() || has_sequence[s]) {
+      return Status::InvalidArgument(
+          "mapping needs one sequence per SIT, by SIT index");
     }
     has_sequence[s] = true;
     sit_of_sequence[seq] = static_cast<int>(s);

@@ -56,12 +56,10 @@ struct ScheduleExecutionResult {
 /// the step advances, and finishes every build — the same build path
 /// CreateSit drives for a single SIT.
 ///
-/// Restriction: every generating query must be a chain (one dependency
-/// sequence per SIT) or a base table; acyclic tree queries should be built
-/// one at a time via CreateSit. A schedule step advances one dependency
-/// sequence by one table, while a tree node's scan needs every sequence
-/// through it to have arrived. This matches the paper's Section 5.2
-/// evaluation, which schedules chain dependency sequences.
+/// A SIT's sequence is its join tree's ScanNodes(), so advancing it by one
+/// table is exactly its build's next scan, for chain, star and tree
+/// generating queries alike. A step whose table is not the next scan of
+/// every SIT it advances is InvalidArgument.
 Result<ScheduleExecutionResult> ExecuteSitSchedule(
     Catalog* catalog, BaseStatsCache* base_stats,
     const std::vector<SitDescriptor>& sits,

@@ -13,8 +13,9 @@ namespace sitstats {
 /// The multiple-SIT creation problem of Section 4, reduced to a weighted,
 /// memory-constrained Shortest Common Supersequence instance:
 ///
-///  - one *input sequence* per dependency sequence (tables in scan order,
-///    deepest internal join-tree node first, root last);
+///  - one *input sequence* per SIT: the tables its build scans, in scan
+///    order (BuildSitSchedulingProblem; a chain's deepest internal
+///    join-tree node first, root last);
 ///  - scanning table T costs Cost(T) regardless of how many sequences the
 ///    scan advances (that is the sharing being optimized);
 ///  - every sequence advanced by a scan of T needs its own in-memory

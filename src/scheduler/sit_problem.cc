@@ -14,24 +14,21 @@ Result<SitSchedulingProblem> BuildSitSchedulingProblem(
     SITSTATS_ASSIGN_OR_RETURN(
         JoinTree tree,
         JoinTree::Build(sit.query(), sit.attribute().table));
-    std::vector<std::vector<std::string>> sequences =
-        tree.DependencySequences();
-    for (size_t p = 0; p < sequences.size(); ++p) {
-      for (const std::string& table : sequences[p]) {
-        if (out.problem.FindTable(table) < 0) {
-          SITSTATS_ASSIGN_OR_RETURN(const Table* t,
-                                    catalog.GetTable(table));
-          out.problem.AddTable(
-              table, options.cost_model.SequentialScanCost(t->num_rows()),
-              static_cast<double>(options.cost_model.SampleSize(
-                  t->num_rows(), options.sampling_rate)));
-        }
+    std::vector<std::string> sequence;
+    for (int node_index : tree.ScanNodes()) {
+      const std::string& table = tree.node(node_index).table;
+      if (out.problem.FindTable(table) < 0) {
+        SITSTATS_ASSIGN_OR_RETURN(const Table* t, catalog.GetTable(table));
+        out.problem.AddTable(
+            table, options.cost_model.SequentialScanCost(t->num_rows()),
+            static_cast<double>(options.cost_model.SampleSize(
+                t->num_rows(), options.sampling_rate)));
       }
-      SITSTATS_RETURN_IF_ERROR(
-          out.problem.AddSequence(sequences[p]).status());
-      out.sequence_sit.push_back(s);
-      out.sequence_path.push_back(p);
+      sequence.push_back(table);
     }
+    if (sequence.empty()) continue;  // base table: no scan to schedule
+    SITSTATS_RETURN_IF_ERROR(out.problem.AddSequence(sequence).status());
+    out.sequence_sit.push_back(s);
   }
   return out;
 }

@@ -22,19 +22,25 @@ struct SitProblemOptions {
 
 /// A scheduling problem derived from concrete SITs, with the bookkeeping
 /// needed to execute the resulting schedule: sequence i of the problem
-/// came from SIT `sequence_sit[i]` (dependency path `sequence_path[i]` of
-/// that SIT's join tree).
+/// came from SIT `sequence_sit[i]`. A SIT has at most one sequence.
 struct SitSchedulingProblem {
   SchedulingProblem problem;
   std::vector<size_t> sequence_sit;
-  std::vector<size_t> sequence_path;
 };
 
 /// Builds the weighted SCS instance for creating `sits` against `catalog`:
-/// one input sequence per dependency sequence of each SIT's join tree
-/// (rooted at its attribute's table), Cost(T) from the cost model and
-/// SampleSize(T) = rate * |T|. Base-table SITs contribute no sequences
+/// one input sequence per SIT, the tables of its join tree's ScanNodes()
+/// (rooted at its attribute's table) in post-order, which are exactly the
+/// scans its SweepBuild runs. Cost(T) comes from the cost model and
+/// SampleSize(T) = rate * |T|. Base-table SITs contribute no sequence
 /// (they need no Sweep scan).
+///
+/// The paper (Section 4) gives a tree-shaped SIT one dependency sequence
+/// per root-to-leaf path. A Sweep scan of a node with several children
+/// needs all of their outputs at once, so the paths' shared nodes must
+/// advance together; one post-order sequence guarantees that, at the
+/// price of fixing the order of sibling subtrees (DESIGN note 14). For a
+/// chain rooted at an end table both models give the same sequence.
 Result<SitSchedulingProblem> BuildSitSchedulingProblem(
     const Catalog& catalog, const std::vector<SitDescriptor>& sits,
     const SitProblemOptions& options);

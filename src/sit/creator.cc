@@ -27,6 +27,21 @@ bool UsesExactOracle(SweepVariant variant) {
          variant == SweepVariant::kSweepExact;
 }
 
+/// Rejects composite join predicates between intermediate results
+/// (NotImplemented): a 1D intermediate SIT cannot carry their joint
+/// distribution. Composite edges towards leaves are fine.
+Status CheckNoCompositeIntermediate(const JoinTree& tree) {
+  for (int node_index : tree.ScanNodes()) {
+    const JoinTree::Node& node = tree.node(node_index);
+    if (node_index != tree.root() && node.HasCompositeParentEdge()) {
+      return Status::NotImplemented(
+          "composite join predicates between intermediate results are not "
+          "supported (node " + node.table + ")");
+    }
+  }
+  return Status::OK();
+}
+
 /// The Hist-SIT baseline: propagate base histograms through the join tree
 /// without touching the data.
 Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
@@ -35,6 +50,7 @@ Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
   const ColumnRef& attribute = descriptor.attribute();
   SITSTATS_ASSIGN_OR_RETURN(
       JoinTree tree, JoinTree::Build(descriptor.query(), attribute.table));
+  SITSTATS_RETURN_IF_ERROR(CheckNoCompositeIntermediate(tree));
   Rng rng(SitStreamSeed(options.seed, descriptor));
 
   // Estimated cardinality of each node's subtree join, bottom-up. For a
@@ -45,12 +61,6 @@ Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
   std::map<int, Histogram> subtree_key_hist;
   for (int node_index : tree.PostOrder()) {
     const JoinTree::Node& node = tree.node(node_index);
-    if (node_index != tree.root() && node.HasCompositeParentEdge() &&
-        !tree.IsLeaf(node_index)) {
-      return Status::NotImplemented(
-          "composite join predicates between intermediate results are not "
-          "supported (node " + node.table + ")");
-    }
     SITSTATS_ASSIGN_OR_RETURN(const Table* table,
                               catalog->GetTable(node.table));
     double card = static_cast<double>(table->num_rows());
@@ -110,12 +120,8 @@ SweepBuild::SweepBuild(Catalog* catalog, BaseStatsCache* base_stats,
       descriptor_(descriptor),
       options_(options),
       tree_(std::move(tree)),
-      rng_(SitStreamSeed(options.seed, descriptor)) {
-  for (int node_index : tree_.PostOrder()) {
-    // Leaves contribute base statistics; every other node is one scan.
-    if (!tree_.IsLeaf(node_index)) scan_nodes_.push_back(node_index);
-  }
-}
+      scan_nodes_(tree_.ScanNodes()),
+      rng_(SitStreamSeed(options.seed, descriptor)) {}
 
 Result<SweepBuild> SweepBuild::Start(Catalog* catalog,
                                      BaseStatsCache* base_stats,
@@ -133,16 +139,8 @@ Result<SweepBuild> SweepBuild::Start(Catalog* catalog,
   SITSTATS_ASSIGN_OR_RETURN(
       JoinTree tree,
       JoinTree::Build(descriptor.query(), descriptor.attribute().table));
-  SweepBuild build(catalog, base_stats, descriptor, options, std::move(tree));
-  for (int node_index : build.scan_nodes_) {
-    const JoinTree::Node& node = build.tree_.node(node_index);
-    if (node_index != build.tree_.root() && node.HasCompositeParentEdge()) {
-      return Status::NotImplemented(
-          "composite join predicates between intermediate results are not "
-          "supported (node " + node.table + ")");
-    }
-  }
-  return build;
+  SITSTATS_RETURN_IF_ERROR(CheckNoCompositeIntermediate(tree));
+  return SweepBuild(catalog, base_stats, descriptor, options, std::move(tree));
 }
 
 Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {

@@ -48,7 +48,7 @@ struct SitBuildOptions {
 uint64_t SitStreamSeed(uint64_t seed, const SitDescriptor& descriptor);
 
 /// One SIT's Sweep-family build in progress (Section 3.2): its join tree,
-/// one scan per internal node in post-order, the outputs of finished scans
+/// one scan per node of the tree's ScanNodes(), the outputs of finished scans
 /// keyed by join-tree node (a node with several children finds all of
 /// theirs), and the SIT's private random stream.
 ///
@@ -68,7 +68,8 @@ class SweepBuild {
                                   const SitBuildOptions& options);
 
   const JoinTree& tree() const { return tree_; }
-  /// Internal join-tree nodes in scan order; empty for a base-table SIT.
+  /// tree().ScanNodes(): the internal nodes in scan order; empty for a
+  /// base-table SIT.
   const std::vector<int>& scan_nodes() const { return scan_nodes_; }
   bool done() const { return next_scan_ == scan_nodes_.size(); }
 

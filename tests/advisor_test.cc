@@ -121,6 +121,29 @@ TEST(AdvisorTest, UncorrelatedWorkloadGetsNothing) {
   EXPECT_FALSE(rec.rejected.empty());
 }
 
+TEST(AdvisorTest, TreeCandidateCostCountsSharedScansOnce) {
+  // The attribute sits mid-chain, so R2 ⋈ R1 ⋈ R3 is rooted at R2 with
+  // two leaf children: its build is one scan of R2, Cost = 5000/1000.
+  ChainDbSpec spec;
+  spec.num_tables = 3;
+  spec.table_rows = {5'000, 5'000, 5'000};
+  spec.join_domain = 300;
+  spec.seed = 13;
+  ChainDatabase db = MakeChainJoinDatabase(spec).ValueOrDie();
+  const ColumnRef attribute{"R2", "a"};
+  Workload workload = {WorkloadQuery{db.query, attribute, 20, 120, 1.0}};
+  BaseStatsCache stats;
+  SitAdvisor advisor(db.catalog.get(), &stats, SitAdvisor::Options{});
+  SitAdvisor::Recommendation rec = advisor.Recommend(workload).ValueOrDie();
+  std::vector<SitAdvisor::Candidate> all = rec.selected;
+  all.insert(all.end(), rec.rejected.begin(), rec.rejected.end());
+  // {R2,R1}, {R2,R3} and {R2,R1,R3}: each is one scan of R2.
+  ASSERT_EQ(all.size(), 3u);
+  for (const SitAdvisor::Candidate& c : all) {
+    EXPECT_DOUBLE_EQ(c.cost, 5.0) << c.descriptor.ToString();
+  }
+}
+
 TEST(AdvisorTest, EndToEndImprovesWorkloadEstimates) {
   Fixture f = Fixture::Make();
   SitAdvisor::Options options;

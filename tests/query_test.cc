@@ -141,7 +141,6 @@ TEST(JoinTreeTest, ChainRootedAtEnd) {
   JoinTree tree = JoinTree::Build(*q, "T").ValueOrDie();
   EXPECT_EQ(tree.size(), 3u);
   EXPECT_EQ(tree.node(tree.root()).table, "T");
-  EXPECT_EQ(tree.Height(), 2u);
   // Post-order visits R, S, T.
   std::vector<int> order = tree.PostOrder();
   EXPECT_EQ(tree.node(order[0]).table, "R");
@@ -154,31 +153,46 @@ TEST(JoinTreeTest, ChainRootedAtEnd) {
   EXPECT_EQ(s.parent_column(), "jp");
 }
 
-TEST(JoinTreeTest, DependencySequencesForChain) {
+/// Tables of `tree`'s scan plan, in scan order.
+std::vector<std::string> ScanTables(const JoinTree& tree) {
+  std::vector<std::string> tables;
+  for (int node_index : tree.ScanNodes()) {
+    tables.push_back(tree.node(node_index).table);
+  }
+  return tables;
+}
+
+TEST(JoinTreeTest, ScanNodesForChain) {
   auto q = GeneratingQuery::Create(
       {"R", "S", "T"},
       {Join("R", "jn", "S", "jp"), Join("S", "jn", "T", "jp")});
   JoinTree tree = JoinTree::Build(*q, "T").ValueOrDie();
-  auto seqs = tree.DependencySequences();
-  ASSERT_EQ(seqs.size(), 1u);
   // Scan order: S then T (leaf R omitted).
-  EXPECT_EQ(seqs[0], (std::vector<std::string>{"S", "T"}));
+  EXPECT_EQ(ScanTables(tree), (std::vector<std::string>{"S", "T"}));
+  EXPECT_EQ(tree.ScanNodes().back(), tree.root());
 }
 
 TEST(JoinTreeTest, SingleJoinSequence) {
   auto q =
       GeneratingQuery::Create({"R", "S"}, {Join("R", "x", "S", "y")});
   JoinTree tree = JoinTree::Build(*q, "S").ValueOrDie();
-  auto seqs = tree.DependencySequences();
-  ASSERT_EQ(seqs.size(), 1u);
-  EXPECT_EQ(seqs[0], std::vector<std::string>{"S"});
+  EXPECT_EQ(ScanTables(tree), std::vector<std::string>{"S"});
+}
+
+TEST(JoinTreeTest, ScanNodesForStar) {
+  // R joins S and T; both are leaves, so the star is one scan of R. The
+  // same chain rooted at its middle table S-R-T is this star.
+  auto q = GeneratingQuery::Create(
+      {"R", "S", "T"},
+      {Join("R", "x", "S", "x"), Join("R", "y", "T", "y")});
+  JoinTree tree = JoinTree::Build(*q, "R").ValueOrDie();
+  EXPECT_EQ(ScanTables(tree), std::vector<std::string>{"R"});
 }
 
 TEST(JoinTreeTest, BaseTableHasNoSequences) {
   GeneratingQuery q = GeneratingQuery::BaseTable("R");
   JoinTree tree = JoinTree::Build(q, "R").ValueOrDie();
-  EXPECT_TRUE(tree.DependencySequences().empty());
-  EXPECT_EQ(tree.Height(), 0u);
+  EXPECT_TRUE(tree.ScanNodes().empty());
 }
 
 TEST(JoinTreeTest, PaperFigure6Sequences) {
@@ -189,32 +203,9 @@ TEST(JoinTreeTest, PaperFigure6Sequences) {
        Join("R", "r2", "U", "u1"), Join("U", "u2", "V", "v1")});
   ASSERT_TRUE(q.ok());
   JoinTree tree = JoinTree::Build(*q, "R").ValueOrDie();
-  auto seqs = tree.DependencySequences();
-  ASSERT_EQ(seqs.size(), 2u);
-  // Scan-order sequences: (S,R) for the path R-S-T and (U,R) for R-U-V.
-  std::set<std::vector<std::string>> got(seqs.begin(), seqs.end());
-  std::set<std::vector<std::string>> want = {{"S", "R"}, {"U", "R"}};
-  EXPECT_EQ(got, want);
-}
-
-TEST(JoinTreeTest, SubtreeQuery) {
-  auto q = GeneratingQuery::Create(
-      {"R", "S", "T"},
-      {Join("R", "jn", "S", "jp"), Join("S", "jn", "T", "jp")});
-  JoinTree tree = JoinTree::Build(*q, "T").ValueOrDie();
-  // Find the S node.
-  int s_index = -1;
-  for (size_t i = 0; i < tree.size(); ++i) {
-    if (tree.node(static_cast<int>(i)).table == "S") {
-      s_index = static_cast<int>(i);
-    }
-  }
-  ASSERT_GE(s_index, 0);
-  GeneratingQuery sub = tree.SubtreeQuery(s_index).ValueOrDie();
-  EXPECT_EQ(sub.num_tables(), 2u);
-  EXPECT_TRUE(sub.ReferencesTable("R"));
-  EXPECT_TRUE(sub.ReferencesTable("S"));
-  EXPECT_EQ(sub.num_joins(), 1u);
+  // The paper's two paths (S,R) and (U,R) become one post-order sequence
+  // that scans the shared root once, after both of its children.
+  EXPECT_EQ(ScanTables(tree), (std::vector<std::string>{"S", "U", "R"}));
 }
 
 TEST(JoinTreeTest, RootMustBeReferenced) {

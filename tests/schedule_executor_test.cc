@@ -8,6 +8,7 @@
 #include "datagen/synthetic_db.h"
 #include "estimator/accuracy.h"
 #include "scheduler/solver.h"
+#include "sit/serialization.h"
 
 namespace sitstats {
 namespace {
@@ -87,6 +88,160 @@ TEST(SitProblemTest, BuildsExpectedSequences) {
   // Cost(T) = max(|T|/1000, 1) = 4 for 4000-row tables.
   EXPECT_DOUBLE_EQ(problem.problem.scan_cost(problem.problem.FindTable("S")),
                    4.0);
+}
+
+/// Tree-shaped SITs beside a chain, all rooted at or passing through R:
+///   star:      SIT(R.a | R ⋈_{r1=s1} S, R ⋈_{r2=t1} T)         scans (R)
+///   chain:     SIT(R.b | R ⋈_{r1=s1} S ⋈_{s2=u1} U)            scans (S, R)
+///   mid-chain: SIT(S.c | T ⋈_{t1=r2} R ⋈_{r1=s1} S ⋈_{s2=u1} U) scans (R, S)
+/// R has twice the rows of S, so the one cheapest schedule scans R once:
+/// S (chain), R (all three), S (mid-chain).
+struct TreeBatchDb {
+  Catalog catalog;
+  SitDescriptor star;
+  SitDescriptor chain;
+  SitDescriptor mid_chain;
+};
+
+TreeBatchDb MakeTreeBatchDb() {
+  Catalog catalog;
+  auto make_table = [&](const std::string& name,
+                        const std::vector<std::string>& columns) {
+    Schema schema;
+    for (const std::string& column : columns) {
+      schema.AddColumn(column, ValueType::kInt64);
+    }
+    return catalog.CreateTable(name, schema).ValueOrDie();
+  };
+  Table* r = make_table("R", {"r1", "r2", "a", "b"});
+  Table* s = make_table("S", {"s1", "s2", "c"});
+  Table* t = make_table("T", {"t1"});
+  Table* u = make_table("U", {"u1"});
+  Rng rng(19);
+  const int64_t domain = 60;
+  auto draw = [&] { return rng.UniformInt(1, domain); };
+  // R.a, S.s2 and S.c follow the row's first join key, so the SITs differ
+  // from what independence predicts.
+  for (int i = 0; i < 4'000; ++i) {
+    int64_t r1 = draw();
+    SITSTATS_CHECK_OK(r->AppendRow({Value(r1), Value(draw()),
+                                    Value((r1 * 7) % domain + 1),
+                                    Value(draw())}));
+  }
+  for (int i = 0; i < 2'000; ++i) {
+    int64_t s1 = draw();
+    SITSTATS_CHECK_OK(s->AppendRow({Value(s1), Value((s1 * 3) % domain + 1),
+                                    Value((s1 * 5) % domain + 1)}));
+  }
+  for (int i = 0; i < 1'500; ++i) {
+    SITSTATS_CHECK_OK(t->AppendRow({Value(draw())}));
+    SITSTATS_CHECK_OK(u->AppendRow({Value(draw())}));
+  }
+  const JoinPredicate rs = Join("R", "r1", "S", "s1");
+  const JoinPredicate rt = Join("R", "r2", "T", "t1");
+  const JoinPredicate su = Join("S", "s2", "U", "u1");
+  return TreeBatchDb{
+      std::move(catalog),
+      SitDescriptor(ColumnRef{"R", "a"},
+                    GeneratingQuery::Create({"R", "S", "T"}, {rs, rt})
+                        .ValueOrDie()),
+      SitDescriptor(ColumnRef{"R", "b"},
+                    GeneratingQuery::Create({"R", "S", "U"}, {rs, su})
+                        .ValueOrDie()),
+      SitDescriptor(ColumnRef{"S", "c"},
+                    GeneratingQuery::Create({"T", "R", "S", "U"},
+                                            {rt, rs, su})
+                        .ValueOrDie())};
+}
+
+TEST(SitProblemTest, TreeSitIsOnePostOrderSequence) {
+  TreeBatchDb db = MakeTreeBatchDb();
+  SitSchedulingProblem problem =
+      BuildSitSchedulingProblem(db.catalog,
+                                {db.star, db.chain, db.mid_chain},
+                                SitProblemOptions{})
+          .ValueOrDie();
+  ASSERT_EQ(problem.problem.num_sequences(), 3u);
+  auto name_seq = [&](size_t i) {
+    std::vector<std::string> names;
+    for (int id : problem.problem.sequence(i)) {
+      names.push_back(problem.problem.table_name(id));
+    }
+    return names;
+  };
+  EXPECT_EQ(name_seq(0), std::vector<std::string>{"R"});
+  EXPECT_EQ(name_seq(1), (std::vector<std::string>{"S", "R"}));
+  EXPECT_EQ(name_seq(2), (std::vector<std::string>{"R", "S"}));
+  EXPECT_EQ(problem.sequence_sit, (std::vector<size_t>{0, 1, 2}));
+}
+
+TEST(SitProblemTest, StarSharesItsRootScanAtOneSampleOfMemory) {
+  // With memory for one sample of R, the star still takes one scan of R:
+  // its root is one node, not one node per root-to-leaf path.
+  TreeBatchDb db = MakeTreeBatchDb();
+  SitProblemOptions options;
+  const Table* r = db.catalog.GetTable("R").ValueOrDie();
+  options.memory_limit = static_cast<double>(
+      options.cost_model.SampleSize(r->num_rows(), options.sampling_rate));
+  SitSchedulingProblem problem =
+      BuildSitSchedulingProblem(db.catalog, {db.star}, options).ValueOrDie();
+  SolverOptions soptions;
+  soptions.kind = SolverKind::kExact;
+  SolverResult solved =
+      SolveSchedule(problem.problem, soptions).ValueOrDie();
+  ASSERT_EQ(solved.schedule.steps.size(), 1u);
+  EXPECT_DOUBLE_EQ(solved.schedule.cost,
+                   options.cost_model.SequentialScanCost(r->num_rows()));
+}
+
+TEST(ScheduleExecutorTest, MixedTreeAndChainBatchMatchesSoloBuilds) {
+  TreeBatchDb db = MakeTreeBatchDb();
+  const std::vector<SitDescriptor> sits = {db.star, db.chain, db.mid_chain};
+  SitSchedulingProblem problem =
+      BuildSitSchedulingProblem(db.catalog, sits, SitProblemOptions{})
+          .ValueOrDie();
+  SolverOptions soptions;
+  soptions.kind = SolverKind::kExact;
+  SolverResult solved =
+      SolveSchedule(problem.problem, soptions).ValueOrDie();
+  // S (chain), R (star, chain, mid-chain), S (mid-chain): Cost 2 + 4 + 2.
+  ASSERT_EQ(solved.schedule.steps.size(), 3u);
+  EXPECT_DOUBLE_EQ(solved.schedule.cost, 8.0);
+  const ScheduleStep& shared = solved.schedule.steps[1];
+  EXPECT_EQ(problem.problem.table_name(shared.table), "R");
+  EXPECT_EQ(shared.advanced.size(), 3u);
+
+  for (SweepVariant variant :
+       {SweepVariant::kSweep, SweepVariant::kSweepIndex,
+        SweepVariant::kSweepFull, SweepVariant::kSweepExact}) {
+    for (int threads : {1, 4}) {
+      BaseStatsCache stats;
+      ScheduleExecutionOptions eoptions;
+      eoptions.variant = variant;
+      eoptions.num_threads = threads;
+      ScheduleExecutionResult result =
+          ExecuteSitSchedule(&db.catalog, &stats, sits, problem,
+                             solved.schedule, eoptions)
+              .ValueOrDie();
+      ASSERT_EQ(result.sits.size(), sits.size());
+      uint64_t solo_scans = 0;
+      for (size_t i = 0; i < sits.size(); ++i) {
+        SitBuildOptions boptions;
+        boptions.variant = variant;
+        Sit solo =
+            CreateSit(&db.catalog, &stats, sits[i], boptions).ValueOrDie();
+        EXPECT_EQ(SerializeSit(result.sits[i]), SerializeSit(solo))
+            << sits[i].ToString() << " " << SweepVariantToString(variant)
+            << " at " << threads << " threads";
+        EXPECT_EQ(result.sits[i].build_stats, solo.build_stats)
+            << sits[i].ToString();
+        solo_scans += result.sits[i].build_stats.sequential_scans;
+      }
+      // Solo builds scan R once per SIT; the batch scans it once.
+      EXPECT_EQ(solo_scans, 5u);
+      EXPECT_EQ(result.total_stats.sequential_scans, 3u);
+    }
+  }
 }
 
 TEST(ScheduleExecutorTest, OptimalScheduleSharesScanOfS) {
