@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // primitives: histogram construction and its sort, reservoir sampling
-// (including the skip-ahead path for huge runs), m-Oracle lookups,
+// (including the skip-ahead path for huge runs), the m-Oracle kernels,
 // join-cardinality estimation, one full Sweep scan, the schedule solvers,
 // and the colfile checksum every load verifies.
 
@@ -21,14 +21,17 @@
 #include "scheduler/solver.h"
 #include "sit/m_oracle.h"
 #include "sit/creator.h"
+#include "storage/catalog.h"
 #include "storage/column_file.h"
+#include "storage/scan.h"
 #include "telemetry/telemetry.h"
 
 namespace sitstats {
 namespace {
 
-std::vector<double> ZipfValues(size_t n, double z, uint64_t domain) {
-  Rng rng(7);
+std::vector<double> ZipfValues(size_t n, double z, uint64_t domain,
+                               uint64_t seed = 7) {
+  Rng rng(seed);
   ZipfDistribution dist(domain, z);
   std::vector<double> values;
   values.reserve(n);
@@ -136,20 +139,85 @@ void BM_ReservoirAddRepeatedShort(benchmark::State& state) {
 }
 BENCHMARK(BM_ReservoirAddRepeatedShort);
 
-void BM_MOracleLookup(benchmark::State& state) {
-  std::vector<double> r = ZipfValues(100'000, 1.0, 10'000);
-  std::vector<double> s = ZipfValues(100'000, 1.0, 10'000);
-  HistogramSpec spec;
-  HistogramMOracle oracle(BuildHistogram(r, spec).ValueOrDie(),
-                          BuildHistogram(s, spec).ValueOrDie());
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(oracle.Multiplicity(s[i % s.size()]));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
+// The m-Oracle kernels on Zipf(1) join values, 100k rows over a 10k
+// domain: R's column builds the oracle and 100k probes from a second Zipf
+// draw run through MultiplicityBatch in scan-sized batches. Items are
+// probes. BM_IndexEqualRange is the search the Index kernel replaced
+// (std::equal_range over R's sorted keys per probe); CI fails if the Index
+// kernel's median exceeds a quarter of it.
+struct OracleBenchData {
+  std::vector<double> r = ZipfValues(100'000, 1.0, 10'000, 7);
+  std::vector<double> probes = ZipfValues(100'000, 1.0, 10'000, 8);
+};
+
+const OracleBenchData& BenchData() {
+  static const OracleBenchData data;
+  return data;
 }
-BENCHMARK(BM_MOracleLookup);
+
+void RunOracleBatches(benchmark::State& state,
+                      const MultiplicityOracle& oracle) {
+  const std::vector<double>& probes = BenchData().probes;
+  std::vector<double> out(kScanBatchRows);
+  for (auto _ : state) {
+    for (size_t begin = 0; begin < probes.size(); begin += kScanBatchRows) {
+      const double* column = probes.data() + begin;
+      oracle.MultiplicityBatch(&column, 1,
+                               std::min(kScanBatchRows, probes.size() - begin),
+                               out.data());
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probes.size()));
+}
+
+void BM_MOracleBatchHistogram(benchmark::State& state) {
+  HistogramSpec spec;
+  HistogramMOracle oracle(BuildHistogram(BenchData().r, spec).ValueOrDie(),
+                          BuildHistogram(BenchData().probes, spec)
+                              .ValueOrDie());
+  RunOracleBatches(state, oracle);
+}
+BENCHMARK(BM_MOracleBatchHistogram);
+
+void BM_MOracleBatchIndex(benchmark::State& state) {
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("x", ValueType::kDouble);
+  Table* table = catalog.CreateTable("R", schema).ValueOrDie();
+  for (double v : BenchData().r) {
+    SITSTATS_CHECK_OK(table->AppendRow({Value(v)}));
+  }
+  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie());
+  RunOracleBatches(state, oracle);
+}
+BENCHMARK(BM_MOracleBatchIndex);
+
+void BM_IndexEqualRange(benchmark::State& state) {
+  std::vector<double> keys = BenchData().r;
+  std::sort(keys.begin(), keys.end());
+  const std::vector<double>& probes = BenchData().probes;
+  std::vector<double> out(probes.size());
+  for (auto _ : state) {
+    for (size_t i = 0; i < probes.size(); ++i) {
+      auto range = std::equal_range(keys.begin(), keys.end(), probes[i]);
+      out[i] = static_cast<double>(range.second - range.first);
+    }
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probes.size()));
+}
+BENCHMARK(BM_IndexEqualRange);
+
+void BM_MOracleBatchExactMap(benchmark::State& state) {
+  WeightTable multiplicities;
+  for (double v : BenchData().r) multiplicities.Add(v, 1.0);
+  ExactMapMOracle oracle(std::move(multiplicities));
+  RunOracleBatches(state, oracle);
+}
+BENCHMARK(BM_MOracleBatchExactMap);
 
 void BM_EstimateJoinCardinality(benchmark::State& state) {
   HistogramSpec spec;

@@ -1,5 +1,6 @@
 #include "exec/query_executor.h"
 
+#include <cmath>
 #include <cstring>
 
 #include <unordered_map>
@@ -16,10 +17,18 @@ namespace {
 /// predicate) edges uniformly.
 using MultiplicityMap = std::unordered_map<std::string, uint64_t>;
 
-std::string EncodeKey(const double* values, size_t n) {
-  std::string key(n * sizeof(double), '\0');
-  std::memcpy(key.data(), values, n * sizeof(double));
-  return key;
+/// Byte-encodes a join-key tuple into `key` with the equality of `==`,
+/// the one every exact path uses: -0.0 is folded into +0.0 (`v + 0.0`),
+/// and a tuple holding a NaN has no key (returns false), since NaN joins
+/// nothing.
+bool EncodeKey(const double* values, size_t n, std::string* key) {
+  key->resize(n * sizeof(double));
+  for (size_t c = 0; c < n; ++c) {
+    if (std::isnan(values[c])) return false;
+    const double folded = values[c] + 0.0;
+    std::memcpy(key->data() + c * sizeof(double), &folded, sizeof(double));
+  }
+  return true;
 }
 
 /// Computes the multiplicity map of `node`'s subtree. For each row of the
@@ -52,12 +61,17 @@ Result<std::vector<uint64_t>> RowMultiplicities(const Catalog& catalog,
       key_cols.push_back(key_col);
     }
     std::vector<double> values(key_cols.size());
+    std::string key;
     for (size_t row = 0; row < mult.size(); ++row) {
       if (mult[row] == 0) continue;
       for (size_t c = 0; c < key_cols.size(); ++c) {
         values[c] = key_cols[c]->GetNumeric(row);
       }
-      auto it = child_map.find(EncodeKey(values.data(), values.size()));
+      if (!EncodeKey(values.data(), values.size(), &key)) {
+        mult[row] = 0;
+        continue;
+      }
+      auto it = child_map.find(key);
       mult[row] = (it == child_map.end()) ? 0 : mult[row] * it->second;
     }
   }
@@ -80,12 +94,13 @@ Result<MultiplicityMap> SubtreeMultiplicities(const Catalog& catalog,
   }
   MultiplicityMap map;
   std::vector<double> values(key_cols.size());
+  std::string key;
   for (size_t row = 0; row < mult.size(); ++row) {
     if (mult[row] == 0) continue;
     for (size_t c = 0; c < key_cols.size(); ++c) {
       values[c] = key_cols[c]->GetNumeric(row);
     }
-    map[EncodeKey(values.data(), values.size())] += mult[row];
+    if (EncodeKey(values.data(), values.size(), &key)) map[key] += mult[row];
   }
   return map;
 }

@@ -16,6 +16,13 @@ Result<GridHistogram2D::Bounds> GridHistogram2D::FitBounds(
   if (points.empty()) {
     return Status::InvalidArgument("cannot fit grid bounds to no points");
   }
+  for (const auto& [x, y] : points) {
+    // An equi-width grid cannot span an infinity, and a NaN has no cell.
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      return Status::InvalidArgument("cannot fit grid bounds to a NaN or "
+                                     "infinite point");
+    }
+  }
   Bounds b;
   b.nx = nx;
   b.ny = ny;
@@ -36,8 +43,12 @@ Result<GridHistogram2D> GridHistogram2D::Build(
   if (bounds.nx < 1 || bounds.ny < 1) {
     return Status::InvalidArgument("grid resolution must be positive");
   }
-  if (bounds.x_hi < bounds.x_lo || bounds.y_hi < bounds.y_lo) {
-    return Status::InvalidArgument("grid bounds are inverted");
+  // Written so a NaN bound fails too: it would make every cell index
+  // undefined.
+  if (!(bounds.x_lo <= bounds.x_hi && bounds.y_lo <= bounds.y_hi) ||
+      !std::isfinite(bounds.x_hi - bounds.x_lo) ||
+      !std::isfinite(bounds.y_hi - bounds.y_lo)) {
+    return Status::InvalidArgument("grid bounds are inverted or not finite");
   }
   GridHistogram2D grid(bounds);
   grid.cells_.assign(
@@ -59,7 +70,7 @@ Result<GridHistogram2D> GridHistogram2D::Build(
     // probe mass.
     double cx = std::clamp(x, bounds.x_lo, bounds.x_hi);
     double cy = std::clamp(y, bounds.y_lo, bounds.y_hi);
-    int idx = grid.CellIndex(cx, cy);
+    int idx = CellIndex(bounds, cx, cy);
     if (idx < 0) continue;  // empty-range bounds
     Cell& cell = grid.cells_[static_cast<size_t>(idx)];
     cell.frequency += 1.0;
@@ -70,27 +81,25 @@ Result<GridHistogram2D> GridHistogram2D::Build(
   return grid;
 }
 
-int GridHistogram2D::CellIndex(double x, double y) const {
-  if (x < bounds_.x_lo || x > bounds_.x_hi || y < bounds_.y_lo ||
-      y > bounds_.y_hi) {
+int GridHistogram2D::CellIndex(const Bounds& bounds, double x, double y) {
+  if (!(x >= bounds.x_lo && x <= bounds.x_hi && y >= bounds.y_lo &&
+        y <= bounds.y_hi)) {
     return -1;
   }
-  double wx = bounds_.x_hi - bounds_.x_lo;
-  double wy = bounds_.y_hi - bounds_.y_lo;
-  int ix = wx > 0.0 ? static_cast<int>((x - bounds_.x_lo) / wx *
-                                       bounds_.nx)
+  double wx = bounds.x_hi - bounds.x_lo;
+  double wy = bounds.y_hi - bounds.y_lo;
+  int ix = wx > 0.0 ? static_cast<int>((x - bounds.x_lo) / wx * bounds.nx)
                     : 0;
-  int iy = wy > 0.0 ? static_cast<int>((y - bounds_.y_lo) / wy *
-                                       bounds_.ny)
+  int iy = wy > 0.0 ? static_cast<int>((y - bounds.y_lo) / wy * bounds.ny)
                     : 0;
-  if (ix >= bounds_.nx) ix = bounds_.nx - 1;  // x == x_hi
-  if (iy >= bounds_.ny) iy = bounds_.ny - 1;
-  return iy * bounds_.nx + ix;
+  if (ix >= bounds.nx) ix = bounds.nx - 1;  // x == x_hi
+  if (iy >= bounds.ny) iy = bounds.ny - 1;
+  return iy * bounds.nx + ix;
 }
 
 const GridHistogram2D::Cell* GridHistogram2D::FindCell(double x,
                                                        double y) const {
-  int idx = CellIndex(x, y);
+  int idx = CellIndex(bounds_, x, y);
   if (idx < 0) return nullptr;
   return &cells_[static_cast<size_t>(idx)];
 }

@@ -31,20 +31,30 @@ class GridHistogram2D {
     double x_lo = 0.0, x_hi = 0.0;
     double y_lo = 0.0, y_hi = 0.0;
     int nx = 10, ny = 10;
+
+    bool operator==(const Bounds&) const = default;
   };
 
-  /// Bounds that cover `points` with the given resolution.
+  /// Bounds that cover `points` with the given resolution; InvalidArgument
+  /// when a point has a NaN or infinite coordinate.
   static Result<Bounds> FitBounds(
       const std::vector<std::pair<double, double>>& points, int nx, int ny);
 
-  /// Builds a grid over `points` with explicit bounds (points outside the
-  /// bounds are clamped into the border cells).
+  /// Builds a grid over `points` with explicit bounds, which must be finite
+  /// and not inverted (points outside the bounds are clamped into the
+  /// border cells; a point with a NaN coordinate is dropped).
   static Result<GridHistogram2D> Build(
       const std::vector<std::pair<double, double>>& points,
       const Bounds& bounds);
 
   const Bounds& bounds() const { return bounds_; }
   size_t num_cells() const { return cells_.size(); }
+  /// Cell `index` in CellIndex order.
+  const Cell& cell(size_t index) const { return cells_[index]; }
+
+  /// Row-major index (iy * nx + ix) of the cell of `bounds` containing
+  /// (x, y), or -1 when the point is outside the bounds or has a NaN.
+  static int CellIndex(const Bounds& bounds, double x, double y);
 
   /// The cell containing (x, y), or nullptr when outside the bounds.
   const Cell* FindCell(double x, double y) const;
@@ -58,8 +68,6 @@ class GridHistogram2D {
 
  private:
   explicit GridHistogram2D(Bounds bounds) : bounds_(bounds) {}
-
-  int CellIndex(double x, double y) const;  // -1 outside
 
   Bounds bounds_;
   std::vector<Cell> cells_;  // row-major: iy * nx + ix

@@ -1,12 +1,13 @@
 #ifndef SITSTATS_SIT_M_ORACLE_H_
 #define SITSTATS_SIT_M_ORACLE_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "histogram/grid_histogram.h"
 #include "histogram/histogram.h"
+#include "sit/weight_table.h"
 #include "storage/index.h"
 
 namespace sitstats {
@@ -14,33 +15,31 @@ namespace sitstats {
 /// The m-Oracle of Sweep (Section 3.1): given the join value y of a tuple
 /// scanned from table S, estimate the multiplicity of y in the other join
 /// operand R — i.e. the number of matches for the tuple in R ⋈ S.
+///
+/// Every oracle compiles itself at construction into one flat table that
+/// answers a row with one lookup, and MultiplicityBatch is its one
+/// evaluation method (DESIGN.md note 15).
 class MultiplicityOracle {
  public:
   virtual ~MultiplicityOracle() = default;
 
-  /// (Expected) number of matching tuples for join value `y`. May be
-  /// fractional for approximating oracles.
-  virtual double Multiplicity(double y) const = 0;
+  /// Batched lookup over columnar input: `columns[c][r]` is row r's value
+  /// for predicate column c (`num_columns` >= num_columns()), and `out[r]`
+  /// receives that row's (expected) number of matching tuples, which may be
+  /// fractional for approximating oracles. The sweep calls it once per
+  /// ScanBatch and join.
+  virtual void MultiplicityBatch(const double* const* columns,
+                                 size_t num_columns, size_t num_rows,
+                                 double* out) const = 0;
 
-  /// Multi-column variant for composite join predicates (the scanned
-  /// tuple's values for every predicate column, in predicate order).
-  /// Single-column oracles ignore everything past the first value.
-  virtual double MultiplicityN(const double* values, size_t n) const {
-    (void)n;
-    return Multiplicity(values[0]);
-  }
+  /// One-row wrappers over MultiplicityBatch. MultiplicityN takes the row's
+  /// values for every predicate column, in predicate order; fewer than
+  /// num_columns() values match nothing.
+  double Multiplicity(double y) const { return MultiplicityN(&y, 1); }
+  double MultiplicityN(const double* values, size_t n) const;
 
   /// Number of join columns this oracle consumes (1 unless composite).
   virtual size_t num_columns() const { return 1; }
-
-  /// Batched lookup over columnar input: `columns[c][r]` is row r's value
-  /// for predicate column c, and `out[r]` receives that row's multiplicity.
-  /// The base implementation loops MultiplicityN; the batched sweep calls
-  /// this once per ScanBatch so the per-row cost is one (devirtualizable)
-  /// call on the concrete oracle instead of scan-level dispatch per tuple.
-  virtual void MultiplicityBatch(const double* const* columns,
-                                 size_t num_columns, size_t num_rows,
-                                 double* out) const;
 
   /// True for oracles that return exact multiplicities (an index or an
   /// exact map), false for approximating ones (histograms). Sweep scans
@@ -74,118 +73,136 @@ enum class ContainmentMode {
 /// Values outside the other side's histogram have multiplicity 0.
 /// `other_side` may be a base-table histogram or an intermediate SIT (the
 /// chain/tree case of Section 3.2).
+///
+/// The formula reads y only through the two buckets containing it, so it
+/// is piecewise constant: the constructor merges both histograms' bucket
+/// endpoints into one sorted breakpoint array and stores the formula's
+/// value for every endpoint and every open gap between two. A row finds
+/// its piece through an equal-width bin directory over the breakpoints and
+/// a fixed number of comparisons within its bin.
 class HistogramMOracle : public MultiplicityOracle {
  public:
-  HistogramMOracle(Histogram other_side, Histogram scanned_side,
-                   ContainmentMode mode = ContainmentMode::kDensityNormalized)
-      : other_side_(std::move(other_side)),
-        scanned_side_(std::move(scanned_side)),
-        mode_(mode) {}
+  HistogramMOracle(const Histogram& other_side, const Histogram& scanned_side,
+                   ContainmentMode mode = ContainmentMode::kDensityNormalized);
 
-  double Multiplicity(double y) const override;
+  void MultiplicityBatch(const double* const* columns, size_t num_columns,
+                         size_t num_rows, double* out) const override;
   bool exact() const override { return false; }
   std::string Describe() const override { return "HistogramMOracle"; }
 
-  const Histogram& other_side() const { return other_side_; }
-
  private:
-  Histogram other_side_;
-  Histogram scanned_side_;
-  ContainmentMode mode_;
+  size_t Bin(double y) const;
+
+  // Distinct non-NaN bucket endpoints of both sides in ascending order,
+  // then NaN padding, so a row's scan never leaves the array.
+  std::vector<double> breakpoints_;
+  // values_[2k] is the gap below breakpoints_[k] (k = 0 also answers NaN),
+  // values_[2k + 1] the point breakpoints_[k].
+  std::vector<double> values_;
+  // directory_[b]: the index of the first breakpoint whose Bin() is b or
+  // above.
+  std::vector<uint32_t> directory_;
+  double directory_lo_ = 0.0;
+  double directory_scale_ = 0.0;
+  size_t scan_ = 0;  // most breakpoints in one bin
 };
 
-/// Exact m-Oracle over a base table: repeated lookups on a sorted index
-/// over R.x (the SweepIndex idea). Multiplicities are exact.
+/// Exact m-Oracle over a base table: the multiplicities of a sorted index
+/// over R.x (the SweepIndex idea), compiled by one run-length pass over the
+/// index's keys. Multiplicities are exact.
 class IndexMOracle : public MultiplicityOracle {
  public:
-  /// `index` is borrowed and must outlive the oracle.
-  explicit IndexMOracle(const SortedIndex* index) : index_(index) {}
+  /// Reads `index` during construction only.
+  explicit IndexMOracle(const SortedIndex* index);
 
-  double Multiplicity(double y) const override;
-  bool exact() const override { return true; }
-  std::string Describe() const override {
-    return "IndexMOracle(" + index_->table_name() + "." +
-           index_->column_name() + ")";
+  void MultiplicityBatch(const double* const* columns, size_t num_columns,
+                         size_t num_rows, double* out) const override {
+    (void)num_columns;
+    counts_.Lookup(columns, num_rows, out);
   }
+  bool exact() const override { return true; }
+  std::string Describe() const override { return description_; }
 
  private:
-  const SortedIndex* index_;
+  WeightTable counts_;
+  std::string description_;
 };
 
 /// Approximating m-Oracle for a *composite* (two-predicate) join between
 /// the scanned table and a base table, backed by 2D grid histograms over
-/// the two join-column pairs. Both grids are built with identical bounds,
-/// so cells align and the containment estimate is the per-cell
+/// the two join-column pairs. Both grids must have identical bounds, so
+/// cells align and the containment estimate is the per-cell
 ///   f_R / max(dv_R, dv_S)
 /// — the natural 2D generalization of Section 3.1.1. Crucially the joint
 /// grid captures correlation *between the two predicates*, which two
-/// independent 1D histograms cannot.
+/// independent 1D histograms cannot. The constructor stores that value
+/// per cell.
 class GridMOracle : public MultiplicityOracle {
  public:
-  GridMOracle(GridHistogram2D other_side, GridHistogram2D scanned_side)
-      : other_side_(std::move(other_side)),
-        scanned_side_(std::move(scanned_side)) {}
+  GridMOracle(const GridHistogram2D& other_side,
+              const GridHistogram2D& scanned_side);
 
-  double Multiplicity(double y) const override {
-    return MultiplicityN(&y, 1);
-  }
-  double MultiplicityN(const double* values, size_t n) const override;
+  void MultiplicityBatch(const double* const* columns, size_t num_columns,
+                         size_t num_rows, double* out) const override;
   size_t num_columns() const override { return 2; }
   bool exact() const override { return false; }
   std::string Describe() const override { return "GridMOracle"; }
 
  private:
-  GridHistogram2D other_side_;
-  GridHistogram2D scanned_side_;
+  GridHistogram2D::Bounds bounds_;
+  std::vector<double> values_;  // one per cell, in CellIndex order
 };
 
-/// Exact m-Oracle over a composite key: a hash map from the byte-encoded
-/// tuple of join values to the exact multiplicity. Used by
-/// SweepIndex/SweepExact for composite predicates (the composite-key
-/// analogue of an index) and buildable directly from base-table columns.
+/// Exact m-Oracle over a composite key: a table from the tuple of join
+/// values to the exact multiplicity. Used by SweepIndex/SweepExact for
+/// composite predicates (the composite-key analogue of an index) and
+/// buildable directly from base-table columns.
 class CompositeExactMOracle : public MultiplicityOracle {
  public:
-  /// Encodes a tuple of doubles into the map key.
-  static std::string EncodeKey(const double* values, size_t n);
+  /// `counts` maps a tuple of counts.width() join values to its count.
+  explicit CompositeExactMOracle(WeightTable counts)
+      : counts_(std::move(counts)) {}
 
-  CompositeExactMOracle(std::unordered_map<std::string, double> counts,
-                        size_t columns)
-      : counts_(std::move(counts)), columns_(columns) {}
-
-  /// Builds the exact composite-count map over `columns` of `table`.
+  /// Builds the exact composite-count table over `columns` of `table`.
   static Result<CompositeExactMOracle> BuildFromTable(
       const Table& table, const std::vector<std::string>& columns);
 
-  double Multiplicity(double y) const override {
-    return MultiplicityN(&y, 1);
+  void MultiplicityBatch(const double* const* columns, size_t num_columns,
+                         size_t num_rows, double* out) const override {
+    (void)num_columns;
+    counts_.Lookup(columns, num_rows, out);
   }
-  double MultiplicityN(const double* values, size_t n) const override;
-  size_t num_columns() const override { return columns_; }
+  size_t num_columns() const override { return counts_.width(); }
   bool exact() const override { return true; }
   std::string Describe() const override { return "CompositeExactMOracle"; }
 
  private:
-  std::unordered_map<std::string, double> counts_;
-  size_t columns_;
+  WeightTable counts_;
 };
 
 /// Exact m-Oracle over an *intermediate* join result that was never
-/// materialized: a hash map from join value to the total (possibly
-/// fractional) multiplicity accumulated during the previous Sweep scan.
-/// This generalizes SweepIndex/SweepExact to multi-join generating
-/// queries, where the other join operand is not a base table and hence
-/// has no index.
+/// materialized: the table from join value to the total (possibly
+/// fractional) multiplicity accumulated during the previous Sweep scan
+/// (SweepOutput::exact_map). This generalizes SweepIndex/SweepExact to
+/// multi-join generating queries, where the other join operand is not a
+/// base table and hence has no index.
 class ExactMapMOracle : public MultiplicityOracle {
  public:
-  explicit ExactMapMOracle(std::unordered_map<double, double> multiplicities)
-      : multiplicities_(std::move(multiplicities)) {}
+  explicit ExactMapMOracle(WeightTable multiplicities)
+      : multiplicities_(std::move(multiplicities)) {
+    multiplicities_.Compact();
+  }
 
-  double Multiplicity(double y) const override;
+  void MultiplicityBatch(const double* const* columns, size_t num_columns,
+                         size_t num_rows, double* out) const override {
+    (void)num_columns;
+    multiplicities_.Lookup(columns, num_rows, out);
+  }
   bool exact() const override { return true; }
   std::string Describe() const override { return "ExactMapMOracle"; }
 
  private:
-  std::unordered_map<double, double> multiplicities_;
+  WeightTable multiplicities_;
 };
 
 }  // namespace sitstats

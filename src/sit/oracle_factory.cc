@@ -75,8 +75,8 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
   SITSTATS_ASSIGN_OR_RETURN(
       GridHistogram2D scanned_grid,
       GridHistogram2D::Build(scanned_points, bounds));
-  return std::unique_ptr<MultiplicityOracle>(std::make_unique<GridMOracle>(
-      std::move(other_grid), std::move(scanned_grid)));
+  return std::unique_ptr<MultiplicityOracle>(
+      std::make_unique<GridMOracle>(other_grid, scanned_grid));
 }
 
 }  // namespace
@@ -114,27 +114,24 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
         std::make_unique<ExactMapMOracle>(std::move(child_output->exact_map)));
   }
 
-  Histogram other_side;
+  const Histogram* other_side = nullptr;
   if (child_is_leaf) {
     SITSTATS_ASSIGN_OR_RETURN(
-        const Histogram* hist,
-        base_stats->GetOrBuild(*catalog, child.table,
-                               child.column_to_parent(), rng));
-    other_side = *hist;
+        other_side, base_stats->GetOrBuild(*catalog, child.table,
+                                           child.column_to_parent(), rng));
   } else {
     if (child_output == nullptr) {
       return Status::Internal("histogram oracle for internal child " +
                               child.table + " without its sweep output");
     }
-    other_side = child_output->histogram;
+    other_side = &child_output->histogram;
   }
   SITSTATS_ASSIGN_OR_RETURN(
       const Histogram* scanned_side,
       base_stats->GetOrBuild(*catalog, node.table, child.parent_column(),
                              rng));
   return std::unique_ptr<MultiplicityOracle>(
-      std::make_unique<HistogramMOracle>(std::move(other_side),
-                                         *scanned_side, mode));
+      std::make_unique<HistogramMOracle>(*other_side, *scanned_side, mode));
 }
 
 }  // namespace sitstats

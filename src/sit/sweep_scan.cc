@@ -21,7 +21,7 @@ struct TargetState {
   TempValueStore* store = nullptr;        // full path
   Rng* rng = nullptr;                  // this target's random stream
   double fractional_cardinality = 0.0;
-  std::unordered_map<double, double> exact_map;
+  WeightTable exact_map;
 };
 
 }  // namespace
@@ -152,7 +152,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     double attr_value = attr_values[r];
     state.fractional_cardinality += multiplicity;
     if (target.build_exact_map) {
-      state.exact_map[attr_value] += multiplicity;
+      state.exact_map.Add(attr_value, multiplicity);
     }
     // Steps 3-4: append `multiplicity` copies of the attribute value to
     // the conceptual temporary table.

@@ -2,7 +2,6 @@
 #define SITSTATS_SIT_SWEEP_SCAN_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -10,6 +9,7 @@
 #include "common/rng.h"
 #include "histogram/builder.h"
 #include "sit/m_oracle.h"
+#include "sit/weight_table.h"
 #include "storage/catalog.h"
 #include "storage/io_stats.h"
 
@@ -81,8 +81,9 @@ struct SweepOutput {
   /// Estimated |generating query| — the total (fractional) weight of the
   /// approximated stream.
   double estimated_cardinality = 0.0;
-  /// Exact weighted multiplicity map (only if build_exact_map was set).
-  std::unordered_map<double, double> exact_map;
+  /// Exact weighted multiplicity map, attribute value -> summed
+  /// multiplicity in row order (only if build_exact_map was set).
+  WeightTable exact_map;
   /// This target's share of the scan's physical work: the scan and its
   /// rows, rows x this target's joins in m-Oracle lookups (index_lookups
   /// for exact oracles, histogram_lookups for approximating ones), and

@@ -42,11 +42,6 @@ Result<SortedIndex> SortedIndex::Build(const Table& table,
   return index;
 }
 
-size_t SortedIndex::Multiplicity(double key) const {
-  auto range = std::equal_range(keys_.begin(), keys_.end(), key);
-  return static_cast<size_t>(range.second - range.first);
-}
-
 std::vector<uint64_t> SortedIndex::LookupRange(double lo, double hi) const {
   std::vector<uint64_t> out;
   auto begin = std::lower_bound(keys_.begin(), keys_.end(), lo);

@@ -12,7 +12,8 @@ namespace sitstats {
 
 /// Secondary index over one numeric column: a sorted array of
 /// (key, row id) pairs, the in-memory equivalent of a clustered B+-tree
-/// leaf level. SweepIndex uses Multiplicity() as its exact m-Oracle.
+/// leaf level. SweepIndex's exact m-Oracle (IndexMOracle) compiles
+/// ForEachKeyRun() into a lookup table once per build.
 class SortedIndex {
  public:
   /// Builds an index over `table`.`column_name`. Fails on string columns,
@@ -24,9 +25,18 @@ class SortedIndex {
   const std::string& column_name() const { return column_name_; }
   size_t num_entries() const { return keys_.size(); }
 
-  /// Number of rows whose key equals `key` (exact multiplicity).
-  /// O(log n) binary search.
-  size_t Multiplicity(double key) const;
+  /// Calls fn(key, count) once per distinct key, in ascending key order:
+  /// one run-length pass over the sorted keys (keys equal under `==`, so
+  /// -0.0 and +0.0 form one run).
+  template <typename Fn>
+  void ForEachKeyRun(Fn&& fn) const {
+    for (size_t begin = 0; begin < keys_.size();) {
+      size_t end = begin + 1;
+      while (end < keys_.size() && keys_[end] == keys_[begin]) ++end;
+      fn(keys_[begin], end - begin);
+      begin = end;
+    }
+  }
 
   /// Row ids whose key lies in [lo, hi] (inclusive), in key order; row ids
   /// of equal keys are ascending.

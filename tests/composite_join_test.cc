@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "datagen/distributions.h"
@@ -58,6 +60,23 @@ TEST(GridHistogramTest, RejectsBadInput) {
   inverted.x_lo = 5;
   inverted.x_hi = 1;
   EXPECT_FALSE(GridHistogram2D::Build({{1, 1}}, inverted).ok());
+  // A NaN or infinite point has no place in an equi-width grid, and NaN
+  // bounds would make every cell index undefined.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::pair<double, double>& bad :
+       {std::pair{nan, 1.0}, std::pair{1.0, nan}, std::pair{inf, 1.0},
+        std::pair{1.0, -inf}}) {
+    EXPECT_FALSE(GridHistogram2D::FitBounds({bad, {2, 2}}, 3, 3).ok());
+    EXPECT_FALSE(GridHistogram2D::FitBounds({{2, 2}, bad}, 3, 3).ok());
+  }
+  GridHistogram2D::Bounds nan_bounds;
+  nan_bounds.x_lo = nan;
+  nan_bounds.x_hi = nan;
+  EXPECT_FALSE(GridHistogram2D::Build({{1, 1}}, nan_bounds).ok());
+  GridHistogram2D::Bounds infinite;
+  infinite.x_hi = inf;
+  EXPECT_FALSE(GridHistogram2D::Build({{1, 1}}, infinite).ok());
 }
 
 TEST(CompositeExactMOracleTest, ExactCountsOnPairs) {
@@ -240,6 +259,48 @@ TEST(CompositeJoinTest, CompositeLeafSitBytesArePinned) {
     EXPECT_EQ(hash, kPinned[v]) << SweepVariantToString(variants[v])
                                 << " hash 0x" << std::hex << hash;
   }
+}
+
+TEST(CompositeJoinTest, GridOracleRejectsNaNJoinValue) {
+  // A NaN in the first row of the child's composite join columns: the grid
+  // oracle's build reports InvalidArgument instead of aborting, and the
+  // exact variants drop the row (a NaN key never matches).
+  Catalog catalog;
+  Schema rs;
+  rs.AddColumn("x1", ValueType::kDouble);
+  rs.AddColumn("x2", ValueType::kDouble);
+  Table* r = catalog.CreateTable("R", rs).ValueOrDie();
+  Schema ss;
+  ss.AddColumn("y1", ValueType::kDouble);
+  ss.AddColumn("y2", ValueType::kDouble);
+  ss.AddColumn("a", ValueType::kDouble);
+  Table* s = catalog.CreateTable("S", ss).ValueOrDie();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SITSTATS_CHECK_OK(r->AppendRow({Value(nan), Value(1.0)}));
+  for (int i = 0; i < 20; ++i) {
+    const double k = i % 4;
+    SITSTATS_CHECK_OK(r->AppendRow({Value(k), Value(k + 1)}));
+    SITSTATS_CHECK_OK(s->AppendRow({Value(k), Value(k + 1), Value(k * 2)}));
+  }
+  GeneratingQuery query =
+      GeneratingQuery::Create(
+          {"R", "S"}, {Join("R", "x1", "S", "y1"), Join("R", "x2", "S", "y2")})
+          .ValueOrDie();
+  const SitDescriptor descriptor(ColumnRef{"S", "a"}, query);
+  for (SweepVariant variant : {SweepVariant::kSweep, SweepVariant::kSweepFull}) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = variant;
+    EXPECT_EQ(CreateSit(&catalog, &stats, descriptor, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  BaseStatsCache stats;
+  SitBuildOptions options;
+  options.variant = SweepVariant::kSweepExact;
+  Sit sit = CreateSit(&catalog, &stats, descriptor, options).ValueOrDie();
+  EXPECT_DOUBLE_EQ(sit.estimated_cardinality,
+                   ExactJoinCardinality(catalog, query).ValueOrDie());
+  EXPECT_DOUBLE_EQ(sit.estimated_cardinality, 100.0);  // 20 rows x 5 each
 }
 
 TEST(CompositeJoinTest, IntermediateCompositeEdgesAreRejected) {

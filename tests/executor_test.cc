@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
 #include "common/logging.h"
 #include "datagen/synthetic_db.h"
 #include "exec/hash_join.h"
+#include "sit/creator.h"
 
 namespace sitstats {
 namespace {
@@ -172,6 +174,109 @@ TEST(ExpandWeightedTest, ExpandsAndCaps) {
   EXPECT_EQ(expanded.size(), 5u);
   EXPECT_EQ(ExpandWeighted(values, 4).status().code(),
             StatusCode::kResourceExhausted);
+}
+
+// One key equality on every exact path: the executor, the materialized
+// hash join and SweepExact's oracles all treat -0.0 and +0.0 as one key
+// and never match a NaN.
+
+void AddDoubleTable(Catalog* catalog, const std::string& name,
+                    const std::vector<std::string>& columns,
+                    const std::vector<std::vector<double>>& rows) {
+  Schema schema;
+  for (const std::string& column : columns) {
+    schema.AddColumn(column, ValueType::kDouble);
+  }
+  Table* table = catalog->CreateTable(name, schema).ValueOrDie();
+  for (const std::vector<double>& row : rows) {
+    std::vector<Value> values;
+    for (double v : row) values.emplace_back(v);
+    SITSTATS_CHECK_OK(table->AppendRow(values));
+  }
+}
+
+double MaterializedRows(const Catalog& catalog, const GeneratingQuery& query) {
+  return static_cast<double>(
+      MaterializeJoin(catalog, query).ValueOrDie().num_rows());
+}
+
+double SweepExactCardinality(Catalog* catalog, const GeneratingQuery& query,
+                             const ColumnRef& attribute) {
+  BaseStatsCache stats;
+  SitBuildOptions options;
+  options.variant = SweepVariant::kSweepExact;
+  return CreateSit(catalog, &stats, SitDescriptor(attribute, query), options)
+      .ValueOrDie()
+      .estimated_cardinality;
+}
+
+TEST(ExactKeyEqualityTest, SignedZerosAreOneKey) {
+  Catalog catalog;
+  AddDoubleTable(&catalog, "R", {"x"}, {{0.0}, {0.0}, {1.0}});
+  AddDoubleTable(&catalog, "S", {"y"}, {{-0.0}, {1.0}});
+  GeneratingQuery query =
+      GeneratingQuery::Create({"R", "S"}, {Join("R", "x", "S", "y")})
+          .ValueOrDie();
+  const double materialized = MaterializedRows(catalog, query);
+  EXPECT_EQ(materialized, 3.0);
+  EXPECT_EQ(ExactJoinCardinality(catalog, query).ValueOrDie(), materialized);
+  // Both scan directions: R probing an index over S.y, and S over R.x.
+  EXPECT_EQ(SweepExactCardinality(&catalog, query, {"R", "x"}), materialized);
+  EXPECT_EQ(SweepExactCardinality(&catalog, query, {"S", "y"}), materialized);
+}
+
+TEST(ExactKeyEqualityTest, SignedZerosThroughTheExactMap) {
+  // T.z = S.w joins through S's exact map, accumulated over S.w values
+  // that mix -0.0 and +0.0 and probed with both.
+  Catalog catalog;
+  AddDoubleTable(&catalog, "R", {"x"}, {{0.0}, {-0.0}, {1.0}});
+  AddDoubleTable(&catalog, "S", {"y", "w"},
+                 {{-0.0, -0.0}, {0.0, 0.0}, {1.0, -0.0}, {1.0, 2.0}});
+  AddDoubleTable(&catalog, "T", {"z"}, {{0.0}, {-0.0}, {2.0}, {3.0}});
+  GeneratingQuery query =
+      GeneratingQuery::Create({"R", "S", "T"}, {Join("R", "x", "S", "y"),
+                                                Join("S", "w", "T", "z")})
+          .ValueOrDie();
+  const double materialized = MaterializedRows(catalog, query);
+  EXPECT_EQ(materialized, 11.0);
+  EXPECT_EQ(ExactJoinCardinality(catalog, query).ValueOrDie(), materialized);
+  EXPECT_EQ(SweepExactCardinality(&catalog, query, {"T", "z"}), materialized);
+  EXPECT_EQ(SweepExactCardinality(&catalog, query, {"R", "x"}), materialized);
+}
+
+TEST(ExactKeyEqualityTest, CompositeSignedZerosAreOneKey) {
+  Catalog catalog;
+  AddDoubleTable(&catalog, "R", {"x", "x2"},
+                 {{0.0, 1.0}, {0.0, 1.0}, {1.0, 1.0}});
+  AddDoubleTable(&catalog, "S", {"y", "y2"}, {{-0.0, 1.0}, {1.0, 1.0}});
+  GeneratingQuery query =
+      GeneratingQuery::Create(
+          {"R", "S"}, {Join("R", "x", "S", "y"), Join("R", "x2", "S", "y2")})
+          .ValueOrDie();
+  const double materialized = MaterializedRows(catalog, query);
+  EXPECT_EQ(materialized, 3.0);
+  EXPECT_EQ(ExactJoinCardinality(catalog, query).ValueOrDie(), materialized);
+  EXPECT_EQ(SweepExactCardinality(&catalog, query, {"S", "y"}), materialized);
+  EXPECT_EQ(SweepExactCardinality(&catalog, query, {"R", "x"}), materialized);
+}
+
+TEST(ExactKeyEqualityTest, NaNJoinsNothing) {
+  // SweepExact cannot take part: an index over a NaN key is rejected.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Catalog catalog;
+  AddDoubleTable(&catalog, "R", {"x", "x2"}, {{nan, 1.0}, {1.0, 1.0}});
+  AddDoubleTable(&catalog, "S", {"y", "y2"}, {{nan, 1.0}, {1.0, 1.0}});
+  GeneratingQuery single =
+      GeneratingQuery::Create({"R", "S"}, {Join("R", "x", "S", "y")})
+          .ValueOrDie();
+  EXPECT_EQ(MaterializedRows(catalog, single), 1.0);
+  EXPECT_EQ(ExactJoinCardinality(catalog, single).ValueOrDie(), 1.0);
+  GeneratingQuery composite =
+      GeneratingQuery::Create(
+          {"R", "S"}, {Join("R", "x2", "S", "y2"), Join("R", "x", "S", "y")})
+          .ValueOrDie();
+  EXPECT_EQ(MaterializedRows(catalog, composite), 1.0);
+  EXPECT_EQ(ExactJoinCardinality(catalog, composite).ValueOrDie(), 1.0);
 }
 
 }  // namespace

@@ -36,10 +36,10 @@ TEST(SortedIndexTest, MultiplicityAndRanges) {
   SortedIndex index = SortedIndex::Build(*t, "k").ValueOrDie();
   EXPECT_EQ(index.num_entries(), 10u);
   // keys: 0,1,2 repeating over 10 rows -> 0 appears 4 times, 1 and 2 thrice.
-  EXPECT_EQ(index.Multiplicity(0.0), 4u);
-  EXPECT_EQ(index.Multiplicity(1.0), 3u);
-  EXPECT_EQ(index.Multiplicity(2.0), 3u);
-  EXPECT_EQ(index.Multiplicity(9.0), 0u);
+  EXPECT_EQ(index.CountRange(0.0, 0.0), 4u);
+  EXPECT_EQ(index.CountRange(1.0, 1.0), 3u);
+  EXPECT_EQ(index.CountRange(2.0, 2.0), 3u);
+  EXPECT_EQ(index.CountRange(9.0, 9.0), 0u);
   EXPECT_EQ(index.CountRange(1.0, 2.0), 6u);
   EXPECT_EQ(index.CountRange(-5.0, 5.0), 10u);
   EXPECT_EQ(index.CountRange(3.0, 5.0), 0u);

@@ -158,8 +158,8 @@ TEST(CatalogTest, BuildAndGetIndex) {
   ASSERT_TRUE(catalog.BuildIndex("T", "k").ok());
   EXPECT_TRUE(catalog.HasIndex("T", "k"));
   const SortedIndex* index = catalog.GetIndex("T", "k").ValueOrDie();
-  EXPECT_EQ(index->Multiplicity(5.0), 2u);
-  EXPECT_EQ(index->Multiplicity(2.0), 0u);
+  EXPECT_EQ(index->CountRange(5.0, 5.0), 2u);
+  EXPECT_EQ(index->CountRange(2.0, 2.0), 0u);
   EXPECT_EQ(catalog.GetIndex("T", "v2").status().code(),
             StatusCode::kNotFound);
 }
@@ -171,9 +171,10 @@ TEST(CatalogTest, EnsureIndexBuildsOnceAndNeverReplaces) {
     ASSERT_TRUE(t->AppendRow({Value(k), Value(0.0)}).ok());
   }
   const SortedIndex* first = catalog.EnsureIndex("T", "k").ValueOrDie();
-  EXPECT_EQ(first->Multiplicity(5.0), 2u);
-  // A second Ensure returns the same live object (concurrent oracles hold
-  // raw pointers into the catalog, so Ensure must never swap an index).
+  EXPECT_EQ(first->CountRange(5.0, 5.0), 2u);
+  // A second Ensure returns the same live object (concurrent oracle builds
+  // read raw pointers into the catalog, so Ensure must never swap an
+  // index).
   const SortedIndex* second = catalog.EnsureIndex("T", "k").ValueOrDie();
   EXPECT_EQ(first, second);
   EXPECT_FALSE(catalog.EnsureIndex("T", "missing").ok());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -15,7 +16,10 @@ namespace {
 class ConstantOracle : public MultiplicityOracle {
  public:
   explicit ConstantOracle(double m) : m_(m) {}
-  double Multiplicity(double) const override { return m_; }
+  void MultiplicityBatch(const double* const*, size_t, size_t num_rows,
+                         double* out) const override {
+    std::fill(out, out + num_rows, m_);
+  }
   bool exact() const override { return true; }
   std::string Describe() const override { return "Constant"; }
 
@@ -26,7 +30,10 @@ class ConstantOracle : public MultiplicityOracle {
 /// Multiplicity = the join value itself (distinguishes rows).
 class IdentityOracle : public MultiplicityOracle {
  public:
-  double Multiplicity(double y) const override { return y; }
+  void MultiplicityBatch(const double* const* columns, size_t,
+                         size_t num_rows, double* out) const override {
+    std::copy(columns[0], columns[0] + num_rows, out);
+  }
   bool exact() const override { return true; }
   std::string Describe() const override { return "Identity"; }
 };
@@ -98,9 +105,10 @@ TEST(SweepScanTest, FullPathIsExactForIntegerMultiplicities) {
   // Rows with y == 0 contribute nothing; exact map contains the others.
   EXPECT_EQ(outputs[0].exact_map.size(), 80u);
   // Row i contributes weight i%5 at value a=i.
-  EXPECT_DOUBLE_EQ(outputs[0].exact_map.at(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(outputs[0].exact_map.at(4.0), 4.0);
-  EXPECT_FALSE(outputs[0].exact_map.contains(5.0));  // y = 0
+  const ExactMapMOracle exact_map(outputs[0].exact_map);
+  EXPECT_DOUBLE_EQ(exact_map.Multiplicity(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(exact_map.Multiplicity(4.0), 4.0);
+  EXPECT_EQ(exact_map.Multiplicity(5.0), 0.0);  // y = 0
 }
 
 TEST(SweepScanTest, SamplingPathScalesToStreamWeight) {
