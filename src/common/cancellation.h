@@ -25,8 +25,8 @@ struct CancellationState;
 ///
 /// Long-running loops poll `cancelled()` (two relaxed atomic loads) or
 /// `CheckCancelled()` every batch of work; blocking waits use
-/// `WaitForCancellation` or the token-aware WaitGroup::Wait, which are
-/// woken immediately by Cancel() rather than polling.
+/// `WaitForCancellation`, which is woken immediately by Cancel() rather
+/// than polling.
 class CancellationToken {
  public:
   /// A token that can never be cancelled.
@@ -64,8 +64,8 @@ class CancellationToken {
 /// from a parent token is *linked*: cancelling the parent cancels the
 /// child (the executor links its internal first-error source to the
 /// caller's request-timeout token this way). Cancel() is idempotent and
-/// safe from any thread; it wakes every WaitForCancellation /
-/// WaitGroup::Wait(token) waiter and runs registered callbacks once.
+/// safe from any thread; it wakes every WaitForCancellation waiter and
+/// runs registered callbacks once.
 class CancellationSource {
  public:
   CancellationSource();

@@ -36,10 +36,10 @@ namespace sitstats {
 ///
 /// Determinism: sites are hit a fixed number of times for a fixed (seeded)
 /// workload — site ordinals count *occurrences*, not wall-clock events, so
-/// a sweep enumerated once replays identically. Under a thread pool the
-/// per-site totals are stable even though the interleaving is not; "fail
-/// hit N of site S" then fails one nondeterministically-chosen occurrence,
-/// which is exactly the coverage concurrency needs.
+/// a sweep enumerated once replays identically. Under several executor
+/// workers the per-site totals are stable even though the interleaving is
+/// not; "fail hit N of site S" then fails one nondeterministically-chosen
+/// occurrence, which is exactly the coverage concurrency needs.
 ///
 /// Thread safety: Arm/Disarm/StartCounting/StopCounting are for the test
 /// driver thread; MaybeFail may race freely from worker threads.

@@ -57,13 +57,11 @@ class Rng {
     return NextDouble() < p;
   }
 
-  /// Raw 64-bit output (for seeding child generators).
+  /// Raw 64-bit output.
   uint64_t NextUint64() { return engine_(); }
 
-  /// Forks an independent child generator; advancing the child does not
-  /// perturb the parent beyond the single draw used to seed it.
-  Rng Fork() { return Rng(NextUint64()); }
-
+  /// The engine itself, for std algorithms (the instance generator's
+  /// std::shuffle calls).
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -84,10 +84,4 @@ uint64_t ReservoirSampler::NextReplacement(uint64_t t) {
   return s > kNever - t ? kNever : t + s;
 }
 
-void ReservoirSampler::Reset() {
-  sample_.clear();
-  stream_size_ = 0;
-  next_replace_ = 0;
-}
-
 }  // namespace sitstats

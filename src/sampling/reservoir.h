@@ -47,9 +47,6 @@ class ReservoirSampler {
   const std::vector<double>& sample() const { return sample_; }
   size_t capacity() const { return capacity_; }
 
-  /// Clears the sample and stream counter for reuse.
-  void Reset();
-
  private:
   /// Draws the 1-based stream position of the first element after
   /// position `t` (>= capacity) that replaces a slot.

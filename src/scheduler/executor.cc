@@ -1,13 +1,16 @@
 #include "scheduler/executor.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cerrno>
+#include <cstdlib>
 #include <functional>
+#include <queue>
+#include <thread>
 
 #include "common/cancellation.h"
-#include "common/sync.h"
 #include "common/fault_injection.h"
-#include "common/thread_pool.h"
+#include "common/logging.h"
+#include "common/sync.h"
 #include "query/join_tree.h"
 #include "telemetry/telemetry.h"
 
@@ -27,7 +30,43 @@ struct PlannedStep {
   size_t num_deps = 0;
 };
 
+/// The execution state every worker shares, under one lock.
+struct ReadyList {
+  Mutex mu;
+  CondVar cv;
+  std::vector<size_t> remaining_deps GUARDED_BY(mu);  // per step
+  std::priority_queue<size_t, std::vector<size_t>, std::greater<>> ready
+      GUARDED_BY(mu);
+  size_t finished GUARDED_BY(mu) = 0;
+  Status first_error GUARDED_BY(mu);
+};
+
 }  // namespace
+
+size_t ResolveThreadCount(int requested) {
+  long value = requested;
+  if (value <= 0) {
+    const char* env = std::getenv("SITSTATS_THREADS");
+    if (env != nullptr && *env != '\0') {
+      // A typo'd SITSTATS_THREADS must not silently serialize ("8x" -> 8
+      // would be worse, but "eight" -> 0 is still surprising): warn once
+      // per lookup and fall back to the serial default.
+      errno = 0;
+      char* end = nullptr;
+      value = std::strtol(env, &end, 10);
+      if (end == env || *end != '\0' || errno == ERANGE) {
+        SITSTATS_LOG(kWarning) << "ignoring malformed SITSTATS_THREADS='"
+                               << env << "'; using 1 thread";
+        value = 0;
+      }
+    } else {
+      value = 0;
+    }
+  }
+  if (value <= 0) return 1;
+  if (value > static_cast<long>(kMaxThreads)) return kMaxThreads;
+  return static_cast<size_t>(value);
+}
 
 Result<ScheduleExecutionResult> ExecuteSitSchedule(
     Catalog* catalog, BaseStatsCache* base_stats,
@@ -153,65 +192,59 @@ Result<ScheduleExecutionResult> ExecuteSitSchedule(
     return Status::OK();
   };
 
-  if (threads <= 1 || plan.size() <= 1) {
-    for (size_t step_idx = 0; step_idx < plan.size(); ++step_idx) {
-      SITSTATS_RETURN_IF_ERROR(execute_step(step_idx));
-    }
-  } else {
-    // Pool workers are fresh threads with no request context; hand them
-    // the submitting request's trace id so their sweep-scan spans land in
-    // the same trace as the rest of the request.
-    const uint64_t request_trace_id = telemetry::CurrentTraceId();
-    ThreadPool pool(threads);
-    std::vector<std::atomic<size_t>> remaining(plan.size());
+  // One ready list drains the DAG: each worker takes the lowest-index
+  // ready step, runs it unlocked, then releases its dependents. One worker
+  // therefore runs the schedule in order; more run the same DAG. The
+  // first failure is recorded and cancels `abort`, so running steps stop
+  // at their next row-loop poll and no worker takes another step.
+  ReadyList list;
+  {
+    MutexLock lock(list.mu);
     for (size_t i = 0; i < plan.size(); ++i) {
-      remaining[i].store(plan[i].num_deps, std::memory_order_relaxed);
+      list.remaining_deps.push_back(plan[i].num_deps);
+      if (plan[i].num_deps == 0) list.ready.push(i);
     }
-    std::atomic<bool> failed{false};
-    // Guards first_error (GUARDED_BY does not apply to locals; the CAS on
-    // `failed` already serializes writers, the lock orders the read below).
-    Mutex error_mu;
-    Status first_error = Status::OK();
-    WaitGroup wg;
-    wg.Add(plan.size());
-    // On failure the remaining steps still "complete" (skipping their
-    // work) so every dependent gets released and Wait() terminates — and
-    // the first failure cancels the shared abort token, so steps that are
-    // already *running* stop at their next row-loop poll instead of
-    // finishing a doomed scan. Their Status::Cancelled returns lose the
-    // CAS below, so the original error is the one reported.
-    std::function<void(size_t)> run_step = [&](size_t step_idx) {
-      telemetry::TraceIdScope trace_scope(request_trace_id);
-      if (!failed.load(std::memory_order_acquire)) {
-        Status status = execute_step(step_idx);
-        if (!status.ok()) {
-          bool expected = false;
-          if (failed.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-            {
-              MutexLock lock(error_mu);
-              first_error = std::move(status);
-            }
-            abort.Cancel();
-          }
-        }
+  }
+  // Helper threads have no request context; hand every worker the
+  // caller's trace id so its spans land in the request's trace.
+  const uint64_t request_trace_id = telemetry::CurrentTraceId();
+  auto worker = [&] {
+    telemetry::TraceIdScope trace_scope(request_trace_id);
+    MutexLock lock(list.mu);
+    for (;;) {
+      while (list.ready.empty() && list.first_error.ok() &&
+             list.finished < plan.size()) {
+        list.cv.Wait(list.mu);
+      }
+      if (!list.first_error.ok() || list.ready.empty()) return;
+      const size_t step_idx = list.ready.top();
+      list.ready.pop();
+      lock.Unlock();
+      Status status = execute_step(step_idx);
+      lock.Lock();
+      ++list.finished;
+      if (!status.ok()) {
+        if (list.first_error.ok()) list.first_error = std::move(status);
+        list.cv.NotifyAll();
+        lock.Unlock();
+        abort.Cancel();
+        return;
       }
       for (size_t dep : plan[step_idx].dependents) {
-        // acq_rel: the final decrement must observe the writes of every
-        // predecessor step before the dependent is submitted.
-        if (remaining[dep].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          pool.Submit([&run_step, dep] { run_step(dep); });
-        }
+        if (--list.remaining_deps[dep] == 0) list.ready.push(dep);
       }
-      wg.Done();
-    };
-    for (size_t i = 0; i < plan.size(); ++i) {
-      if (plan[i].num_deps == 0) {
-        pool.Submit([&run_step, i] { run_step(i); });
-      }
+      list.cv.NotifyAll();
     }
-    wg.Wait();
-    if (failed.load(std::memory_order_acquire)) return first_error;
+  };
+  std::vector<std::thread> helpers;
+  for (size_t i = 1; i < std::min(threads, plan.size()); ++i) {
+    helpers.emplace_back(worker);
+  }
+  worker();
+  for (std::thread& helper : helpers) helper.join();
+  {
+    MutexLock lock(list.mu);
+    SITSTATS_RETURN_IF_ERROR(list.first_error);
   }
 
   // Finish every build; base-table SITs need no scan and finish here.

@@ -1,6 +1,7 @@
 #ifndef SITSTATS_SCHEDULER_EXECUTOR_H_
 #define SITSTATS_SCHEDULER_EXECUTOR_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/result.h"
@@ -12,6 +13,16 @@
 #include "storage/catalog.h"
 
 namespace sitstats {
+
+/// The most worker threads any thread-count setting may ask for: the
+/// schedule executor's workers and each sitstats-server worker class.
+inline constexpr size_t kMaxThreads = 256;
+
+/// Resolves a thread-count request: `requested` > 0 wins; otherwise the
+/// SITSTATS_THREADS environment variable (if set to a positive integer);
+/// otherwise 1 (serial). Results are byte-identical at any thread count,
+/// so this only ever changes wall-clock time. Clamped to [1, kMaxThreads].
+size_t ResolveThreadCount(int requested);
 
 /// Options for executing a schedule: how to build each SIT (a
 /// Sweep-family variant, not kHistSit), plus the worker count. Every SIT
@@ -60,6 +71,11 @@ struct ScheduleExecutionResult {
 /// table is exactly its build's next scan, for chain, star and tree
 /// generating queries alike. A step whose table is not the next scan of
 /// every SIT it advances is InvalidArgument.
+///
+/// Steps run from one ready list, lowest index first, on min(threads,
+/// steps) workers: the calling thread plus helper threads. One worker runs
+/// the schedule in order; more run steps whose SIT sets are disjoint
+/// concurrently.
 Result<ScheduleExecutionResult> ExecuteSitSchedule(
     Catalog* catalog, BaseStatsCache* base_stats,
     const std::vector<SitDescriptor>& sits,

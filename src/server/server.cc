@@ -17,6 +17,7 @@
 #include "estimator/accuracy.h"
 #include "estimator/sit_estimator.h"
 #include "query/spec_parse.h"
+#include "scheduler/executor.h"
 #include "telemetry/exposition.h"
 #include "telemetry/sliding_window.h"
 #include "telemetry/telemetry.h"
@@ -98,6 +99,13 @@ SitStatsServer::SitStatsServer(std::unique_ptr<Catalog> catalog,
 SitStatsServer::~SitStatsServer() { Stop(); }
 
 Status SitStatsServer::Start() {
+  for (size_t threads : {options_.estimate_threads, options_.build_threads}) {
+    if (threads == 0 || threads > kMaxThreads) {
+      return Status::InvalidArgument(
+          "server worker threads must be in [1, " +
+          std::to_string(kMaxThreads) + "], got " + std::to_string(threads));
+    }
+  }
   if (started_.exchange(true)) {
     return Status::FailedPrecondition("server already started");
   }
@@ -144,7 +152,7 @@ Status SitStatsServer::Start() {
   poll_thread_ = std::thread([this] { PollLoop(); });
   deadline_thread_ = std::thread([this] { DeadlineLoop(); });
   auto spawn = [this](BoundedQueue<WorkItem>* queue, size_t threads) {
-    for (size_t i = 0; i < std::max<size_t>(threads, 1); ++i) {
+    for (size_t i = 0; i < threads; ++i) {
       workers_.emplace_back([this, queue] { WorkerLoop(queue); });
     }
   };

@@ -31,7 +31,8 @@ struct ServerOptions {
   /// Dedicated threads serving the read-mostly estimate class (PING /
   /// STATS / ESTIMATE / METRICS / TRACE / ACCURACY / SHUTDOWN).
   size_t estimate_threads = 2;
-  /// Dedicated threads executing SIT builds (BUILD / SLEEP).
+  /// Dedicated threads executing SIT builds (BUILD / SLEEP). Start()
+  /// rejects either count outside [1, kMaxThreads].
   size_t build_threads = 2;
   /// Admission-control bounds; a full queue rejects with
   /// ResourceExhausted instead of queueing without limit.

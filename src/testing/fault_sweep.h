@@ -83,7 +83,7 @@ struct FaultSweepOptions {
 ///   (c) the server outlived the injected fault (its catalog validates
 ///       and it stops cleanly), and
 ///   (d) nothing hung — the workload returning at all proves the
-///       schedule executor's WaitGroup and the server's queues
+///       schedule executor's workers and the server's queues
 ///       terminated.
 /// Returns the per-site report, or the first violation as a Status.
 Result<FaultSweepReport> RunFaultSweep(const FaultSweepOptions& options);

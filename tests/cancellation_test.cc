@@ -6,7 +6,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/thread_pool.h"
 #include "datagen/synthetic_db.h"
 #include "scheduler/executor.h"
 #include "scheduler/solver.h"
@@ -111,42 +110,6 @@ TEST(CancellationTokenTest, WaitForCancellationWakesPromptly) {
   canceller.join();
 }
 
-TEST(WaitGroupTest, TokenWaitReturnsFalseOnCancellation) {
-  WaitGroup group;
-  group.Add(1);  // never Done()d before the cancel
-  CancellationSource source;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(milliseconds(20));
-    source.Cancel();
-  });
-  EXPECT_FALSE(group.Wait(source.token()));
-  canceller.join();
-  // The count is still outstanding; a plain Wait() drains after Done().
-  group.Done();
-  group.Wait();
-}
-
-TEST(WaitGroupTest, TokenWaitReturnsTrueWhenDrained) {
-  WaitGroup group;
-  group.Add(1);
-  CancellationSource source;
-  std::thread worker([&] {
-    std::this_thread::sleep_for(milliseconds(5));
-    group.Done();
-  });
-  EXPECT_TRUE(group.Wait(source.token()));
-  worker.join();
-}
-
-TEST(WaitGroupTest, AlreadyCancelledTokenWaitNeverBlocks) {
-  WaitGroup group;
-  group.Add(1);
-  CancellationSource source;
-  source.Cancel();
-  EXPECT_FALSE(group.Wait(source.token()));
-  group.Done();
-}
-
 ChainDatabase MakeDb(size_t rows, uint64_t seed) {
   ChainDbSpec spec;
   spec.num_tables = 2;
@@ -181,8 +144,8 @@ TEST(ExecutorCancellationTest, PreCancelledTokenAbortsExecution) {
 }
 
 /// Cancelling mid-flight from another thread aborts a large execution far
-/// sooner than it could finish, and the executor still returns (no hung
-/// WaitGroup), serial or threaded.
+/// sooner than it could finish, and the executor still returns (no
+/// worker left waiting on the ready list), serial or threaded.
 TEST(ExecutorCancellationTest, MidFlightCancelAbortsPromptly) {
   ChainDatabase db = MakeDb(/*rows=*/200'000, /*seed=*/6);
   std::vector<SitDescriptor> sits;

@@ -130,7 +130,7 @@ TEST(FaultSweepTest, StratifiedSamplingKeepsBoundaryOrdinals) {
 }
 
 /// Same sweep under 8 executor threads: the parallel scheduler must
-/// propagate the injected step failure without hanging its WaitGroup.
+/// propagate the injected step failure without leaving a worker waiting.
 /// Stratified ordinals bound runtime; per-site totals are stable under
 /// threading even though interleaving is not.
 TEST(FaultSweepTest, ThreadedSweepTerminatesAndPropagates) {

@@ -1,77 +1,29 @@
-// Parallel schedule execution: thread-pool plumbing, and the determinism
-// contract — a SIT's bytes must not depend on the thread count or on which
-// other SITs share the batch (per-SIT seed streams, ISSUE 4).
+// Parallel schedule execution: thread-count resolution, the ready list's
+// edge shapes, and the determinism contract — a SIT's bytes must not depend
+// on the thread count or on which other SITs share the batch (per-SIT seed
+// streams).
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "scheduler/executor.h"
 #include "scheduler/solver.h"
 #include "sit/serialization.h"
+#include "telemetry/telemetry.h"
 
 namespace sitstats {
 namespace {
 
 // ---------------------------------------------------------------------------
-// ThreadPool / WaitGroup
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  WaitGroup wg;
-  const int kTasks = 1000;
-  wg.Add(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    pool.Submit([&counter, &wg] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      wg.Done();
-    });
-  }
-  wg.Wait();
-  EXPECT_EQ(counter.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, NestedSubmitsFromWorkersComplete) {
-  // DAG execution submits follow-up steps from inside worker tasks.
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  WaitGroup wg;
-  const int kParents = 50;
-  wg.Add(kParents * 2);
-  for (int i = 0; i < kParents; ++i) {
-    pool.Submit([&] {
-      counter.fetch_add(1, std::memory_order_relaxed);
-      pool.Submit([&] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-        wg.Done();
-      });
-      wg.Done();
-    });
-  }
-  wg.Wait();
-  EXPECT_EQ(counter.load(), kParents * 2);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] {
-        counter.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-  }  // ~ThreadPool joins after running everything queued.
-  EXPECT_EQ(counter.load(), 100);
-}
+// Thread-count resolution
 
 TEST(ThreadPoolTest, ResolveThreadCountPrecedence) {
   // Explicit request wins over the environment.
@@ -85,15 +37,6 @@ TEST(ThreadPoolTest, ResolveThreadCountPrecedence) {
   EXPECT_EQ(ResolveThreadCount(-5), 1u);
   // Clamped to a sane ceiling.
   EXPECT_LE(ResolveThreadCount(100000), 256u);
-}
-
-TEST(WaitGroupTest, WaitReturnsImmediatelyAtZero) {
-  WaitGroup wg;
-  wg.Wait();
-  wg.Add(2);
-  wg.Done();
-  wg.Done();
-  wg.Wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -353,6 +296,96 @@ TEST(ParallelExecutorTest, ParallelErrorsPropagate) {
   Result<ScheduleExecutionResult> result = ExecuteSitSchedule(
       &fx.catalog, &stats, fx.sits, mapping, solved.schedule, eoptions);
   EXPECT_FALSE(result.ok());
+}
+
+TEST(ParallelExecutorTest, MoreWorkersThanStepsMatchesSerial) {
+  // One 3-table chain is a 2-step schedule; 8 threads start 2 workers.
+  Fixture fx = MakeIndependentChains(1, 400);
+  size_t steps = 0;
+  std::vector<std::string> serial =
+      ExecuteAndSerialize(&fx, SolverKind::kGreedy, 1, &steps);
+  ASSERT_EQ(steps, 2u);
+  EXPECT_EQ(ExecuteAndSerialize(&fx, SolverKind::kGreedy, 8), serial);
+}
+
+TEST(ParallelExecutorTest, BaseTableOnlyBatchMatchesSerial) {
+  // Base-table SITs scan nothing, so the schedule has zero steps and every
+  // SIT finishes straight from its base histogram.
+  Fixture fx = MakeIndependentChains(2, 300);
+  fx.sits.clear();
+  for (const char* table : {"C0T1", "C1T3"}) {
+    fx.sits.emplace_back(ColumnRef{table, "a"},
+                         GeneratingQuery::BaseTable(table));
+  }
+  size_t steps = 1;
+  std::vector<std::string> serial =
+      ExecuteAndSerialize(&fx, SolverKind::kGreedy, 1, &steps);
+  ASSERT_EQ(steps, 0u);
+  ASSERT_EQ(serial.size(), 2u);
+  EXPECT_EQ(ExecuteAndSerialize(&fx, SolverKind::kGreedy, 4), serial);
+}
+
+TEST(ParallelExecutorTest, FailedStepReleasesNoDependent) {
+  // Four 2-step chains: every first step has a dependent (its chain's
+  // second scan). Fail the first step a worker runs; the injected status
+  // comes back, and every step that ran (it has an execute_step span; the
+  // failed step fails before opening one) found all its predecessors run
+  // too, so no dependent of the failed step ran.
+  Fixture fx = MakeIndependentChains(4, 300);
+  SitSchedulingProblem mapping =
+      BuildSitSchedulingProblem(fx.catalog, fx.sits, SitProblemOptions{})
+          .ValueOrDie();
+  SolverOptions soptions;
+  soptions.kind = SolverKind::kGreedy;
+  const Schedule schedule =
+      SolveSchedule(mapping.problem, soptions).ValueOrDie().schedule;
+  ASSERT_EQ(schedule.steps.size(), 8u);
+  // Step j's predecessors: the previous step advancing each of its SITs.
+  std::vector<std::vector<size_t>> predecessors(schedule.steps.size());
+  std::vector<int> last_step(mapping.problem.num_sequences(), -1);
+  for (size_t j = 0; j < schedule.steps.size(); ++j) {
+    for (size_t seq : schedule.steps[j].advanced) {
+      if (last_step[seq] >= 0) {
+        predecessors[j].push_back(static_cast<size_t>(last_step[seq]));
+      }
+      last_step[seq] = static_cast<int>(j);
+    }
+  }
+
+  telemetry::Tracer& tracer = telemetry::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  FaultInjector::Global().Arm("scheduler.step", 1,
+                              Status::Internal("injected step failure"));
+  BaseStatsCache stats;
+  ScheduleExecutionOptions eoptions;
+  eoptions.num_threads = 8;
+  Result<ScheduleExecutionResult> result = ExecuteSitSchedule(
+      &fx.catalog, &stats, fx.sits, mapping, schedule, eoptions);
+  const uint64_t injected = FaultInjector::Global().faults_injected();
+  FaultInjector::Global().Disarm();
+  tracer.SetEnabled(false);
+  std::set<size_t> ran;
+  for (const telemetry::TraceEvent& event : tracer.Snapshot()) {
+    if (event.name != "scheduler.execute_step") continue;
+    for (const auto& [key, value] : event.args) {
+      if (key == "step") ran.insert(static_cast<size_t>(std::stod(value)));
+    }
+  }
+  tracer.Clear();
+
+  ASSERT_EQ(injected, 1u);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("injected step failure"),
+            std::string::npos);
+  EXPECT_LT(ran.size(), schedule.steps.size());
+  for (size_t step : ran) {
+    for (size_t pred : predecessors[step]) {
+      EXPECT_TRUE(ran.count(pred) > 0)
+          << "step " << step << " ran without its predecessor " << pred;
+    }
+  }
 }
 
 TEST(ParallelExecutorTest, EnvironmentVariableSelectsThreads) {

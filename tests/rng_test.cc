@@ -118,18 +118,5 @@ TEST(RngTest, DrawsMatchLibstdcxxDistributions) {
 }
 #endif
 
-TEST(RngTest, ForkIsIndependent) {
-  Rng parent(29);
-  Rng child = parent.Fork();
-  // Advancing the child must not change the parent's future stream beyond
-  // the single seeding draw already taken.
-  Rng parent_copy(29);
-  (void)parent_copy.NextUint64();  // mirror the seeding draw
-  for (int i = 0; i < 100; ++i) (void)child.NextUint64();
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(parent.NextUint64(), parent_copy.NextUint64());
-  }
-}
-
 }  // namespace
 }  // namespace sitstats

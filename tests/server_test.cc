@@ -6,6 +6,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -14,6 +15,7 @@
 
 #include "common/string_util.h"
 #include "datagen/tpch_lite.h"
+#include "scheduler/executor.h"
 #include "server/client.h"
 
 namespace sitstats {
@@ -461,6 +463,26 @@ TEST_F(ServerTest, ShutdownRequestStopsTheServer) {
   EXPECT_TRUE(server_->TakeTransportErrors().empty());
   EXPECT_TRUE(server_->ValidateCatalog().ok());
   server_.reset();
+}
+
+TEST(ServerOptionsTest, StartRejectsOutOfRangeWorkerThreads) {
+  // Out-of-range counts fail before Start binds the socket or spawns a
+  // thread: cap + 1 build workers, and zero estimate workers.
+  const std::string socket_path = "/tmp/sitstats_server_threads_test.sock";
+  std::remove(socket_path.c_str());
+  ServerOptions too_many;
+  too_many.build_threads = kMaxThreads + 1;
+  ServerOptions none;
+  none.estimate_threads = 0;
+  for (ServerOptions options : {too_many, none}) {
+    options.socket_path = socket_path;
+    TpchLiteSpec spec;
+    spec.num_customers = 10;
+    spec.num_orders = 20;
+    SitStatsServer server(MakeTpchLiteDatabase(spec).ValueOrDie(), options);
+    EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(std::filesystem::exists(socket_path));
+  }
 }
 
 }  // namespace

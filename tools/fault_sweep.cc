@@ -10,8 +10,9 @@
 // no crash, no hang, catalogs still consistent, no partial SIT or index
 // registered, and the sitstats-server stage outlives its injected faults.
 //
-//   --threads N   schedule-execution worker threads (default 1; the CI
-//                 fault-sweep job also runs with 8)
+//   --threads N   schedule-execution worker threads, 0 to 256 (default 1;
+//                 0 defers to $SITSTATS_THREADS; the CI fault-sweep job
+//                 also runs with 8)
 //   --strata N    stratified ordinals swept per high-hit site (default 5;
 //                 always includes each site's first and last hit)
 //   --exhaustive  sweep every observed ordinal of every site instead of
@@ -24,8 +25,10 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/string_util.h"
+#include "scheduler/executor.h"
 #include "testing/fault_sweep.h"
 
 namespace sitstats {
@@ -53,6 +56,11 @@ int Main(int argc, char** argv) {
     int64_t value = 0;
     if (arg == "--threads") {
       parsed = int_flag(&value);
+      if (parsed.ok() &&
+          (value < 0 || value > static_cast<int64_t>(kMaxThreads))) {
+        return Fail("--threads must be in [0, " +
+                    std::to_string(kMaxThreads) + "]");
+      }
       options.num_threads = static_cast<int>(value);
     } else if (arg == "--strata") {
       parsed = int_flag(&value);

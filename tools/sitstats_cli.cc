@@ -39,7 +39,7 @@
 // with joins in A.x=B.y form. --hybrid-expansions N makes Hybrid's
 // A*->Greedy switch fire deterministically after N node expansions
 // (0 = wall-clock switch only).
-// --threads N runs independent schedule steps on N
+// --threads N (0 to 256) runs independent schedule steps on N
 // worker threads (0 or unset defers to $SITSTATS_THREADS, default serial);
 // built SITs are identical at any thread count.
 //
@@ -332,6 +332,10 @@ int RunSchedule(const Args& args) {
   }
   CLI_FLAG_OR_FAIL(int64_t, buckets, args.flags.GetInt("buckets", 100));
   CLI_FLAG_OR_FAIL(int64_t, threads, args.flags.GetInt("threads", 0));
+  if (threads < 0 || threads > static_cast<int64_t>(kMaxThreads)) {
+    return Fail("--threads must be in [0, " + std::to_string(kMaxThreads) +
+                "]");
+  }
   SitProblemOptions problem_options;
   problem_options.sampling_rate = rate;
   problem_options.memory_limit = memory;

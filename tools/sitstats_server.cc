@@ -3,8 +3,8 @@
 //
 //   sitstats_server DIR --socket PATH
 //                   [--stats FILE]            preload a saved SIT catalog
-//                   [--estimate-threads N]    default 2
-//                   [--build-threads N]       default 2
+//                   [--estimate-threads N]    1 to 256, default 2
+//                   [--build-threads N]       1 to 256, default 2
 //                   [--estimate-queue N]      default 64
 //                   [--build-queue N]         default 4
 //                   [--cache N]               estimate-cache entries, 256
