@@ -189,7 +189,7 @@ void BM_MOracleBatchIndex(benchmark::State& state) {
   for (double v : BenchData().r) {
     SITSTATS_CHECK_OK(table->AppendRow({Value(v)}));
   }
-  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie());
+  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   RunOracleBatches(state, oracle);
 }
 BENCHMARK(BM_MOracleBatchIndex);

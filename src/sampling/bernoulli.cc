@@ -1,42 +1,23 @@
 #include "sampling/bernoulli.h"
 
-#include "sampling/reservoir.h"
-
 namespace sitstats {
 
 std::vector<double> BernoulliSample(const std::vector<double>& values,
                                     double rate, Rng* rng) {
-  std::vector<double> out;
-  BernoulliSampleAppend(values.data(), values.size(), rate, rng, &out);
-  return out;
-}
-
-void BernoulliSampleAppend(const double* values, size_t n, double rate,
-                           Rng* rng, std::vector<double>* out) {
   // `!(rate > 0.0)` rather than `rate <= 0.0`: a NaN rate fails both
   // orderings, so the latter would fall through to the reserve below and
   // compute `size * NaN` — casting that to size_t is undefined behavior.
   // NaN keeps nothing, matching SampleSize's [0, num_rows] clamp (rate=0
   // and NaN both clamp to an empty sample there).
-  if (!(rate > 0.0)) return;
-  if (rate >= 1.0) {
-    out->insert(out->end(), values, values + n);
-    return;
+  if (!(rate > 0.0)) return {};
+  if (rate >= 1.0) return values;
+  std::vector<double> out;
+  out.reserve(static_cast<size_t>(static_cast<double>(values.size()) * rate) +
+              16);
+  for (double v : values) {
+    if (rng->Bernoulli(rate)) out.push_back(v);
   }
-  out->reserve(out->size() +
-               static_cast<size_t>(static_cast<double>(n) * rate) + 16);
-  for (size_t i = 0; i < n; ++i) {
-    if (rng->Bernoulli(rate)) out->push_back(values[i]);
-  }
-}
-
-std::vector<double> SampleWithoutReplacement(const std::vector<double>& values,
-                                             size_t k, Rng* rng) {
-  if (k == 0) return {};
-  if (k >= values.size()) return values;
-  ReservoirSampler sampler(k, rng);
-  for (double v : values) sampler.Add(v);
-  return sampler.sample();
+  return out;
 }
 
 }  // namespace sitstats

@@ -17,17 +17,6 @@ namespace sitstats {
 std::vector<double> BernoulliSample(const std::vector<double>& values,
                                     double rate, Rng* rng);
 
-/// Batched form over a contiguous span: appends the kept elements of
-/// `values[0..n)` to `out`. Same boundary semantics and, fed the same rng,
-/// the same accept set as BernoulliSample over the concatenated input.
-void BernoulliSampleAppend(const double* values, size_t n, double rate,
-                           Rng* rng, std::vector<double>* out);
-
-/// Draws a uniform sample *without replacement* of exactly
-/// min(k, values.size()) elements via a single reservoir pass.
-std::vector<double> SampleWithoutReplacement(const std::vector<double>& values,
-                                             size_t k, Rng* rng);
-
 }  // namespace sitstats
 
 #endif  // SITSTATS_SAMPLING_BERNOULLI_H_

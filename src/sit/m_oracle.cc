@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "storage/table.h"
 
 namespace sitstats {
 
@@ -197,40 +196,6 @@ void GridMOracle::MultiplicityBatch(const double* const* columns,
     const int cell = GridHistogram2D::CellIndex(bounds_, x[r], y[r]);
     out[r] = cell < 0 ? 0.0 : values_[static_cast<size_t>(cell)];
   }
-}
-
-Result<CompositeExactMOracle> CompositeExactMOracle::BuildFromTable(
-    const Table& table, const std::vector<std::string>& columns) {
-  if (columns.empty()) {
-    return Status::InvalidArgument("composite oracle needs columns");
-  }
-  std::vector<const Column*> cols;
-  for (const std::string& name : columns) {
-    SITSTATS_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(name));
-    if (col->type() == ValueType::kString) {
-      return Status::InvalidArgument("composite oracle over string column " +
-                                     name);
-    }
-    cols.push_back(col);
-  }
-  WeightTable counts(cols.size());
-  std::vector<double> values(cols.size());
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    for (size_t c = 0; c < cols.size(); ++c) {
-      values[c] = cols[c]->GetNumeric(row);
-    }
-    counts.Add(values.data(), 1.0);
-  }
-  return CompositeExactMOracle(std::move(counts));
-}
-
-IndexMOracle::IndexMOracle(const SortedIndex* index)
-    : description_("IndexMOracle(" + index->table_name() + "." +
-                   index->column_name() + ")") {
-  index->ForEachKeyRun([this](double key, size_t count) {
-    counts_.Add(key, static_cast<double>(count));
-  });
-  counts_.Compact();
 }
 
 }  // namespace sitstats

@@ -7,8 +7,7 @@
 
 #include "histogram/grid_histogram.h"
 #include "histogram/histogram.h"
-#include "sit/weight_table.h"
-#include "storage/index.h"
+#include "storage/weight_table.h"
 
 namespace sitstats {
 
@@ -107,24 +106,26 @@ class HistogramMOracle : public MultiplicityOracle {
   size_t scan_ = 0;  // most breakpoints in one bin
 };
 
-/// Exact m-Oracle over a base table: the multiplicities of a sorted index
-/// over R.x (the SweepIndex idea), compiled by one run-length pass over the
-/// index's keys. Multiplicities are exact.
+/// Exact m-Oracle over a base table (the SweepIndex idea): it answers from
+/// the catalog's index over R.x, the exact row count of every key
+/// (Catalog::EnsureIndex), which it borrows rather than copies.
 class IndexMOracle : public MultiplicityOracle {
  public:
-  /// Reads `index` during construction only.
-  explicit IndexMOracle(const SortedIndex* index);
+  /// `counts` is the index over `column` ("Table.column"); it must outlive
+  /// the oracle.
+  IndexMOracle(const WeightTable* counts, const std::string& column)
+      : counts_(counts), description_("IndexMOracle(" + column + ")") {}
 
   void MultiplicityBatch(const double* const* columns, size_t num_columns,
                          size_t num_rows, double* out) const override {
     (void)num_columns;
-    counts_.Lookup(columns, num_rows, out);
+    counts_->Lookup(columns, num_rows, out);
   }
   bool exact() const override { return true; }
   std::string Describe() const override { return description_; }
 
  private:
-  WeightTable counts_;
+  const WeightTable* counts_;
   std::string description_;
 };
 
@@ -153,39 +154,15 @@ class GridMOracle : public MultiplicityOracle {
   std::vector<double> values_;  // one per cell, in CellIndex order
 };
 
-/// Exact m-Oracle over a composite key: a table from the tuple of join
-/// values to the exact multiplicity. Used by SweepIndex/SweepExact for
-/// composite predicates (the composite-key analogue of an index) and
-/// buildable directly from base-table columns.
-class CompositeExactMOracle : public MultiplicityOracle {
- public:
-  /// `counts` maps a tuple of counts.width() join values to its count.
-  explicit CompositeExactMOracle(WeightTable counts)
-      : counts_(std::move(counts)) {}
-
-  /// Builds the exact composite-count table over `columns` of `table`.
-  static Result<CompositeExactMOracle> BuildFromTable(
-      const Table& table, const std::vector<std::string>& columns);
-
-  void MultiplicityBatch(const double* const* columns, size_t num_columns,
-                         size_t num_rows, double* out) const override {
-    (void)num_columns;
-    counts_.Lookup(columns, num_rows, out);
-  }
-  size_t num_columns() const override { return counts_.width(); }
-  bool exact() const override { return true; }
-  std::string Describe() const override { return "CompositeExactMOracle"; }
-
- private:
-  WeightTable counts_;
-};
-
-/// Exact m-Oracle over an *intermediate* join result that was never
-/// materialized: the table from join value to the total (possibly
-/// fractional) multiplicity accumulated during the previous Sweep scan
-/// (SweepOutput::exact_map). This generalizes SweepIndex/SweepExact to
-/// multi-join generating queries, where the other join operand is not a
-/// base table and hence has no index.
+/// Exact m-Oracle that owns its table from join value (a tuple of
+/// width() values) to multiplicity. Two tables feed it:
+///  - an *intermediate* join result that was never materialized: the total
+///    (possibly fractional) multiplicity per value accumulated during the
+///    previous Sweep scan (SweepOutput::exact_map). This generalizes
+///    SweepIndex/SweepExact to multi-join generating queries, where the
+///    other join operand is not a base table and hence has no index;
+///  - a composite (multi-predicate) edge to a base table: CountKeys over
+///    the child's join columns, the composite-key analogue of an index.
 class ExactMapMOracle : public MultiplicityOracle {
  public:
   explicit ExactMapMOracle(WeightTable multiplicities)
@@ -198,6 +175,7 @@ class ExactMapMOracle : public MultiplicityOracle {
     (void)num_columns;
     multiplicities_.Lookup(columns, num_rows, out);
   }
+  size_t num_columns() const override { return multiplicities_.width(); }
   bool exact() const override { return true; }
   std::string Describe() const override { return "ExactMapMOracle"; }
 

@@ -34,12 +34,10 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
   SITSTATS_ASSIGN_OR_RETURN(const Table* child_table,
                             catalog->GetTable(child.table));
   if (exact) {
-    SITSTATS_ASSIGN_OR_RETURN(
-        CompositeExactMOracle oracle,
-        CompositeExactMOracle::BuildFromTable(
-            *child_table, child.columns_to_parent));
+    SITSTATS_ASSIGN_OR_RETURN(WeightTable counts,
+                              CountKeys(*child_table, child.columns_to_parent));
     return std::unique_ptr<MultiplicityOracle>(
-        std::make_unique<CompositeExactMOracle>(std::move(oracle)));
+        std::make_unique<ExactMapMOracle>(std::move(counts)));
   }
   if (child.columns_to_parent.size() != 2) {
     return Status::NotImplemented(
@@ -97,14 +95,13 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
   if (exact) {
     if (child_is_leaf) {
       // SweepIndex proper: repeated index lookups on the base table.
-      // EnsureIndex (not HasIndex+BuildIndex) so concurrent schedule steps
-      // wanting the same index race safely: one build wins, nobody's
-      // pointer is invalidated.
+      // Concurrent schedule steps wanting the same index race safely in
+      // EnsureIndex: one count wins, and every oracle borrows the winner.
       SITSTATS_ASSIGN_OR_RETURN(
-          const SortedIndex* index,
+          const WeightTable* index,
           catalog->EnsureIndex(child.table, child.column_to_parent()));
-      return std::unique_ptr<MultiplicityOracle>(
-          std::make_unique<IndexMOracle>(index));
+      return std::unique_ptr<MultiplicityOracle>(std::make_unique<IndexMOracle>(
+          index, child.table + "." + child.column_to_parent()));
     }
     if (child_output == nullptr) {
       return Status::Internal("exact oracle for internal child " +

@@ -9,9 +9,9 @@
 #include "common/rng.h"
 #include "histogram/builder.h"
 #include "sit/m_oracle.h"
-#include "sit/weight_table.h"
 #include "storage/catalog.h"
 #include "storage/io_stats.h"
+#include "storage/weight_table.h"
 
 namespace sitstats {
 

@@ -1,11 +1,36 @@
 #include "storage/catalog.h"
 
 #include "common/fault_injection.h"
-#include "common/logging.h"
 #include "common/string_util.h"
 #include "telemetry/trace.h"
 
 namespace sitstats {
+
+Result<WeightTable> CountKeys(const Table& table,
+                              const std::vector<std::string>& columns) {
+  if (columns.empty()) {
+    return Status::InvalidArgument("counting keys needs columns");
+  }
+  std::vector<const Column*> cols;
+  for (const std::string& name : columns) {
+    SITSTATS_ASSIGN_OR_RETURN(const Column* col, table.GetColumn(name));
+    if (col->type() == ValueType::kString) {
+      return Status::InvalidArgument("cannot index string column " +
+                                     table.name() + "." + name);
+    }
+    cols.push_back(col);
+  }
+  WeightTable counts(cols.size());
+  std::vector<double> key(cols.size());
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      key[c] = cols[c]->GetNumeric(row);
+    }
+    counts.Add(key.data(), 1.0);
+  }
+  counts.Compact();
+  return counts;
+}
 
 Catalog::Catalog(Catalog&& other) noexcept {
   // Moving is documented not-thread-safe, but take the source's writer
@@ -73,60 +98,30 @@ std::vector<std::string> Catalog::TableNames() const {
   return names;
 }
 
-Status Catalog::BuildIndex(const std::string& table_name,
-                           const std::string& column_name) {
-  telemetry::TraceSpan span("storage.build_index");
-  span.AddAttribute("column", table_name + "." + column_name);
-  SITSTATS_ASSIGN_OR_RETURN(const Table* table, GetTable(table_name));
-  SITSTATS_ASSIGN_OR_RETURN(SortedIndex index,
-                            SortedIndex::Build(*table, column_name));
-  SITSTATS_DCHECK_OK(index.CheckValid(*table));
-  // Registration site sits between the build and the registry insert: a
-  // failure here must leave the catalog without any trace of the new
-  // index (the sweep asserts ValidateConsistency afterwards).
-  SITSTATS_FAULT_SITE("storage.catalog.register_index");
-  WriterLock lock(mu_);
-  indexes_.insert_or_assign({table_name, column_name}, std::move(index));
-  return Status::OK();
-}
-
-Result<const SortedIndex*> Catalog::EnsureIndex(
+Result<const WeightTable*> Catalog::EnsureIndex(
     const std::string& table_name, const std::string& column_name) {
   {
     ReaderLock lock(mu_);
     auto it = indexes_.find({table_name, column_name});
     if (it != indexes_.end()) return &it->second;
   }
-  // Build outside the lock (sorting can be expensive); losing the
-  // insertion race below just discards this copy.
+  // Count outside the lock; losing the insertion race below just discards
+  // this copy.
   telemetry::TraceSpan span("storage.build_index");
   span.AddAttribute("column", table_name + "." + column_name);
   SITSTATS_ASSIGN_OR_RETURN(const Table* table, GetTable(table_name));
-  SITSTATS_ASSIGN_OR_RETURN(SortedIndex index,
-                            SortedIndex::Build(*table, column_name));
-  SITSTATS_DCHECK_OK(index.CheckValid(*table));
+  SITSTATS_FAULT_SITE("storage.index.build");
+  SITSTATS_ASSIGN_OR_RETURN(WeightTable index,
+                            CountKeys(*table, {column_name}));
+  // Registration site sits between the build and the registry insert: a
+  // failure here must leave the catalog without any trace of the new
+  // index (the fault sweep asserts ValidateConsistency afterwards).
   SITSTATS_FAULT_SITE("storage.catalog.register_index");
   WriterLock lock(mu_);
   auto [it, inserted] =
       indexes_.try_emplace({table_name, column_name}, std::move(index));
   (void)inserted;
   return &it->second;
-}
-
-Result<const SortedIndex*> Catalog::GetIndex(
-    const std::string& table_name, const std::string& column_name) const {
-  ReaderLock lock(mu_);
-  auto it = indexes_.find({table_name, column_name});
-  if (it == indexes_.end()) {
-    return Status::NotFound("index on " + table_name + "." + column_name);
-  }
-  return &it->second;
-}
-
-bool Catalog::HasIndex(const std::string& table_name,
-                       const std::string& column_name) const {
-  ReaderLock lock(mu_);
-  return indexes_.contains({table_name, column_name});
 }
 
 Status Catalog::ValidateConsistency() const {
@@ -147,19 +142,37 @@ Status Catalog::ValidateConsistency() const {
   }
   for (const auto& [key, index] : indexes_) {
     const auto& [table_name, column_name] = key;
-    if (index.table_name() != table_name ||
-        index.column_name() != column_name) {
-      return Status::Internal(
-          "index registered as " + table_name + "." + column_name +
-          " identifies itself as " + index.table_name() + "." +
-          index.column_name());
-    }
+    const std::string name = table_name + "." + column_name;
     auto it = tables_.find(table_name);
     if (it == tables_.end()) {
-      return Status::Internal("index " + table_name + "." + column_name +
+      return Status::Internal("index " + name +
                               " covers a table the catalog does not hold");
     }
-    SITSTATS_RETURN_IF_ERROR(index.CheckValid(*it->second));
+    // The recount holds exactly the column's keys, each with a nonzero
+    // count. So equal key counts and equal lookups for every row's key
+    // mean the index holds the same keys with the same counts.
+    const Table& table = *it->second;
+    SITSTATS_ASSIGN_OR_RETURN(WeightTable recount,
+                              CountKeys(table, {column_name}));
+    if (recount.size() != index.size()) {
+      return Status::Internal("index " + name + ": " +
+                              std::to_string(index.size()) +
+                              " entries but the column has " +
+                              std::to_string(recount.size()) +
+                              " distinct keys");
+    }
+    SITSTATS_ASSIGN_OR_RETURN(const Column* column,
+                              table.GetColumn(column_name));
+    const std::vector<double> keys = column->ToNumericVector();
+    const double* probes = keys.data();
+    std::vector<double> expected(keys.size());
+    std::vector<double> actual(keys.size());
+    recount.Lookup(&probes, keys.size(), expected.data());
+    index.Lookup(&probes, keys.size(), actual.data());
+    if (actual != expected) {
+      return Status::Internal(
+          "index " + name + ": entries disagree with a recount of the column");
+    }
   }
   return Status::OK();
 }

@@ -79,7 +79,7 @@ TEST(GridHistogramTest, RejectsBadInput) {
   EXPECT_FALSE(GridHistogram2D::Build({{1, 1}}, infinite).ok());
 }
 
-TEST(CompositeExactMOracleTest, ExactCountsOnPairs) {
+TEST(CompositeExactOracleTest, ExactCountsOnPairs) {
   Catalog catalog;
   Schema schema;
   schema.AddColumn("x", ValueType::kInt64);
@@ -88,8 +88,7 @@ TEST(CompositeExactMOracleTest, ExactCountsOnPairs) {
   SITSTATS_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(int64_t{1})}));
   SITSTATS_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(int64_t{1})}));
   SITSTATS_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(int64_t{2})}));
-  CompositeExactMOracle oracle =
-      CompositeExactMOracle::BuildFromTable(*t, {"x", "y"}).ValueOrDie();
+  ExactMapMOracle oracle(CountKeys(*t, {"x", "y"}).ValueOrDie());
   EXPECT_EQ(oracle.num_columns(), 2u);
   double v11[] = {1.0, 1.0};
   double v12[] = {1.0, 2.0};

@@ -200,11 +200,14 @@ double MaterializedRows(const Catalog& catalog, const GeneratingQuery& query) {
       MaterializeJoin(catalog, query).ValueOrDie().num_rows());
 }
 
-double SweepExactCardinality(Catalog* catalog, const GeneratingQuery& query,
-                             const ColumnRef& attribute) {
+/// The cardinality a SweepExact (or SweepIndex) build of `attribute`
+/// reports; both variants count the join exactly.
+double SweepExactCardinality(
+    Catalog* catalog, const GeneratingQuery& query, const ColumnRef& attribute,
+    SweepVariant variant = SweepVariant::kSweepExact) {
   BaseStatsCache stats;
   SitBuildOptions options;
-  options.variant = SweepVariant::kSweepExact;
+  options.variant = variant;
   return CreateSit(catalog, &stats, SitDescriptor(attribute, query), options)
       .ValueOrDie()
       .estimated_cardinality;
@@ -261,7 +264,6 @@ TEST(ExactKeyEqualityTest, CompositeSignedZerosAreOneKey) {
 }
 
 TEST(ExactKeyEqualityTest, NaNJoinsNothing) {
-  // SweepExact cannot take part: an index over a NaN key is rejected.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   Catalog catalog;
   AddDoubleTable(&catalog, "R", {"x", "x2"}, {{nan, 1.0}, {1.0, 1.0}});
@@ -277,6 +279,17 @@ TEST(ExactKeyEqualityTest, NaNJoinsNothing) {
           .ValueOrDie();
   EXPECT_EQ(MaterializedRows(catalog, composite), 1.0);
   EXPECT_EQ(ExactJoinCardinality(catalog, composite).ValueOrDie(), 1.0);
+  // Both exact variants, both scan directions: a NaN row of the scanned
+  // side finds no match, and one of the other side is counted nowhere.
+  for (SweepVariant variant :
+       {SweepVariant::kSweepExact, SweepVariant::kSweepIndex}) {
+    for (const GeneratingQuery* query : {&single, &composite}) {
+      EXPECT_EQ(SweepExactCardinality(&catalog, *query, {"R", "x"}, variant),
+                1.0);
+      EXPECT_EQ(SweepExactCardinality(&catalog, *query, {"S", "y"}, variant),
+                1.0);
+    }
+  }
 }
 
 }  // namespace

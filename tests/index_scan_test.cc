@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "storage/catalog.h"
 #include "storage/cost_model.h"
-#include "storage/index.h"
 #include "storage/scan.h"
 #include "storage/temp_store.h"
 #include "telemetry/metrics.h"
@@ -30,60 +27,51 @@ Catalog MakeCatalog() {
   return catalog;
 }
 
-TEST(SortedIndexTest, MultiplicityAndRanges) {
-  Catalog catalog = MakeCatalog();
-  const Table* t = catalog.GetTable("T").ValueOrDie();
-  SortedIndex index = SortedIndex::Build(*t, "k").ValueOrDie();
-  EXPECT_EQ(index.num_entries(), 10u);
-  // keys: 0,1,2 repeating over 10 rows -> 0 appears 4 times, 1 and 2 thrice.
-  EXPECT_EQ(index.CountRange(0.0, 0.0), 4u);
-  EXPECT_EQ(index.CountRange(1.0, 1.0), 3u);
-  EXPECT_EQ(index.CountRange(2.0, 2.0), 3u);
-  EXPECT_EQ(index.CountRange(9.0, 9.0), 0u);
-  EXPECT_EQ(index.CountRange(1.0, 2.0), 6u);
-  EXPECT_EQ(index.CountRange(-5.0, 5.0), 10u);
-  EXPECT_EQ(index.CountRange(3.0, 5.0), 0u);
-  EXPECT_EQ(index.LookupRange(0.0, 0.0).size(), 4u);
+/// The index's count for `key`, read through its batch Lookup.
+double CountOf(const WeightTable& index, double key) {
+  const double* column = &key;
+  double count = -1.0;
+  index.Lookup(&column, 1, &count);
+  return count;
 }
 
-TEST(SortedIndexTest, RejectsStringColumn) {
+TEST(CatalogIndexTest, CountsEveryKey) {
   Catalog catalog = MakeCatalog();
-  const Table* t = catalog.GetTable("T").ValueOrDie();
-  EXPECT_EQ(SortedIndex::Build(*t, "s").status().code(),
+  const WeightTable* index = catalog.EnsureIndex("T", "k").ValueOrDie();
+  EXPECT_EQ(index->size(), 3u);
+  // keys: 0,1,2 repeating over 10 rows -> 0 appears 4 times, 1 and 2 thrice.
+  EXPECT_EQ(CountOf(*index, 0.0), 4.0);
+  EXPECT_EQ(CountOf(*index, 1.0), 3.0);
+  EXPECT_EQ(CountOf(*index, 2.0), 3.0);
+  EXPECT_EQ(CountOf(*index, 9.0), 0.0);
+  EXPECT_EQ(CountOf(*index, -5.0), 0.0);
+  EXPECT_EQ(CountOf(*index, 1.5), 0.0);
+}
+
+TEST(CatalogIndexTest, RejectsStringColumn) {
+  Catalog catalog = MakeCatalog();
+  EXPECT_EQ(catalog.EnsureIndex("T", "s").status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(SortedIndex::Build(*t, "zz").status().code(),
+  EXPECT_EQ(catalog.EnsureIndex("T", "zz").status().code(),
             StatusCode::kNotFound);
 }
 
-TEST(SortedIndexTest, EqualKeysListRowIdsAscending) {
-  Catalog catalog;
-  Schema schema;
-  schema.AddColumn("k", ValueType::kInt64);
-  Table* t = catalog.CreateTable("T", schema).ValueOrDie();
-  Rng rng(9);
-  for (int i = 0; i < 100'000; ++i) {
-    SITSTATS_CHECK_OK(t->AppendRow({Value(rng.UniformInt(0, 9))}));
-  }
-  SortedIndex index = SortedIndex::Build(*t, "k").ValueOrDie();
-  size_t total = 0;
-  for (int k = 0; k <= 9; ++k) {
-    std::vector<uint64_t> rows = index.LookupRange(k, k);
-    total += rows.size();
-    EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end())) << "key " << k;
-  }
-  EXPECT_EQ(total, 100'000u);
-}
-
-TEST(SortedIndexTest, RejectsNaNKey) {
+TEST(CatalogIndexTest, NaNRowsAreNotCounted) {
+  // NaN joins nothing: its rows get no key, and a NaN probe counts 0.
   Catalog catalog;
   Schema schema;
   schema.AddColumn("v", ValueType::kDouble);
   Table* t = catalog.CreateTable("T", schema).ValueOrDie();
-  for (double v : {1.0, std::numeric_limits<double>::quiet_NaN(), 2.0}) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double v : {1.0, nan, 2.0, nan, 1.0}) {
     SITSTATS_CHECK_OK(t->AppendRow({Value(v)}));
   }
-  EXPECT_EQ(SortedIndex::Build(*t, "v").status().code(),
-            StatusCode::kInvalidArgument);
+  const WeightTable* index = catalog.EnsureIndex("T", "v").ValueOrDie();
+  EXPECT_EQ(index->size(), 2u);
+  EXPECT_EQ(CountOf(*index, 1.0), 2.0);
+  EXPECT_EQ(CountOf(*index, 2.0), 1.0);
+  EXPECT_EQ(CountOf(*index, nan), 0.0);
+  EXPECT_TRUE(catalog.ValidateConsistency().ok());
 }
 
 TEST(SequentialScanTest, ProjectsColumnsInOrder) {

@@ -56,8 +56,7 @@ TEST(IndexMOracleTest, ExactCounts) {
   for (int64_t v : {1, 1, 1, 2, 7}) {
     SITSTATS_CHECK_OK(t->AppendRow({Value(v)}));
   }
-  SITSTATS_CHECK_OK(catalog.BuildIndex("R", "x"));
-  IndexMOracle oracle(catalog.GetIndex("R", "x").ValueOrDie());
+  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   EXPECT_TRUE(oracle.exact());
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(1.0), 3.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(2.0), 1.0);
@@ -270,7 +269,7 @@ bool DenseFor(const std::vector<double>& keys) {
 void ExpectIndexKernel(const std::vector<double>& keys,
                        const std::vector<double>& extra_probes) {
   Catalog catalog = KeyCatalog(keys);
-  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie());
+  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   std::vector<double> probes = keys;
   probes.insert(probes.end(), extra_probes.begin(), extra_probes.end());
   ExpectKernelMatches(
@@ -282,8 +281,10 @@ void ExpectIndexKernel(const std::vector<double>& keys,
 }
 
 TEST(MOracleKernelTest, IndexMatchesCountInBothLayouts) {
-  // Integral keys in a narrow span (dense), with duplicates and both zeros.
-  std::vector<double> dense_keys = {-0.0, 0.0, 0.0, 1, 1, 1, 2, 5, -3, 7};
+  // Integral keys in a narrow span (dense), with duplicates, both zeros and
+  // a NaN row (counted nowhere).
+  std::vector<double> dense_keys = {-0.0, 0.0, 0.0, 1, 1, 1, 2, 5, -3, 7,
+                                    kNaN};
   for (int i = 0; i < 200; ++i) dense_keys.push_back(i % 37);
   ASSERT_TRUE(DenseFor(dense_keys));
   ExpectIndexKernel(dense_keys, {0.5, 1.5, -2.5, 36.999, 100, -100});
@@ -378,8 +379,7 @@ TEST(MOracleKernelTest, CompositeExactMatchesCount) {
   for (const auto& [x, y] : rows) {
     SITSTATS_CHECK_OK(t->AppendRow({Value(x), Value(y)}));
   }
-  CompositeExactMOracle oracle =
-      CompositeExactMOracle::BuildFromTable(*t, {"x", "y"}).ValueOrDie();
+  ExactMapMOracle oracle(CountKeys(*t, {"x", "y"}).ValueOrDie());
   std::vector<double> xs;
   std::vector<double> ys;
   std::vector<double> values = {0.0, -0.0, 1, 2.5, 7, kInf, kNaN, -1e9, 4,

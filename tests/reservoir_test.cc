@@ -337,45 +337,11 @@ TEST(BernoulliSampleTest, BoundaryRatesAgreeWithSampleSizeClamp) {
   EXPECT_LE(denormal_sample.size(), values.size());
 }
 
-TEST(BernoulliSampleTest, AppendFormMatchesWholeVectorAcceptSet) {
-  std::vector<double> values;
-  for (int i = 0; i < 10'000; ++i) values.push_back(i);
-  Rng rng_whole(61);
-  Rng rng_chunks(61);
-  std::vector<double> whole = BernoulliSample(values, 0.3, &rng_whole);
-  std::vector<double> chunked;
-  for (size_t begin = 0; begin < values.size(); begin += 997) {
-    size_t n = std::min<size_t>(997, values.size() - begin);
-    BernoulliSampleAppend(values.data() + begin, n, 0.3, &rng_chunks,
-                          &chunked);
-  }
-  EXPECT_EQ(chunked, whole);
-}
-
 TEST(BernoulliSampleTest, ApproximatesRate) {
   Rng rng(23);
   std::vector<double> values(100'000, 1.0);
   std::vector<double> sample = BernoulliSample(values, 0.2, &rng);
   EXPECT_NEAR(static_cast<double>(sample.size()), 20'000.0, 1'500.0);
-}
-
-TEST(SampleWithoutReplacementTest, ExactSize) {
-  Rng rng(29);
-  std::vector<double> values;
-  for (int i = 0; i < 1'000; ++i) values.push_back(i);
-  std::vector<double> sample = SampleWithoutReplacement(values, 50, &rng);
-  EXPECT_EQ(sample.size(), 50u);
-  // No duplicates (values were distinct).
-  std::vector<double> sorted = sample;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
-}
-
-TEST(SampleWithoutReplacementTest, KLargerThanInput) {
-  Rng rng(31);
-  std::vector<double> values = {1, 2, 3};
-  EXPECT_EQ(SampleWithoutReplacement(values, 50, &rng).size(), 3u);
-  EXPECT_TRUE(SampleWithoutReplacement(values, 0, &rng).empty());
 }
 
 }  // namespace

@@ -154,13 +154,15 @@ TEST(CatalogTest, BuildAndGetIndex) {
   for (int64_t k : {5, 3, 5, 1}) {
     ASSERT_TRUE(t->AppendRow({Value(k), Value(0.0)}).ok());
   }
-  EXPECT_FALSE(catalog.HasIndex("T", "k"));
-  ASSERT_TRUE(catalog.BuildIndex("T", "k").ok());
-  EXPECT_TRUE(catalog.HasIndex("T", "k"));
-  const SortedIndex* index = catalog.GetIndex("T", "k").ValueOrDie();
-  EXPECT_EQ(index->CountRange(5.0, 5.0), 2u);
-  EXPECT_EQ(index->CountRange(2.0, 2.0), 0u);
-  EXPECT_EQ(catalog.GetIndex("T", "v2").status().code(),
+  const WeightTable* index = catalog.EnsureIndex("T", "k").ValueOrDie();
+  // The index is the exact row count of every key, read through Lookup.
+  const std::vector<double> keys = {5.0, 2.0, 3.0, 1.0};
+  const double* column = keys.data();
+  std::vector<double> counts(keys.size());
+  index->Lookup(&column, keys.size(), counts.data());
+  EXPECT_EQ(counts, (std::vector<double>{2.0, 0.0, 1.0, 1.0}));
+  EXPECT_EQ(index->size(), 3u);
+  EXPECT_EQ(catalog.EnsureIndex("T", "v2").status().code(),
             StatusCode::kNotFound);
 }
 
@@ -170,14 +172,19 @@ TEST(CatalogTest, EnsureIndexBuildsOnceAndNeverReplaces) {
   for (int64_t k : {5, 3, 5, 1}) {
     ASSERT_TRUE(t->AppendRow({Value(k), Value(0.0)}).ok());
   }
-  const SortedIndex* first = catalog.EnsureIndex("T", "k").ValueOrDie();
-  EXPECT_EQ(first->CountRange(5.0, 5.0), 2u);
+  const WeightTable* first = catalog.EnsureIndex("T", "k").ValueOrDie();
+  const double key = 5.0;
+  const double* column = &key;
+  double count = 0.0;
+  first->Lookup(&column, 1, &count);
+  EXPECT_EQ(count, 2.0);
   // A second Ensure returns the same live object (concurrent oracle builds
   // read raw pointers into the catalog, so Ensure must never swap an
   // index).
-  const SortedIndex* second = catalog.EnsureIndex("T", "k").ValueOrDie();
+  const WeightTable* second = catalog.EnsureIndex("T", "k").ValueOrDie();
   EXPECT_EQ(first, second);
-  EXPECT_FALSE(catalog.EnsureIndex("T", "missing").ok());
+  EXPECT_EQ(catalog.EnsureIndex("T", "missing").status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(CostModelTest, SequentialScanCostCorners) {

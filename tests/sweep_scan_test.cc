@@ -250,8 +250,7 @@ TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
       SITSTATS_CHECK_OK(r->AppendRow({Value(v)}));
     }
   }
-  const SortedIndex* index = catalog.EnsureIndex("R", "x").ValueOrDie();
-  IndexMOracle exact(index);
+  IndexMOracle exact(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   HistogramMOracle approximate(Histogram({Bucket{0, 4, 7, 4}}),
                                Histogram({Bucket{0, 4, 100, 5}}));
   Rng rng(8);
