@@ -1,5 +1,7 @@
 #include "common/cancellation.h"
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "common/sync.h"
@@ -8,27 +10,59 @@ namespace sitstats {
 
 namespace internal {
 
-/// Shared between one source and its tokens. The flag is the fast path;
-/// the mutex guards the callback list and backs the waiter cv.
+/// Shared between one source and its tokens. Immutable after construction
+/// except for the flag.
 struct CancellationState {
   std::atomic<bool> cancelled{false};
-  Mutex mu;
-  CondVar cv;
-  uint64_t next_id GUARDED_BY(mu) = 1;
-  std::vector<std::pair<uint64_t, std::function<void()>>> callbacks
-      GUARDED_BY(mu);
+  /// Earliest deadline on the chain (this source's or an ancestor's);
+  /// time_point::max() when there is none.
+  CancellationSource::Clock::time_point deadline;
+  std::shared_ptr<const CancellationState> parent;
 };
 
 }  // namespace internal
 
+namespace {
+
+using internal::CancellationState;
+
+/// The one wake lock: every Cancel() sets its flag and broadcasts under
+/// it, and every WaitForCancellation sleeps on it. Cancels are rare, so a
+/// process-wide broadcast costs nothing, and a waiter on a linked token
+/// wakes whichever ancestor is cancelled. Never destroyed, so a wait may
+/// outlive static destruction.
+struct WakeLock {
+  Mutex mu;
+  CondVar cv;
+};
+
+WakeLock& Wake() {
+  static WakeLock* const wake = new WakeLock();
+  return *wake;
+}
+
+bool DeadlinePassed(const CancellationState& state) {
+  return state.deadline != CancellationSource::Clock::time_point::max() &&
+         CancellationSource::Clock::now() >= state.deadline;
+}
+
+}  // namespace
+
 bool CancellationToken::cancelled() const {
-  return state_ != nullptr &&
-         state_->cancelled.load(std::memory_order_acquire);
+  if (state_ == nullptr) return false;
+  for (const CancellationState* state = state_.get(); state != nullptr;
+       state = state->parent.get()) {
+    if (state->cancelled.load(std::memory_order_acquire)) return true;
+  }
+  return DeadlinePassed(*state_);
 }
 
 Status CancellationToken::CheckCancelled(const std::string& what) const {
-  if (cancelled()) return Status::Cancelled(what + " cancelled");
-  return Status::OK();
+  if (!cancelled()) return Status::OK();
+  if (DeadlinePassed(*state_)) {
+    return Status::DeadlineExceeded(what + " deadline exceeded");
+  }
+  return Status::Cancelled(what + " cancelled");
 }
 
 bool CancellationToken::WaitForCancellation(
@@ -38,99 +72,32 @@ bool CancellationToken::WaitForCancellation(
     std::this_thread::sleep_for(timeout);
     return false;
   }
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  MutexLock lock(state_->mu);
-  while (!state_->cancelled.load(std::memory_order_acquire)) {
-    if (!state_->cv.WaitUntil(state_->mu, deadline)) {
-      return state_->cancelled.load(std::memory_order_acquire);
-    }
+  const auto until =
+      std::min(CancellationSource::Clock::now() + timeout, state_->deadline);
+  WakeLock& wake = Wake();
+  MutexLock lock(wake.mu);
+  while (!cancelled()) {
+    if (!wake.cv.WaitUntil(wake.mu, until)) return cancelled();
   }
   return true;
 }
 
-uint64_t CancellationToken::OnCancel(std::function<void()> fn) const {
-  if (state_ == nullptr) return 0;
-  uint64_t id;
-  {
-    MutexLock lock(state_->mu);
-    id = state_->next_id++;
-    state_->callbacks.emplace_back(id, std::move(fn));
-  }
-  // Registration may race with Cancel(): if the flag is already set, the
-  // cancelling thread may or may not have seen our entry, so run the
-  // callback here too. Callbacks therefore tolerate a duplicate call
-  // (every in-tree use is an idempotent notify).
-  if (cancelled()) {
-    std::function<void()> to_run;
-    {
-      MutexLock lock(state_->mu);
-      for (auto& [entry_id, entry_fn] : state_->callbacks) {
-        if (entry_id == id) {
-          to_run = entry_fn;
-          break;
-        }
-      }
-    }
-    if (to_run) to_run();
-  }
-  return id;
-}
-
-void CancellationToken::RemoveCallback(uint64_t id) const {
-  if (state_ == nullptr || id == 0) return;
-  MutexLock lock(state_->mu);
-  for (auto it = state_->callbacks.begin(); it != state_->callbacks.end();
-       ++it) {
-    if (it->first == id) {
-      state_->callbacks.erase(it);
-      return;
-    }
+CancellationSource::CancellationSource(const CancellationToken& parent,
+                                       Clock::time_point deadline)
+    : state_(std::make_shared<CancellationState>()) {
+  state_->deadline = deadline;
+  if (parent.state_ != nullptr) {
+    state_->deadline = std::min(deadline, parent.state_->deadline);
+    state_->parent = parent.state_;
   }
 }
 
-namespace {
-
-/// Fires the signal on `state`: sets the flag, wakes waiters, runs the
-/// registered callbacks once. Idempotent.
-void CancelState(internal::CancellationState* state) {
-  std::vector<std::pair<uint64_t, std::function<void()>>> callbacks;
-  {
-    MutexLock lock(state->mu);
-    if (state->cancelled.exchange(true, std::memory_order_acq_rel)) {
-      return;  // idempotent
-    }
-    state->cv.NotifyAll();
-    callbacks = state->callbacks;
-  }
-  for (auto& [id, fn] : callbacks) {
-    if (fn) fn();
-  }
+void CancellationSource::Cancel() {
+  WakeLock& wake = Wake();
+  MutexLock lock(wake.mu);
+  state_->cancelled.store(true, std::memory_order_release);
+  wake.cv.NotifyAll();
 }
-
-}  // namespace
-
-CancellationSource::CancellationSource()
-    : state_(std::make_shared<internal::CancellationState>()) {}
-
-CancellationSource::CancellationSource(const CancellationToken& parent)
-    : state_(std::make_shared<internal::CancellationState>()),
-      parent_(parent) {
-  // Weak capture: the parent may outlive this source, and the registration
-  // is removed in the destructor, but OnCancel's already-cancelled inline
-  // call can still race a concurrent destructor — the link never dangles.
-  std::weak_ptr<internal::CancellationState> weak = state_;
-  parent_registration_ = parent_.OnCancel([weak] {
-    if (std::shared_ptr<internal::CancellationState> state = weak.lock()) {
-      CancelState(state.get());
-    }
-  });
-}
-
-CancellationSource::~CancellationSource() {
-  parent_.RemoveCallback(parent_registration_);
-}
-
-void CancellationSource::Cancel() { CancelState(state_.get()); }
 
 CancellationToken CancellationSource::token() const {
   return CancellationToken(state_);

@@ -1,14 +1,10 @@
 #ifndef SITSTATS_COMMON_CANCELLATION_H_
 #define SITSTATS_COMMON_CANCELLATION_H_
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/status.h"
 
@@ -23,10 +19,13 @@ struct CancellationState;
 /// default-constructed token is never cancelled and costs one null check
 /// per poll, so hot loops can take a token unconditionally.
 ///
-/// Long-running loops poll `cancelled()` (two relaxed atomic loads) or
-/// `CheckCancelled()` every batch of work; blocking waits use
-/// `WaitForCancellation`, which is woken immediately by Cancel() rather
-/// than polling.
+/// A token is cancelled once its source or any ancestor source is
+/// cancelled, or once the earliest deadline on that chain has passed; no
+/// thread has to fire a deadline. A poll costs one acquire load per source
+/// on the chain, plus one steady_clock read when the chain has a deadline,
+/// so long-running loops poll `cancelled()` or `CheckCancelled()` once per
+/// batch of work. Blocking waits use `WaitForCancellation`, which every
+/// Cancel() wakes at once and which times out at the deadline.
 class CancellationToken {
  public:
   /// A token that can never be cancelled.
@@ -34,22 +33,18 @@ class CancellationToken {
 
   [[nodiscard]] bool cancelled() const;
 
-  /// OK while live; Status::Cancelled("<what> cancelled") once cancelled.
-  /// Sprinkle into Status/Result-returning loops:
+  /// OK while live. Once cancelled: Status::DeadlineExceeded("<what>
+  /// deadline exceeded") if the chain's deadline has passed, otherwise
+  /// Status::Cancelled("<what> cancelled"). Sprinkle into
+  /// Status/Result-returning loops:
   ///   SITSTATS_RETURN_IF_ERROR(cancel.CheckCancelled("sweep scan"));
   Status CheckCancelled(const std::string& what) const;
 
-  /// Blocks until the token is cancelled or `timeout` elapses. Returns
-  /// true when woken by cancellation, false on timeout. A token with no
-  /// source sleeps the full timeout.
+  /// Blocks until the token is cancelled or `timeout` elapses, whichever
+  /// is first. Returns true when the token is cancelled (its deadline
+  /// passing counts), false on timeout. A token with no source sleeps the
+  /// full timeout.
   bool WaitForCancellation(std::chrono::milliseconds timeout) const;
-
-  /// Registers `fn` to run (on the cancelling thread) when the token is
-  /// cancelled; runs it inline immediately if already cancelled. Returns a
-  /// registration id for RemoveCallback, 0 for sourceless tokens.
-  /// Callbacks must be fast and must not call back into the token.
-  uint64_t OnCancel(std::function<void()> fn) const;
-  void RemoveCallback(uint64_t id) const;
 
  private:
   friend class CancellationSource;
@@ -61,17 +56,22 @@ class CancellationToken {
 };
 
 /// Write side: owns the shared state and fires the signal. A source built
-/// from a parent token is *linked*: cancelling the parent cancels the
-/// child (the executor links its internal first-error source to the
-/// caller's request-timeout token this way). Cancel() is idempotent and
-/// safe from any thread; it wakes every WaitForCancellation waiter and
-/// runs registered callbacks once.
+/// from a parent token is *linked*: its token is also cancelled whenever
+/// the parent is (the executor links its internal first-error source to
+/// the caller's request token this way), and it inherits the parent's
+/// deadline. Cancel() is idempotent and safe from any thread; it wakes
+/// every WaitForCancellation waiter. Tokens keep the state alive, so a
+/// source may be destroyed while its tokens are still in use.
 class CancellationSource {
  public:
-  CancellationSource();
-  /// A source whose token is also cancelled whenever `parent` is.
-  explicit CancellationSource(const CancellationToken& parent);
-  ~CancellationSource();
+  using Clock = std::chrono::steady_clock;
+
+  /// A source whose token is also cancelled whenever `parent` (default:
+  /// none) is, and once `deadline` (default: none) or a deadline of the
+  /// parent's chain passes.
+  explicit CancellationSource(
+      const CancellationToken& parent = CancellationToken(),
+      Clock::time_point deadline = Clock::time_point::max());
 
   CancellationSource(const CancellationSource&) = delete;
   CancellationSource& operator=(const CancellationSource&) = delete;
@@ -82,10 +82,6 @@ class CancellationSource {
 
  private:
   std::shared_ptr<internal::CancellationState> state_;
-  // Registration on the parent state (unhooked on destruction so a
-  // long-lived parent does not accumulate dead children).
-  CancellationToken parent_;
-  uint64_t parent_registration_ = 0;
 };
 
 }  // namespace sitstats

@@ -122,8 +122,8 @@ class CAPABILITY("shared_mutex") SharedMutex {
 // ---------------------------------------------------------------------------
 
 /// RAII exclusive lock over Mutex. Supports early Unlock() and re-Lock()
-/// (a "managed" scoped capability), which the deadline loop uses to drop
-/// the lock around cancellation callbacks.
+/// (a "managed" scoped capability), which a schedule worker uses to run
+/// its step with the ready list unlocked.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu), held_(true) {

@@ -164,25 +164,6 @@ Result<double> ExactRangeCardinality(const Catalog& catalog,
   return total;
 }
 
-Result<std::vector<double>> ExpandWeighted(
-    const std::vector<WeightedValue>& values, uint64_t max_rows) {
-  uint64_t total = 0;
-  for (const WeightedValue& wv : values) {
-    total += wv.weight;
-    if (total > max_rows) {
-      return Status::ResourceExhausted(
-          "weighted expansion exceeds " + std::to_string(max_rows) +
-          " rows");
-    }
-  }
-  std::vector<double> out;
-  out.reserve(total);
-  for (const WeightedValue& wv : values) {
-    for (uint64_t i = 0; i < wv.weight; ++i) out.push_back(wv.value);
-  }
-  return out;
-}
-
 Result<Table> MaterializeJoin(const Catalog& catalog,
                               const GeneratingQuery& query) {
   SITSTATS_ASSIGN_OR_RETURN(

@@ -44,12 +44,6 @@ Result<double> ExactRangeCardinality(const Catalog& catalog,
                                      const ColumnRef& attribute, double lo,
                                      double hi);
 
-/// Expands weighted values into a flat bag (for histogram construction
-/// over the true result). Fails if the expansion would exceed `max_rows`.
-Result<std::vector<double>> ExpandWeighted(
-    const std::vector<WeightedValue>& values,
-    uint64_t max_rows = 100'000'000);
-
 /// Materializes the full join result as a table with qualified column
 /// names, joining along a BFS order of the join tree. Exponential in the
 /// worst case; intended for tests and small inputs.

@@ -90,9 +90,4 @@ double EstimateJoinCardinality(const Histogram& r, const Histogram& s) {
   return total;
 }
 
-Histogram PropagateThroughJoin(const Histogram& attribute_histogram,
-                               double join_cardinality) {
-  return attribute_histogram.ScaledToTotal(join_cardinality);
-}
-
 }  // namespace sitstats

@@ -12,14 +12,6 @@ namespace sitstats {
 /// giving the per-fragment estimate f_R * f_S / max(dv_R, dv_S).
 double EstimateJoinCardinality(const Histogram& r, const Histogram& s);
 
-/// The classic optimizer propagation step (independence assumption): given
-/// the histogram over attribute `a` of table S and the estimated
-/// cardinality of a join involving S, returns the histogram modelling `a`
-/// on the join result — bucket frequencies uniformly rescaled to
-/// `join_cardinality`.
-Histogram PropagateThroughJoin(const Histogram& attribute_histogram,
-                               double join_cardinality);
-
 }  // namespace sitstats
 
 #endif  // SITSTATS_HISTOGRAM_JOIN_ESTIMATE_H_

@@ -33,8 +33,9 @@ size_t ResolveThreadCount(int requested);
 ///
 /// `cancel` covers the whole execution. The executor links an internal
 /// source to this token and hands the linked token to every sweep scan, so
-/// cancelling here (a server request timeout, typically) aborts in-flight
-/// scans promptly — and a step failure cancels the same internal source,
+/// cancelling here, or this token's deadline passing (a server request
+/// timeout, typically), aborts in-flight scans promptly with Cancelled or
+/// DeadlineExceeded — and a step failure cancels the same internal source,
 /// so first-error-wins *stops* running steps instead of merely not
 /// scheduling new ones.
 struct ScheduleExecutionOptions : SitBuildOptions {

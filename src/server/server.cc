@@ -7,9 +7,8 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
-
-#include <algorithm>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -150,7 +149,6 @@ Status SitStatsServer::Start() {
   }
 
   poll_thread_ = std::thread([this] { PollLoop(); });
-  deadline_thread_ = std::thread([this] { DeadlineLoop(); });
   auto spawn = [this](BoundedQueue<WorkItem>* queue, size_t threads) {
     for (size_t i = 0; i < threads; ++i) {
       workers_.emplace_back([this, queue] { WorkerLoop(queue); });
@@ -166,13 +164,6 @@ Status SitStatsServer::Start() {
 void SitStatsServer::RequestStop() {
   if (stop_requested_.exchange(true)) return;
   stop_source_.Cancel();
-  {
-    // Empty critical section: fences the stop flag against DeadlineLoop's
-    // wait so the broadcast below cannot land between its flag check and
-    // its sleep.
-    MutexLock lock(deadline_mu_);
-  }
-  deadline_cv_.NotifyAll();
   if (wake_pipe_[1] >= 0) {
     char byte = 1;
     ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
@@ -192,7 +183,6 @@ void SitStatsServer::Stop() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  if (deadline_thread_.joinable()) deadline_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -236,11 +226,6 @@ Status SitStatsServer::ValidateCatalog() const {
 size_t SitStatsServer::num_sits() const {
   ReaderLock lock(sit_mu_);
   return sits_.size();
-}
-
-size_t SitStatsServer::pending_deadlines() const {
-  MutexLock lock(deadline_mu_);
-  return deadlines_.size();
 }
 
 std::string SitStatsServer::StatsPayload() const {
@@ -501,13 +486,14 @@ void SitStatsServer::Process(const WorkItem& item) {
     Respond(item, fault, "");
     return;
   }
-  // Only a request with a timeout pays for its own linked source; the
-  // rest observe the server stop token directly.
-  std::shared_ptr<CancellationSource> deadline;
+  // Only a request with a timeout pays for its own linked source, whose
+  // deadline counts from `start`; the rest observe the server stop token
+  // directly.
   CancellationToken cancel = stop_source_.token();
   if (request.timeout_ms > 0) {
-    deadline = ArmDeadline(request.timeout_ms);
-    cancel = deadline->token();
+    cancel = CancellationSource(
+                 cancel, start + std::chrono::milliseconds(request.timeout_ms))
+                 .token();
   }
 
   Result<std::string> payload = std::string();
@@ -540,15 +526,6 @@ void SitStatsServer::Process(const WorkItem& item) {
       payload = HandleAccuracy(item);
       break;
   }
-  if (deadline != nullptr) {
-    const bool expired = ReleaseDeadline(deadline.get());
-    if (expired && !payload.ok() &&
-        payload.status().code() == StatusCode::kCancelled) {
-      payload = Status::DeadlineExceeded(
-          "deadline of " + std::to_string(request.timeout_ms) +
-          " ms exceeded: " + payload.status().message());
-    }
-  }
   const Status status = payload.ok() ? Status::OK() : payload.status();
   Respond(item, status, payload.ok() ? *payload : "");
   if (request.kind == Request::Kind::kShutdown) {
@@ -579,8 +556,7 @@ Result<std::string> SitStatsServer::HandleEstimate(
   const bool cached = cache_.Lookup(key, &estimate);
   if (!cached) {
     const uint64_t epoch = cache_.epoch();
-    SITSTATS_RETURN_IF_ERROR(
-        cancel.CheckCancelled("estimate on stopping server"));
+    SITSTATS_RETURN_IF_ERROR(cancel.CheckCancelled("estimate"));
     {
       // Read-mostly path: estimates share the SIT catalog under the reader
       // lock and run concurrently with each other and with in-flight
@@ -710,64 +686,9 @@ Result<std::string> SitStatsServer::HandleSleep(
     const WorkItem& item, const CancellationToken& cancel) {
   if (cancel.WaitForCancellation(
           std::chrono::milliseconds(item.request.sleep_ms))) {
-    return Status::Cancelled("sleep interrupted");
+    return cancel.CheckCancelled("sleep");
   }
   return "slept_ms=" + std::to_string(item.request.sleep_ms);
-}
-
-std::shared_ptr<CancellationSource> SitStatsServer::ArmDeadline(
-    uint64_t timeout_ms) {
-  auto source = std::make_shared<CancellationSource>(stop_source_.token());
-  {
-    MutexLock lock(deadline_mu_);
-    deadlines_.push_back(DeadlineEntry{
-        std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(timeout_ms),
-        source});
-  }
-  deadline_cv_.NotifyOne();
-  return source;
-}
-
-bool SitStatsServer::ReleaseDeadline(const CancellationSource* source) {
-  MutexLock lock(deadline_mu_);
-  auto it = std::find_if(deadlines_.begin(), deadlines_.end(),
-                         [source](const DeadlineEntry& entry) {
-                           return entry.source.get() == source;
-                         });
-  if (it == deadlines_.end()) return true;  // the deadline thread fired it
-  deadlines_.erase(it);
-  return false;
-}
-
-void SitStatsServer::DeadlineLoop() {
-  MutexLock lock(deadline_mu_);
-  while (!stop_requested()) {
-    if (deadlines_.empty()) {
-      deadline_cv_.Wait(deadline_mu_);
-      continue;
-    }
-    auto next = std::min_element(
-        deadlines_.begin(), deadlines_.end(),
-        [](const DeadlineEntry& a, const DeadlineEntry& b) {
-          return a.deadline < b.deadline;
-        });
-    const auto now = std::chrono::steady_clock::now();
-    if (next->deadline > now) {
-      deadline_cv_.WaitUntil(deadline_mu_, next->deadline);
-      continue;
-    }
-    // Removing the entry is what marks it expired: ReleaseDeadline then
-    // finds nothing and reports DeadlineExceeded instead of Cancelled.
-    std::shared_ptr<CancellationSource> source = std::move(next->source);
-    deadlines_.erase(next);
-    // Cancel outside the lock: the callback chain (executor links, queue
-    // broadcasts) takes its own locks and must not nest under
-    // deadline_mu_.
-    lock.Unlock();
-    source->Cancel();
-    lock.Lock();
-  }
 }
 
 }  // namespace sitstats

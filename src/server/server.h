@@ -2,7 +2,6 @@
 #define SITSTATS_SERVER_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,10 +83,11 @@ struct ServerOptions {
 /// Both classes run the same worker loop, and every dequeued request goes
 /// through Process(); the class only picks the queue and the metric and
 /// span labels. Responses are delivered in request order per connection,
-/// so a client may pipeline. Every request may carry timeout_ms=N: a
-/// deadline thread cancels the request's CancellationToken on expiry and
-/// the worker reports DeadlineExceeded; build cancellation is cooperative
-/// via the sweep-scan polling sites.
+/// so a client may pipeline. Every request may carry timeout_ms=N: its
+/// CancellationToken is the server stop token plus a deadline N ms after
+/// a worker picks it up, and the request's own poll sites (the sweep
+/// scans' batch polls, SLEEP's wait, ESTIMATE's pre-compute check) report
+/// DeadlineExceeded once it passes. No thread watches the deadlines.
 ///
 /// Fault-injection sites (exercised by the fault sweep, which asserts the
 /// server survives each): "server.accept" per accepted connection,
@@ -143,9 +143,6 @@ class SitStatsServer {
   std::string StatsPayload() const;
 
   size_t num_sits() const;
-  /// Deadlines armed by in-flight requests that have neither fired nor
-  /// been released by their finished request.
-  size_t pending_deadlines() const;
   EstimateCache::Stats cache_stats() const { return cache_.GetStats(); }
 
  private:
@@ -181,16 +178,7 @@ class SitStatsServer {
     uint64_t enqueue_us = 0;
   };
 
-  /// Deadline-thread entry: cancel `source` at `deadline` unless the
-  /// request finished first. Exactly one side removes it: the deadline
-  /// thread when it fires, otherwise the request when it finishes.
-  struct DeadlineEntry {
-    std::chrono::steady_clock::time_point deadline;
-    std::shared_ptr<CancellationSource> source;
-  };
-
   void PollLoop();
-  void DeadlineLoop();
   /// Pops and processes `queue`'s requests until it is closed and drained.
   void WorkerLoop(BoundedQueue<WorkItem>* queue);
 
@@ -231,13 +219,6 @@ class SitStatsServer {
   void LogSlowRequest(const WorkItem& item, double total_ms,
                       const Status& status);
 
-  /// Returns a source linked to the server stop token that the deadline
-  /// thread cancels after `timeout_ms`.
-  std::shared_ptr<CancellationSource> ArmDeadline(uint64_t timeout_ms);
-  /// Removes `source`'s entry unless the deadline thread already fired
-  /// it; true when it fired.
-  bool ReleaseDeadline(const CancellationSource* source);
-
   void RecordTransportError(const Status& status);
 
   const ServerOptions options_;
@@ -265,14 +246,9 @@ class SitStatsServer {
   BoundedQueue<WorkItem> build_queue_;
 
   std::thread poll_thread_;
-  std::thread deadline_thread_;
   /// The estimate-class and build-class workers, each running WorkerLoop
   /// over its class queue.
   std::vector<std::thread> workers_;
-
-  mutable Mutex deadline_mu_;
-  CondVar deadline_cv_;
-  std::vector<DeadlineEntry> deadlines_ GUARDED_BY(deadline_mu_);
 
   Mutex transport_mu_;
   /// In-order, bounded (kMaxTransportErrors) record of transport-level

@@ -1,5 +1,8 @@
 #include "sit/base_stats.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/fault_injection.h"
 #include "sampling/bernoulli.h"
 
@@ -31,6 +34,12 @@ Result<const Histogram*> BaseStatsCache::GetOrBuild(const Catalog& catalog,
   }
   SITSTATS_OOM_SITE("oom.sampling.values", col->size() * sizeof(double));
   std::vector<double> values = col->ToNumericVector();
+  // NaN joins nothing and satisfies no range predicate, so it is no part
+  // of the distribution (CountKeys skips NaN rows the same way); +-inf
+  // still reaches the builders, which reject it.
+  values.erase(std::remove_if(values.begin(), values.end(),
+                              [](double v) { return std::isnan(v); }),
+               values.end());
   Histogram histogram;
   if (options_.sample && !values.empty()) {
     SITSTATS_FAULT_SITE("sampling.bernoulli.sample");

@@ -36,8 +36,10 @@ struct SitBuildOptions {
   /// whether built alone, in any batch, or on any number of threads.
   uint64_t seed = 42;
   /// Cooperative cancellation, polled inside every sweep scan's row loop:
-  /// a cancelled token aborts the build promptly with Status::Cancelled.
-  /// Server request timeouts ride in on this. Default: never cancelled.
+  /// a cancelled token aborts the build promptly with Status::Cancelled,
+  /// an expired deadline with Status::DeadlineExceeded. Server request
+  /// timeouts ride in on this as the token's deadline. Default: never
+  /// cancelled.
   CancellationToken cancel;
 };
 

@@ -67,8 +67,9 @@ struct SweepScanSpec {
   size_t temp_memory_runs = 0;
   HistogramSpec histogram_spec;
   /// Cooperative cancellation: the row loop polls this token every batch
-  /// of rows and aborts with Status::Cancelled mid-scan. A default token
-  /// never cancels. Server request timeouts and the schedule executor's
+  /// of rows and aborts mid-scan with Status::Cancelled, or with
+  /// Status::DeadlineExceeded once the token's deadline passed. A default
+  /// token never cancels. Server request timeouts and the schedule executor's
   /// first-error signal both arrive here — this is what makes an abort
   /// prompt instead of waiting out the scan.
   CancellationToken cancel;

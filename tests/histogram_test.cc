@@ -76,6 +76,9 @@ TEST(HistogramTest, ScaledToTotal) {
   EXPECT_NEAR(scaled.TotalFrequency(), 314.0, 1e-9);
   // Shape preserved: first bucket has 100/157 of the mass.
   EXPECT_NEAR(scaled.bucket(0).frequency, 200.0, 1e-9);
+  // Bucket boundaries unchanged.
+  EXPECT_DOUBLE_EQ(scaled.bucket(2).lo, 30.0);
+  EXPECT_DOUBLE_EQ(scaled.bucket(1).hi, 19.0);
   // Original untouched.
   EXPECT_DOUBLE_EQ(h.TotalFrequency(), 157.0);
 }

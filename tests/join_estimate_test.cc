@@ -134,17 +134,6 @@ TEST(JoinEstimateTest, ZipfSelfJoinStaysInBallpark) {
   EXPECT_LT(est, exact * 2);
 }
 
-TEST(JoinEstimateTest, PropagationScalesFrequenciesOnly) {
-  Histogram attr({Bucket{0, 9, 30, 3}, Bucket{10, 19, 70, 7}});
-  Histogram propagated = PropagateThroughJoin(attr, 1'000.0);
-  EXPECT_NEAR(propagated.TotalFrequency(), 1'000.0, 1e-9);
-  EXPECT_NEAR(propagated.bucket(0).frequency, 300.0, 1e-9);
-  EXPECT_NEAR(propagated.bucket(1).frequency, 700.0, 1e-9);
-  // Bucket boundaries unchanged.
-  EXPECT_DOUBLE_EQ(propagated.bucket(0).lo, 0.0);
-  EXPECT_DOUBLE_EQ(propagated.bucket(1).hi, 19.0);
-}
-
 TEST(JoinEstimateTest, JoinEstimateIsSymmetricOnRandomInputs) {
   Rng rng(23);
   for (int trial = 0; trial < 10; ++trial) {

@@ -192,14 +192,33 @@ TEST_F(ServerTest, RequestTimeoutReportsDeadlineExceeded) {
 TEST_F(ServerTest, FinishedRequestsReleaseTheirDeadlines) {
   StartServer();
   SitStatsClient client = Connect();
-  // Each request finishes long before its ten-minute deadline; none may
-  // leave its deadline (and the cancellation source it holds) behind.
+  // Each request finishes long before its ten-minute deadline, which
+  // lives in the request's own token: nothing outlives the request.
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(client.Sleep(/*ms=*/1, /*timeout_ms=*/600'000).ok());
   }
   // A timed estimate goes through the same deadline path.
   ASSERT_TRUE(client.Estimate(kSpec, 0.0, 1e6, /*timeout_ms=*/600'000).ok());
-  EXPECT_EQ(server_->pending_deadlines(), 0u);
+}
+
+TEST_F(ServerTest, StopReleasesATimedSleepPromptly) {
+  StartServer();
+  SitStatsClient client = Connect();
+  Result<std::string> slept = std::string();
+  std::thread sleeper([&] {
+    slept = client.Sleep(/*ms=*/60'000, /*timeout_ms=*/600'000);
+  });
+  // Let the worker pick the SLEEP up and start waiting on its token.
+  std::this_thread::sleep_for(milliseconds(200));
+  const std::chrono::steady_clock::time_point start =
+      std::chrono::steady_clock::now();
+  // The request's token is linked to the stop token: Stop() cancels it and
+  // wakes the wait at once, long before the sleep or its deadline ends.
+  server_->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds(30'000));
+  sleeper.join();
+  ASSERT_FALSE(slept.ok());
+  EXPECT_EQ(slept.status().code(), StatusCode::kCancelled);
 }
 
 /// The token following "<key>=" in a space-separated payload; "" when
