@@ -111,6 +111,11 @@ Status SitStatsServer::Start() {
   if (options_.socket_path.empty()) {
     return Status::InvalidArgument("ServerOptions.socket_path is empty");
   }
+  // Load every table before listening: a corrupt colfile fails the start,
+  // and no request pays for a table's first use.
+  for (const std::string& name : catalog_->TableNames()) {
+    SITSTATS_RETURN_IF_ERROR(catalog_->GetTable(name).status());
+  }
 
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;

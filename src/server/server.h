@@ -103,8 +103,9 @@ class SitStatsServer {
   SitStatsServer(const SitStatsServer&) = delete;
   SitStatsServer& operator=(const SitStatsServer&) = delete;
 
-  /// Binds + listens and spawns the serving threads. Errors (socket in
-  /// use, bad path) surface here, not in the background.
+  /// Loads every catalog table, binds + listens and spawns the serving
+  /// threads. Errors (corrupt colfile, socket in use, bad path) surface
+  /// here, not in the background.
   Status Start();
 
   /// Asynchronous stop: stops accepting, cancels in-flight work via the

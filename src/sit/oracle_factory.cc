@@ -8,7 +8,8 @@ namespace sitstats {
 
 namespace {
 
-/// Reads the (x, y) pairs of two numeric columns of a table.
+/// Reads the (x, y) pairs of two numeric columns of a table, skipping
+/// rows with a NaN in either column: NaN joins nothing.
 Result<std::vector<std::pair<double, double>>> ReadPairs(
     const Table& table, const std::string& x_column,
     const std::string& y_column) {
@@ -21,7 +22,10 @@ Result<std::vector<std::pair<double, double>>> ReadPairs(
   std::vector<std::pair<double, double>> points;
   points.reserve(table.num_rows());
   for (size_t row = 0; row < table.num_rows(); ++row) {
-    points.emplace_back(xc->GetNumeric(row), yc->GetNumeric(row));
+    const double x = xc->GetNumeric(row);
+    const double y = yc->GetNumeric(row);
+    if (std::isnan(x) || std::isnan(y)) continue;
+    points.emplace_back(x, y);
   }
   return points;
 }

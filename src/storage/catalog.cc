@@ -2,9 +2,44 @@
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
+#include "storage/column_file.h"
 #include "telemetry/trace.h"
 
 namespace sitstats {
+
+namespace {
+
+/// Maps and verifies every colfile of `pending` and assembles its table.
+Result<Table> LoadPendingTable(const PendingTable& pending) {
+  telemetry::TraceSpan span("storage.table.load");
+  span.AddAttribute("table", pending.name);
+  std::vector<Column> columns;
+  columns.reserve(pending.colfiles.size());
+  for (size_t c = 0; c < pending.colfiles.size(); ++c) {
+    const ColumnDef& def = pending.schema.column(c);
+    const std::string& path = pending.colfiles[c];
+    SITSTATS_ASSIGN_OR_RETURN(Column column, ReadColumnFile(def.name, path));
+    if (column.type() != def.type) {
+      return Status::InvalidArgument(
+          path + ": file type " + ValueTypeToString(column.type()) +
+          " disagrees with manifest type " + ValueTypeToString(def.type));
+    }
+    columns.push_back(std::move(column));
+  }
+  // FromColumns runs Table::CheckConsistent.
+  SITSTATS_ASSIGN_OR_RETURN(
+      Table table,
+      Table::FromColumns(pending.name, pending.schema, std::move(columns)));
+  if (table.num_rows() != pending.num_rows) {
+    return Status::InvalidArgument(
+        "table " + pending.name + ": manifest promises " +
+        std::to_string(pending.num_rows) + " rows, colfiles hold " +
+        std::to_string(table.num_rows()));
+  }
+  return table;
+}
+
+}  // namespace
 
 Result<WeightTable> CountKeys(const Table& table,
                               const std::vector<std::string>& columns) {
@@ -53,15 +88,31 @@ Catalog& Catalog::operator=(Catalog&& other) noexcept {
   return *this;
 }
 
-Status Catalog::AddTable(std::unique_ptr<Table> table) {
+Status Catalog::AddSlot(const std::string& name,
+                        std::unique_ptr<TableSlot> slot) {
   SITSTATS_FAULT_SITE("storage.catalog.add_table");
-  const std::string& name = table->name();
   WriterLock lock(mu_);
   if (tables_.contains(name)) {
     return Status::AlreadyExists("table " + name);
   }
-  tables_[name] = std::move(table);
+  tables_[name] = std::move(slot);
   return Status::OK();
+}
+
+Status Catalog::AddTable(std::unique_ptr<Table> table) {
+  const std::string name = table->name();
+  return AddSlot(name, std::make_unique<TableSlot>(std::move(table)));
+}
+
+Status Catalog::AddPendingTable(PendingTable pending) {
+  if (pending.colfiles.size() != pending.schema.num_columns()) {
+    return Status::InvalidArgument(
+        "table " + pending.name + ": " +
+        std::to_string(pending.colfiles.size()) + " colfiles for " +
+        std::to_string(pending.schema.num_columns()) + " columns");
+  }
+  const std::string name = pending.name;
+  return AddSlot(name, std::make_unique<TableSlot>(std::move(pending)));
 }
 
 Result<Table*> Catalog::CreateTable(const std::string& name,
@@ -72,29 +123,47 @@ Result<Table*> Catalog::CreateTable(const std::string& name,
   }
   auto table = std::make_unique<Table>(name, schema);
   Table* raw = table.get();
-  tables_[name] = std::move(table);
+  tables_[name] = std::make_unique<TableSlot>(std::move(table));
   return raw;
 }
 
+Result<Table*> Catalog::LoadedTable(const std::string& name) const {
+  TableSlot* slot = nullptr;
+  {
+    ReaderLock lock(mu_);
+    auto it = tables_.find(name);
+    if (it == tables_.end()) return Status::NotFound("table " + name);
+    slot = it->second.get();
+  }
+  // A slot is never removed, so it is used with the registry unlocked:
+  // loading one table stalls no lookup of another.
+  MutexLock lock(slot->mu);
+  if (slot->table == nullptr) {
+    SITSTATS_ASSIGN_OR_RETURN(Table table, LoadPendingTable(slot->pending));
+    slot->table = std::make_unique<Table>(std::move(table));
+  }
+  return slot->table.get();
+}
+
+const Table* Catalog::PublishedTable(TableSlot& slot) {
+  MutexLock lock(slot.mu);
+  return slot.table.get();
+}
+
 Result<const Table*> Catalog::GetTable(const std::string& name) const {
-  ReaderLock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("table " + name);
-  return static_cast<const Table*>(it->second.get());
+  SITSTATS_ASSIGN_OR_RETURN(Table* table, LoadedTable(name));
+  return static_cast<const Table*>(table);
 }
 
 Result<Table*> Catalog::GetMutableTable(const std::string& name) {
-  ReaderLock lock(mu_);
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return Status::NotFound("table " + name);
-  return it->second.get();
+  return LoadedTable(name);
 }
 
 std::vector<std::string> Catalog::TableNames() const {
   ReaderLock lock(mu_);
   std::vector<std::string> names;
   names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
+  for (const auto& [name, slot] : tables_) names.push_back(name);
   return names;
 }
 
@@ -126,10 +195,12 @@ Result<const WeightTable*> Catalog::EnsureIndex(
 
 Status Catalog::ValidateConsistency() const {
   ReaderLock lock(mu_);
-  for (const auto& [name, table] : tables_) {
-    if (table == nullptr) {
-      return Status::Internal("catalog maps " + name + " to a null table");
+  for (const auto& [name, slot] : tables_) {
+    if (slot == nullptr) {
+      return Status::Internal("catalog maps " + name + " to a null slot");
     }
+    const Table* table = PublishedTable(*slot);
+    if (table == nullptr) continue;  // pending: nothing loaded to check
     if (table->name() != name) {
       return Status::Internal("catalog maps " + name + " to a table named " +
                               table->name());
@@ -144,14 +215,16 @@ Status Catalog::ValidateConsistency() const {
     const auto& [table_name, column_name] = key;
     const std::string name = table_name + "." + column_name;
     auto it = tables_.find(table_name);
-    if (it == tables_.end()) {
-      return Status::Internal("index " + name +
-                              " covers a table the catalog does not hold");
+    const Table* covered =
+        it == tables_.end() ? nullptr : PublishedTable(*it->second);
+    if (covered == nullptr) {
+      return Status::Internal(
+          "index " + name + " covers a table the catalog has not loaded");
     }
     // The recount holds exactly the column's keys, each with a nonzero
     // count. So equal key counts and equal lookups for every row's key
     // mean the index holds the same keys with the same counts.
-    const Table& table = *it->second;
+    const Table& table = *covered;
     SITSTATS_ASSIGN_OR_RETURN(WeightTable recount,
                               CountKeys(table, {column_name}));
     if (recount.size() != index.size()) {

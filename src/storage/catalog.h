@@ -1,14 +1,17 @@
 #ifndef SITSTATS_STORAGE_CATALOG_H_
 #define SITSTATS_STORAGE_CATALOG_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/weight_table.h"
 
@@ -23,17 +26,39 @@ namespace sitstats {
 Result<WeightTable> CountKeys(const Table& table,
                               const std::vector<std::string>& columns);
 
+/// A table whose columns stay on disk until its first use: the binary
+/// catalog registers one per manifest table record.
+struct PendingTable {
+  std::string name;
+  Schema schema;
+  /// The row count the manifest promises; the colfiles must agree.
+  uint64_t num_rows = 0;
+  /// One colfile path per schema column, in schema order.
+  std::vector<std::string> colfiles;
+};
+
 /// The database: owns tables and their key-count indexes. Column
 /// references are resolved through the catalog using "Table.column"
 /// qualified names.
 ///
+/// A table is either loaded (AddTable, CreateTable) or pending
+/// (AddPendingTable). The first GetTable, GetMutableTable, ResolveColumn or
+/// EnsureIndex that reaches a pending table maps and verifies its colfiles
+/// (ReadColumnFile), builds the Table and publishes it. A failed load
+/// returns the colfile error, publishes nothing and is retried on the next
+/// call. HasTable, TableNames and num_tables see pending tables without
+/// loading them.
+///
 /// Thread safety: the table/index registries are guarded by a
 /// reader-writer lock, so lookups (GetTable, EnsureIndex, ResolveColumn,
 /// ...) are safe concurrently with each other and with registrations — the
-/// parallel schedule executor scans several tables at once. Returned
-/// Table/WeightTable pointers stay valid for the catalog's lifetime
-/// (node-based map storage; EnsureIndex never replaces a live index), and
-/// a registered index is never written again, so concurrent readers may
+/// parallel schedule executor scans several tables at once. Each table has
+/// its own load lock, taken without the registry lock held: concurrent
+/// first users of one table wait for a single load and get the same
+/// pointer, while loads of different tables run in parallel. Returned
+/// Table/WeightTable pointers stay valid for the catalog's lifetime (a
+/// published table and a registered index are never replaced), and a
+/// registered index is never written again, so concurrent readers may
 /// Lookup() it.
 /// Mutating the *contents* of a table (AppendRow via GetMutableTable) is
 /// not synchronized — load data single-threaded, then build statistics in
@@ -49,6 +74,10 @@ class Catalog {
 
   /// Registers a table; the name must be unique.
   Status AddTable(std::unique_ptr<Table> table);
+
+  /// Registers a table to load on first use; the name must be unique.
+  /// Reads no colfile.
+  Status AddPendingTable(PendingTable pending);
 
   /// Creates, registers and returns an empty table with the given schema.
   Result<Table*> CreateTable(const std::string& name, const Schema& schema);
@@ -78,8 +107,9 @@ class Catalog {
   Result<std::pair<const Table*, const Column*>> ResolveColumn(
       const std::string& qualified_name) const;
 
-  /// Deep cross-subsystem invariants: every table's columns agree in
-  /// length with each other and with the schema, and every index agrees
+  /// Deep cross-subsystem invariants: every loaded table's columns agree in
+  /// length with each other and with the schema (pending tables are not
+  /// loaded for this), and every index agrees
   /// with the table it covers: a recount of the column has as many keys as
   /// the index, and each row's key has the same count in both.
   /// O(total rows + total indexed rows); wired to bulk-load boundaries via
@@ -87,9 +117,28 @@ class Catalog {
   Status ValidateConsistency() const;
 
  private:
+  /// One registered table: loaded, or pending until its first use.
+  struct TableSlot {
+    explicit TableSlot(std::unique_ptr<Table> loaded)
+        : table(std::move(loaded)) {}
+    explicit TableSlot(PendingTable to_load) : pending(std::move(to_load)) {}
+
+    /// The load lock: held while the table is read from its colfiles.
+    Mutex mu;
+    /// Null until the table is loaded; never replaced once set.
+    std::unique_ptr<Table> table GUARDED_BY(mu);
+    PendingTable pending GUARDED_BY(mu);
+  };
+
+  Status AddSlot(const std::string& name, std::unique_ptr<TableSlot> slot);
+  /// The table named `name`, loading it if it is pending.
+  Result<Table*> LoadedTable(const std::string& name) const;
+  /// The slot's table, or null while it is pending; loads nothing.
+  static const Table* PublishedTable(TableSlot& slot);
+
   /// Guards tables_ and indexes_ (the registries, not table contents).
   mutable SharedMutex mu_;
-  std::map<std::string, std::unique_ptr<Table>> tables_ GUARDED_BY(mu_);
+  std::map<std::string, std::unique_ptr<TableSlot>> tables_ GUARDED_BY(mu_);
   std::map<std::pair<std::string, std::string>, WeightTable> indexes_
       GUARDED_BY(mu_);
 };

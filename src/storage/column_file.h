@@ -27,8 +27,9 @@ namespace sitstats {
 /// The checksum covers the payload and the header fields that size it:
 /// header bytes 8..31 (version, type, row count, payload bytes) are hashed
 /// first and seed the payload hash, so a flipped bit in either is caught.
-/// Every load verifies every payload byte. Version 1 files are rejected;
-/// re-import them.
+/// Every payload byte is verified before its table is first used: a binary
+/// catalog reads a table's colfiles on that table's first use
+/// (storage/catalog.h). Version 1 files are rejected; re-import them.
 ///
 /// Numeric payloads are the raw 8-byte cells, so a reader can hand the
 /// mapping directly to the batched scan with no per-row decode — this is

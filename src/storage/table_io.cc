@@ -284,36 +284,24 @@ Result<std::unique_ptr<Catalog>> LoadCatalogBinary(const std::string& dir) {
     }
   }
 
+  // Registers every table as pending: its colfiles are mapped and
+  // verified on its first use (Catalog::GetTable), so a build pays only
+  // for the tables it reads. Every manifest error still fails here.
   auto catalog = std::make_unique<Catalog>();
   size_t line_number = 1;
-  std::string pending_table;
-  uint64_t pending_rows = 0;
+  PendingTable pending;
   int64_t pending_columns = 0;
-  Schema schema;
-  std::vector<Column> columns;
 
   auto flush_table = [&]() -> Status {
-    if (pending_table.empty()) return Status::OK();
-    if (static_cast<int64_t>(columns.size()) != pending_columns) {
+    if (pending.name.empty()) return Status::OK();
+    if (static_cast<int64_t>(pending.colfiles.size()) != pending_columns) {
       return Status::InvalidArgument(
-          manifest_path + ": table " + pending_table + " promises " +
+          manifest_path + ": table " + pending.name + " promises " +
           std::to_string(pending_columns) + " columns, manifest lists " +
-          std::to_string(columns.size()));
-    }
-    SITSTATS_ASSIGN_OR_RETURN(
-        Table table,
-        Table::FromColumns(pending_table, schema, std::move(columns)));
-    if (table.num_rows() != pending_rows) {
-      return Status::InvalidArgument(
-          manifest_path + ": table " + pending_table + " promises " +
-          std::to_string(pending_rows) + " rows, columns hold " +
-          std::to_string(table.num_rows()));
+          std::to_string(pending.colfiles.size()));
     }
     SITSTATS_RETURN_IF_ERROR(
-        catalog->AddTable(std::make_unique<Table>(std::move(table))));
-    pending_table.clear();
-    schema = Schema();
-    columns.clear();
+        catalog->AddPendingTable(std::exchange(pending, PendingTable())));
     return Status::OK();
   };
 
@@ -330,35 +318,26 @@ Result<std::unique_ptr<Catalog>> LoadCatalogBinary(const std::string& dir) {
     if (fields[0] == "table") {
       if (fields.size() != 4) return bad_line("malformed table record");
       SITSTATS_RETURN_IF_ERROR(flush_table());
-      pending_table = fields[1];
+      pending.name = fields[1];
       SITSTATS_ASSIGN_OR_RETURN(int64_t rows, ParseInt64(fields[2]));
       SITSTATS_ASSIGN_OR_RETURN(pending_columns, ParseInt64(fields[3]));
       if (rows < 0 || pending_columns < 0) {
         return bad_line("negative table dimensions");
       }
-      pending_rows = static_cast<uint64_t>(rows);
+      pending.num_rows = static_cast<uint64_t>(rows);
     } else if (fields[0] == "column") {
       if (fields.size() != 4) return bad_line("malformed column record");
-      if (pending_table.empty()) {
+      if (pending.name.empty()) {
         return bad_line("column record before any table record");
       }
       SITSTATS_ASSIGN_OR_RETURN(ValueType type, TypeFromName(fields[2]));
-      SITSTATS_ASSIGN_OR_RETURN(
-          Column column, ReadColumnFile(fields[1], dir + "/" + fields[3]));
-      if (column.type() != type) {
-        return bad_line("column " + fields[1] + " file type " +
-                        ValueTypeToString(column.type()) +
-                        " disagrees with manifest type " + fields[2]);
-      }
-      schema.AddColumn(fields[1], type);
-      columns.push_back(std::move(column));
+      pending.schema.AddColumn(fields[1], type);
+      pending.colfiles.push_back(dir + "/" + fields[3]);
     } else {
       return bad_line("unknown record '" + fields[0] + "'");
     }
   }
   SITSTATS_RETURN_IF_ERROR(flush_table());
-  // Bulk-load boundary, as on the CSV path.
-  SITSTATS_DCHECK_OK(catalog->ValidateConsistency());
   return catalog;
 }
 

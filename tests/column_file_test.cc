@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,9 +18,11 @@
 #include "common/rng.h"
 #include "scheduler/executor.h"
 #include "scheduler/solver.h"
+#include "sit/creator.h"
 #include "sit/serialization.h"
 #include "storage/scan.h"
 #include "storage/table_io.h"
+#include "telemetry/trace.h"
 
 namespace sitstats {
 namespace {
@@ -520,6 +525,130 @@ TEST_F(ColumnFileTest, SitsAreByteIdenticalAcrossFormatAndThreadCount) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lazy table loads: LoadCatalogBinary reads only the manifest, and a
+// table's colfiles are mapped and verified on its first use.
+// ---------------------------------------------------------------------------
+
+/// Flips the first payload byte of the colfile at `path`.
+void FlipPayloadByte(const std::string& path) {
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), sizeof(ColumnFileHeader));
+  bytes[sizeof(ColumnFileHeader)] ^= 0x01;
+  WriteFileBytes(path, bytes);
+}
+
+/// The tables loaded from colfiles while tracing was on, sorted.
+std::vector<std::string> TracedTableLoads() {
+  std::vector<std::string> tables;
+  for (const telemetry::TraceEvent& event :
+       telemetry::Tracer::Global().Snapshot()) {
+    if (event.name != "storage.table.load") continue;
+    for (const auto& [key, value] : event.args) {
+      if (key == "table") tables.push_back(value);
+    }
+  }
+  std::sort(tables.begin(), tables.end());
+  return tables;
+}
+
+/// Records trace events for one test's lifetime.
+class TraceScope {
+ public:
+  TraceScope() {
+    telemetry::Tracer::Global().Clear();
+    telemetry::Tracer::Global().SetEnabled(true);
+  }
+  ~TraceScope() {
+    telemetry::Tracer::Global().SetEnabled(false);
+    telemetry::Tracer::Global().Clear();
+  }
+};
+
+TEST_F(ColumnFileTest, CorruptTableOutsideABuildFailsOnlyOnItsFirstUse) {
+  Catalog original;
+  std::vector<SitDescriptor> sits;
+  MakeSharedScanDb(&original, &sits);  // sits[1] is S.b over R join S
+  ASSERT_TRUE(SaveCatalogBinary(original, dir_).ok());
+  const std::string corrupt = dir_ + "/T.a.col";
+  FlipPayloadByte(corrupt);
+
+  TraceScope trace;
+  std::unique_ptr<Catalog> catalog = LoadCatalogBinary(dir_).ValueOrDie();
+  EXPECT_EQ(catalog->TableNames(), original.TableNames());
+  EXPECT_TRUE(catalog->ValidateConsistency().ok());
+  EXPECT_TRUE(TracedTableLoads().empty());
+
+  // Every variant builds the SIT over R and S, byte for byte as from the
+  // in-memory catalog, and the build loads those two tables only.
+  for (SweepVariant variant :
+       {SweepVariant::kSweep, SweepVariant::kSweepIndex,
+        SweepVariant::kSweepFull, SweepVariant::kSweepExact,
+        SweepVariant::kHistSit}) {
+    SitBuildOptions options;
+    options.variant = variant;
+    BaseStatsCache mapped_stats, original_stats;
+    Result<Sit> sit = CreateSit(catalog.get(), &mapped_stats, sits[1], options);
+    ASSERT_TRUE(sit.ok()) << SweepVariantToString(variant) << ": "
+                          << sit.status();
+    EXPECT_EQ(SerializeSit(*sit),
+              SerializeSit(CreateSit(&original, &original_stats, sits[1],
+                                     options)
+                               .ValueOrDie()));
+  }
+  EXPECT_EQ(TracedTableLoads(), (std::vector<std::string>{"R", "S"}));
+  EXPECT_TRUE(catalog->ValidateConsistency().ok());
+
+  // The corrupt table fails on every use, naming its file.
+  for (int call = 0; call < 2; ++call) {
+    Result<const Table*> table = catalog->GetTable("T");
+    ASSERT_FALSE(table.ok());
+    EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(table.status().message().find("checksum"), std::string::npos)
+        << table.status().message();
+    EXPECT_NE(table.status().message().find(corrupt), std::string::npos)
+        << table.status().message();
+    EXPECT_FALSE(catalog->ResolveColumn("T.a").ok());
+  }
+  // A failed load publishes nothing: once the file is mended, the next
+  // use loads the table.
+  FlipPayloadByte(corrupt);
+  const Table* table = catalog->GetTable("T").ValueOrDie();
+  EXPECT_EQ(table->num_rows(), 2'000u);
+  EXPECT_EQ(catalog->GetTable("T").ValueOrDie(), table);
+  EXPECT_TRUE(catalog->ValidateConsistency().ok());
+}
+
+TEST_F(ColumnFileTest, ConcurrentFirstUsesShareOneLoad) {
+  Catalog original;
+  SITSTATS_CHECK_OK(original.AddTable(std::make_unique<Table>(MixedTable())));
+  ASSERT_TRUE(SaveCatalogBinary(original, dir_).ok());
+  std::unique_ptr<Catalog> catalog = LoadCatalogBinary(dir_).ValueOrDie();
+
+  TraceScope trace;
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<Result<const Table*>> seen(kThreads,
+                                         Status::Internal("not run"));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      // Every thread makes its first call at once.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      seen[i] = catalog->GetTable("M");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_TRUE(seen[0].ok()) << seen[0].status();
+  for (const Result<const Table*>& table : seen) {
+    ASSERT_TRUE(table.ok()) << table.status();
+    EXPECT_EQ(*table, *seen[0]);
+  }
+  EXPECT_EQ((*seen[0])->num_rows(), 500u);
+  EXPECT_EQ(TracedTableLoads(), std::vector<std::string>{"M"});
 }
 
 }  // namespace

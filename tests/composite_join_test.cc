@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -260,46 +261,65 @@ TEST(CompositeJoinTest, CompositeLeafSitBytesArePinned) {
   }
 }
 
-TEST(CompositeJoinTest, GridOracleRejectsNaNJoinValue) {
-  // A NaN in the first row of the child's composite join columns: the grid
-  // oracle's build reports InvalidArgument instead of aborting, and the
-  // exact variants drop the row (a NaN key never matches).
-  Catalog catalog;
-  Schema rs;
-  rs.AddColumn("x1", ValueType::kDouble);
-  rs.AddColumn("x2", ValueType::kDouble);
-  Table* r = catalog.CreateTable("R", rs).ValueOrDie();
-  Schema ss;
-  ss.AddColumn("y1", ValueType::kDouble);
-  ss.AddColumn("y2", ValueType::kDouble);
-  ss.AddColumn("a", ValueType::kDouble);
-  Table* s = catalog.CreateTable("S", ss).ValueOrDie();
+TEST(CompositeJoinTest, GridOracleSkipsNaNAndRejectsInfJoinValue) {
+  // The child's composite join columns hold a NaN in their first row and
+  // `extra` in their last: a NaN key joins nothing, so every variant drops
+  // that row, while an infinite key still fails the grid's bounds fit.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  SITSTATS_CHECK_OK(r->AppendRow({Value(nan), Value(1.0)}));
-  for (int i = 0; i < 20; ++i) {
-    const double k = i % 4;
-    SITSTATS_CHECK_OK(r->AppendRow({Value(k), Value(k + 1)}));
-    SITSTATS_CHECK_OK(s->AppendRow({Value(k), Value(k + 1), Value(k * 2)}));
-  }
+  auto make_catalog = [nan](Catalog* catalog, double extra) {
+    Schema rs;
+    rs.AddColumn("x1", ValueType::kDouble);
+    rs.AddColumn("x2", ValueType::kDouble);
+    Table* r = catalog->CreateTable("R", rs).ValueOrDie();
+    Schema ss;
+    ss.AddColumn("y1", ValueType::kDouble);
+    ss.AddColumn("y2", ValueType::kDouble);
+    ss.AddColumn("a", ValueType::kDouble);
+    Table* s = catalog->CreateTable("S", ss).ValueOrDie();
+    SITSTATS_CHECK_OK(r->AppendRow({Value(nan), Value(1.0)}));
+    for (int i = 0; i < 20; ++i) {
+      const double k = i % 4;
+      SITSTATS_CHECK_OK(r->AppendRow({Value(k), Value(k + 1)}));
+      SITSTATS_CHECK_OK(s->AppendRow({Value(k), Value(k + 1), Value(k * 2)}));
+    }
+    SITSTATS_CHECK_OK(r->AppendRow({Value(extra), Value(1.0)}));
+  };
   GeneratingQuery query =
       GeneratingQuery::Create(
           {"R", "S"}, {Join("R", "x1", "S", "y1"), Join("R", "x2", "S", "y2")})
           .ValueOrDie();
   const SitDescriptor descriptor(ColumnRef{"S", "a"}, query);
-  for (SweepVariant variant : {SweepVariant::kSweep, SweepVariant::kSweepFull}) {
+  auto build = [&descriptor](Catalog* catalog, SweepVariant variant) {
     BaseStatsCache stats;
     SitBuildOptions options;
     options.variant = variant;
-    EXPECT_EQ(CreateSit(&catalog, &stats, descriptor, options).status().code(),
-              StatusCode::kInvalidArgument);
+    return CreateSit(catalog, &stats, descriptor, options);
+  };
+
+  Catalog catalog;
+  make_catalog(&catalog, nan);
+  for (SweepVariant variant : {SweepVariant::kSweep, SweepVariant::kSweepFull}) {
+    Result<Sit> sit = build(&catalog, variant);
+    ASSERT_TRUE(sit.ok()) << sit.status().ToString();
+    EXPECT_TRUE(sit->histogram.Validate().ok());
+    EXPECT_TRUE(std::isfinite(sit->estimated_cardinality));
   }
-  BaseStatsCache stats;
-  SitBuildOptions options;
-  options.variant = SweepVariant::kSweepExact;
-  Sit sit = CreateSit(&catalog, &stats, descriptor, options).ValueOrDie();
-  EXPECT_DOUBLE_EQ(sit.estimated_cardinality,
+  Sit exact = build(&catalog, SweepVariant::kSweepExact).ValueOrDie();
+  EXPECT_DOUBLE_EQ(exact.estimated_cardinality,
                    ExactJoinCardinality(catalog, query).ValueOrDie());
-  EXPECT_DOUBLE_EQ(sit.estimated_cardinality, 100.0);  // 20 rows x 5 each
+  EXPECT_DOUBLE_EQ(exact.estimated_cardinality, 100.0);  // 20 rows x 5 each
+
+  for (double inf : {std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Catalog with_inf;
+    make_catalog(&with_inf, inf);
+    for (SweepVariant variant :
+         {SweepVariant::kSweep, SweepVariant::kSweepFull}) {
+      EXPECT_EQ(build(&with_inf, variant).status().code(),
+                StatusCode::kInvalidArgument)
+          << inf;
+    }
+  }
 }
 
 TEST(CompositeJoinTest, IntermediateCompositeEdgesAreRejected) {

@@ -285,8 +285,8 @@ TEST(ExactKeyEqualityTest, NaNJoinsNothing) {
   }
   // The approximate variants read base histograms, which leave NaN out as
   // the exact counts do: each builds a valid SIT of finite cardinality.
-  // (A composite edge's 2D grid still rejects a NaN; see
-  // CompositeJoinTest.GridOracleRejectsNaNJoinValue.)
+  // (A composite edge's 2D grid drops NaN pairs too; see
+  // CompositeJoinTest.GridOracleSkipsNaNAndRejectsInfJoinValue.)
   for (SweepVariant variant : {SweepVariant::kSweep, SweepVariant::kSweepFull,
                                SweepVariant::kHistSit}) {
     for (const ColumnRef& attribute :

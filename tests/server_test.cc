@@ -17,6 +17,7 @@
 #include "datagen/tpch_lite.h"
 #include "scheduler/executor.h"
 #include "server/client.h"
+#include "storage/table_io.h"
 
 namespace sitstats {
 namespace {
@@ -64,6 +65,40 @@ class ServerTest : public ::testing::Test {
   std::string socket_path_;
   std::unique_ptr<SitStatsServer> server_;
 };
+
+TEST_F(ServerTest, StartFailsOnACorruptColfile) {
+  // Colfile tables load on first use; the server uses them all in Start,
+  // so a corrupt one fails the start and the server never listens.
+  TpchLiteSpec spec;
+  spec.num_nations = 8;
+  spec.num_customers = 20;
+  spec.num_orders = 40;
+  spec.seed = 11;
+  const std::string dir =
+      "/tmp/sitstats_server_test_colfiles_" +
+      std::to_string(reinterpret_cast<uintptr_t>(this));
+  ASSERT_TRUE(
+      SaveCatalogBinary(*MakeTpchLiteDatabase(spec).ValueOrDie(), dir).ok());
+  const std::string corrupt = dir + "/nation.n_regionkey.col";
+  {
+    std::fstream f(corrupt, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(64);  // the first payload byte
+    const char byte = 0x5a;
+    f.write(&byte, 1);
+  }
+  std::unique_ptr<Catalog> catalog = LoadCatalogBinary(dir).ValueOrDie();
+  socket_path_ = "/tmp/sitstats_server_test_" +
+                 std::to_string(reinterpret_cast<uintptr_t>(this)) + ".sock";
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  SitStatsServer server(std::move(catalog), options);
+  Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(started.message().find(corrupt), std::string::npos)
+      << started.message();
+  EXPECT_FALSE(std::filesystem::exists(socket_path_));
+  std::filesystem::remove_all(dir);
+}
 
 TEST_F(ServerTest, PingStatsAndParseErrors) {
   StartServer();
@@ -183,7 +218,7 @@ TEST_F(ServerTest, RequestTimeoutReportsDeadlineExceeded) {
   Result<std::string> slept = client.Sleep(/*ms=*/60'000, /*timeout_ms=*/50);
   ASSERT_FALSE(slept.ok());
   EXPECT_EQ(slept.status().code(), StatusCode::kDeadlineExceeded);
-  // The deadline thread cancelled the wait: the full minute never elapsed.
+  // The token's deadline ended the wait: the full minute never elapsed.
   EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds(30'000));
   // The worker survived to serve the next request.
   EXPECT_TRUE(client.Sleep(1).ok());

@@ -198,7 +198,9 @@ int Import(const Args& args) {
   if (!saved.ok()) return FailStatus(saved);
   size_t columns = 0;
   for (const std::string& name : (*catalog)->TableNames()) {
-    columns += (*catalog)->GetTable(name).ValueOrDie()->num_columns();
+    Result<const Table*> table = (*catalog)->GetTable(name);
+    if (!table.ok()) return FailStatus(table.status());
+    columns += (*table)->num_columns();
   }
   std::printf("imported %zu tables (%zu colfiles) from %s to %s\n",
               (*catalog)->num_tables(), columns, src.c_str(), dst.c_str());
@@ -210,9 +212,10 @@ int Inspect(const Args& args) {
   Result<std::unique_ptr<Catalog>> catalog = LoadCatalog(args.positional[0]);
   if (!catalog.ok()) return FailStatus(catalog.status());
   for (const std::string& name : (*catalog)->TableNames()) {
-    const Table* table = (*catalog)->GetTable(name).ValueOrDie();
-    std::printf("%-12s %9zu rows  %s\n", name.c_str(), table->num_rows(),
-                table->schema().ToString().c_str());
+    Result<const Table*> table = (*catalog)->GetTable(name);
+    if (!table.ok()) return FailStatus(table.status());
+    std::printf("%-12s %9zu rows  %s\n", name.c_str(), (*table)->num_rows(),
+                (*table)->schema().ToString().c_str());
   }
   return 0;
 }
