@@ -44,10 +44,8 @@ Cell RunOne(int num_tables, int num_buckets, uint64_t seed,
   TrueDistribution truth =
       TrueDistribution::Compute(*db.catalog, db.query, db.sit_attribute)
           .ValueOrDie();
-  BaseStatsCache stats(BaseStatsOptions{
-      HistogramSpec{HistogramType::kMaxDiff, num_buckets,
-                    DistinctEstimator::kGee},
-      false, 0.1});
+  BaseStatsCache stats(HistogramSpec{HistogramType::kMaxDiff, num_buckets,
+                                     DistinctEstimator::kGee});
   SitBuildOptions options;
   options.variant = variant;
   options.sampling_rate = 0.1;

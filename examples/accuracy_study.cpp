@@ -33,7 +33,7 @@ Setup MakeSetup() {
 }
 
 double Measure(Setup* setup, const SitBuildOptions& options) {
-  BaseStatsCache stats(BaseStatsOptions{options.histogram_spec, false, 0.1});
+  BaseStatsCache stats(options.histogram_spec);
   Sit sit = CreateSit(setup->db.catalog.get(), &stats,
                       SitDescriptor(setup->db.sit_attribute,
                                     setup->db.query),

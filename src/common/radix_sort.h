@@ -21,6 +21,14 @@ inline uint64_t OrderedKey(double v) {
   return bits ^ ((uint64_t{0} - sign) | (uint64_t{1} << 63));
 }
 
+/// The double whose OrderedKey is `key`: the inverse of OrderedKey, except
+/// that a zero comes back as +0.0.
+inline double FromOrderedKey(uint64_t key) {
+  const uint64_t positive = key >> 63;
+  return std::bit_cast<double>(
+      key ^ (positive != 0 ? uint64_t{1} << 63 : ~uint64_t{0}));
+}
+
 // Stable LSD radix sorts on OrderedKey, one byte per pass, ascending.
 // Keys are computed on the fly, so the only allocation is one scratch
 // array the size of the input, held for the duration of the call. A pass

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include <limits>
 #include <sstream>
 
 namespace sitstats {
@@ -58,6 +59,18 @@ Result<int64_t> ParseInt64(const std::string& text) {
     return Status::OutOfRange("integer out of int64 range: '" + text + "'");
   }
   return static_cast<int64_t>(v);
+}
+
+Result<int> ParseBucketCount(const std::string& text) {
+  Result<int64_t> parsed = ParseInt64(text);
+  if (!parsed.ok() || *parsed < 1 ||
+      *parsed > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        "buckets must be an integer in [1, " +
+        std::to_string(std::numeric_limits<int>::max()) + "], got '" + text +
+        "'");
+  }
+  return static_cast<int>(*parsed);
 }
 
 Result<double> ParseDouble(const std::string& text) {

@@ -30,6 +30,12 @@ std::string FormatExact(double value);
 /// errors rather than silent zeros / clamps.
 Result<int64_t> ParseInt64(const std::string& text);
 
+/// Parses the entire string as a histogram bucket count: an integer in
+/// [1, INT_MAX]. A larger value is an InvalidArgument, not a count
+/// wrapped through int. Shared by BUILD's `buckets=` and both tools'
+/// `--buckets`.
+Result<int> ParseBucketCount(const std::string& text);
+
 /// Parses the *entire* string as a double (strtod grammar: decimal,
 /// scientific, inf, nan). Trailing garbage, an empty string, and overflow
 /// to ±infinity are errors.

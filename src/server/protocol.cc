@@ -43,11 +43,7 @@ Status ApplyOption(const std::string& token, Request* request) {
     return Status::OK();
   }
   if (key == "buckets") {
-    SITSTATS_ASSIGN_OR_RETURN(int64_t buckets, ParseInt64(value));
-    if (buckets <= 0) {
-      return Status::InvalidArgument("buckets must be > 0");
-    }
-    request->num_buckets = buckets;
+    SITSTATS_ASSIGN_OR_RETURN(request->num_buckets, ParseBucketCount(value));
     return Status::OK();
   }
   return Status::InvalidArgument("unknown request option '" + key + "'");

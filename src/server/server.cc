@@ -105,6 +105,18 @@ Status SitStatsServer::Start() {
           std::to_string(kMaxThreads) + "], got " + std::to_string(threads));
     }
   }
+  // Every default BUILD would fail on these, so the server does not start.
+  const SitBuildOptions& defaults = options_.build_defaults;
+  if (!(defaults.sampling_rate > 0.0 && defaults.sampling_rate <= 1.0)) {
+    return Status::InvalidArgument(
+        "default sampling rate must be in (0, 1], got " +
+        std::to_string(defaults.sampling_rate));
+  }
+  if (defaults.histogram_spec.num_buckets <= 0) {
+    return Status::InvalidArgument(
+        "default bucket count must be positive, got " +
+        std::to_string(defaults.histogram_spec.num_buckets));
+  }
   if (started_.exchange(true)) {
     return Status::FailedPrecondition("server already started");
   }

@@ -40,7 +40,8 @@ struct ServerOptions {
   /// LRU capacity of the estimate-result cache.
   size_t cache_capacity = 256;
   /// Defaults for BUILD requests; per-request options override variant /
-  /// rate / buckets.
+  /// rate / buckets. Start() rejects a sampling rate outside (0, 1] and a
+  /// bucket count below 1.
   SitBuildOptions build_defaults;
   /// Per-verb latency SLO: requests slower than this bump the
   /// "server.slo.violations.<VERB>" counters, the burn signal a scraper
@@ -104,8 +105,8 @@ class SitStatsServer {
   SitStatsServer& operator=(const SitStatsServer&) = delete;
 
   /// Loads every catalog table, binds + listens and spawns the serving
-  /// threads. Errors (corrupt colfile, socket in use, bad path) surface
-  /// here, not in the background.
+  /// threads. Errors (out-of-range options, corrupt colfile, socket in
+  /// use, bad path) surface here, not in the background.
   Status Start();
 
   /// Asynchronous stop: stops accepting, cancels in-flight work via the

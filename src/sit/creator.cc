@@ -45,13 +45,11 @@ Status CheckNoCompositeIntermediate(const JoinTree& tree) {
 /// The Hist-SIT baseline: propagate base histograms through the join tree
 /// without touching the data.
 Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
-                          const SitDescriptor& descriptor,
-                          const SitBuildOptions& options) {
+                          const SitDescriptor& descriptor) {
   const ColumnRef& attribute = descriptor.attribute();
   SITSTATS_ASSIGN_OR_RETURN(
       JoinTree tree, JoinTree::Build(descriptor.query(), attribute.table));
   SITSTATS_RETURN_IF_ERROR(CheckNoCompositeIntermediate(tree));
-  Rng rng(SitStreamSeed(options.seed, descriptor));
 
   // Estimated cardinality of each node's subtree join, bottom-up. For a
   // node with children c1..ck the optimizer folds the children in one at a
@@ -74,7 +72,7 @@ Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
         SITSTATS_ASSIGN_OR_RETURN(
             const Histogram* own_key,
             base_stats->GetOrBuild(*catalog, node.table,
-                                   child.parent_columns[j], &rng));
+                                   child.parent_columns[j], nullptr));
         Histogram scaled = own_key->ScaledToTotal(card);
         Histogram child_key;
         if (j == 0 && !tree.IsLeaf(child_index)) {
@@ -83,7 +81,7 @@ Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
           SITSTATS_ASSIGN_OR_RETURN(
               const Histogram* child_base,
               base_stats->GetOrBuild(*catalog, child.table,
-                                     child.columns_to_parent[j], &rng));
+                                     child.columns_to_parent[j], nullptr));
           child_key = child_base->ScaledToTotal(child_card);
         }
         double join_est = EstimateJoinCardinality(scaled, child_key);
@@ -97,7 +95,7 @@ Result<Sit> CreateHistSit(Catalog* catalog, BaseStatsCache* base_stats,
         is_root ? attribute.column : node.column_to_parent();
     SITSTATS_ASSIGN_OR_RETURN(
         const Histogram* key_hist,
-        base_stats->GetOrBuild(*catalog, node.table, key_column, &rng));
+        base_stats->GetOrBuild(*catalog, node.table, key_column, nullptr));
     subtree_key_hist[node_index] = key_hist->ScaledToTotal(card);
   }
 
@@ -180,7 +178,7 @@ Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
           MakeChildOracle(build->catalog_, build->base_stats_, tree,
                           node_index, child_index,
                           child_output ? &child_output.mapped() : nullptr,
-                          exact_oracle, &build->rng_,
+                          exact_oracle, /*rng=*/nullptr,
                           options.containment_mode));
       target.join_indices.push_back(spec.joins.size());
       spec.joins.push_back(
@@ -223,7 +221,7 @@ Result<Sit> SweepBuild::Finish() && {
     SITSTATS_ASSIGN_OR_RETURN(
         const Histogram* hist,
         base_stats_->GetOrBuild(*catalog_, attribute.table, attribute.column,
-                                &rng_));
+                                nullptr));
     SITSTATS_ASSIGN_OR_RETURN(const Table* table,
                               catalog_->GetTable(attribute.table));
     return Sit{std::move(descriptor_), *hist, options_.variant,
@@ -250,7 +248,7 @@ Result<Sit> CreateSit(Catalog* catalog, BaseStatsCache* base_stats,
         descriptor.ToString());
   }
   if (options.variant == SweepVariant::kHistSit) {
-    return CreateHistSit(catalog, base_stats, descriptor, options);
+    return CreateHistSit(catalog, base_stats, descriptor);
   }
   SITSTATS_ASSIGN_OR_RETURN(
       SweepBuild build,

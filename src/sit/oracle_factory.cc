@@ -51,7 +51,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
   }
   // Grid resolution derived from the 1D bucket budget: nb buckets total
   // split across a square grid.
-  int nb = base_stats->options().histogram_spec.num_buckets;
+  int nb = base_stats->spec().num_buckets;
   int resolution = std::max(4, static_cast<int>(std::sqrt(
                                    static_cast<double>(std::max(nb, 16)))));
   using PointVector = std::vector<std::pair<double, double>>;
@@ -86,7 +86,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
 Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
     Catalog* catalog, BaseStatsCache* base_stats, const JoinTree& tree,
     int node_index, int child_index, SweepOutput* child_output, bool exact,
-    Rng* rng, ContainmentMode mode) {
+    Rng* /*rng*/, ContainmentMode mode) {
   SITSTATS_FAULT_SITE("sit.oracle.create");
   const JoinTree::Node& node = tree.node(node_index);
   const JoinTree::Node& child = tree.node(child_index);
@@ -119,7 +119,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
   if (child_is_leaf) {
     SITSTATS_ASSIGN_OR_RETURN(
         other_side, base_stats->GetOrBuild(*catalog, child.table,
-                                           child.column_to_parent(), rng));
+                                           child.column_to_parent(), nullptr));
   } else {
     if (child_output == nullptr) {
       return Status::Internal("histogram oracle for internal child " +
@@ -130,7 +130,7 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
   SITSTATS_ASSIGN_OR_RETURN(
       const Histogram* scanned_side,
       base_stats->GetOrBuild(*catalog, node.table, child.parent_column(),
-                             rng));
+                             nullptr));
   return std::unique_ptr<MultiplicityOracle>(
       std::make_unique<HistogramMOracle>(*other_side, *scanned_side, mode));
 }

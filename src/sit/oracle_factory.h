@@ -33,6 +33,7 @@ namespace sitstats {
 /// must be the child's SweepOutput and, when exact, its exact_map is moved
 /// out (the output cannot be reused). A composite (multi-predicate) edge
 /// must lead to a leaf child; SweepBuild::Start rejects other shapes.
+/// `rng` is unused: no oracle draws (it stays for existing callers).
 Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
     Catalog* catalog, BaseStatsCache* base_stats, const JoinTree& tree,
     int node_index, int child_index, SweepOutput* child_output, bool exact,

@@ -168,7 +168,7 @@ std::vector<std::string> Catalog::TableNames() const {
 }
 
 Result<const WeightTable*> Catalog::EnsureIndex(
-    const std::string& table_name, const std::string& column_name) {
+    const std::string& table_name, const std::string& column_name) const {
   {
     ReaderLock lock(mu_);
     auto it = indexes_.find({table_name, column_name});

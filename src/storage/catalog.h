@@ -96,12 +96,18 @@ class Catalog {
   }
 
   /// The index over table.column — CountKeys(table, {column}), the exact
-  /// row count of every key — counting it if absent. Safe when several
-  /// threads want the same index at once: the first insert wins, the rest
-  /// get the winner, and an existing index is never replaced out from
-  /// under a reader.
+  /// row count of every key — counting it if absent. It is the one count
+  /// table per column: the Index m-Oracle looks rows up in it, and the
+  /// base histograms (BaseStatsCache) are built from its entries. Const
+  /// like GetTable: counting a column caches derived state and changes no
+  /// table. Safe when several threads want the same index at once: the
+  /// first insert wins, the rest get the winner, and an existing index is
+  /// never replaced out from under a reader. Nothing evicts an index: it
+  /// lives as long as the catalog, so a server keeps the count table of
+  /// every column its requests have read until it exits (a hash-layout
+  /// table holds 32-64 bytes per distinct key; DESIGN note 16).
   Result<const WeightTable*> EnsureIndex(const std::string& table_name,
-                                         const std::string& column_name);
+                                         const std::string& column_name) const;
 
   /// Resolves "Table.column"; returns (table, column) or an error.
   Result<std::pair<const Table*, const Column*>> ResolveColumn(
@@ -139,8 +145,8 @@ class Catalog {
   /// Guards tables_ and indexes_ (the registries, not table contents).
   mutable SharedMutex mu_;
   std::map<std::string, std::unique_ptr<TableSlot>> tables_ GUARDED_BY(mu_);
-  std::map<std::pair<std::string, std::string>, WeightTable> indexes_
-      GUARDED_BY(mu_);
+  mutable std::map<std::pair<std::string, std::string>, WeightTable>
+      indexes_ GUARDED_BY(mu_);
 };
 
 }  // namespace sitstats

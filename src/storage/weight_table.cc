@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "common/logging.h"
 #include "common/radix_sort.h"
 
 namespace sitstats {
@@ -165,6 +166,26 @@ void WeightTable::Compact() {
     return;
   }
   SetDenseSpan(lo_ + static_cast<int64_t>(first), last - first);
+}
+
+std::vector<std::pair<double, double>> WeightTable::Entries() const {
+  SITSTATS_DCHECK_EQ(width_, size_t{1});
+  std::vector<std::pair<double, double>> entries;
+  entries.reserve(size_);
+  if (!hashed_) {
+    for (size_t i = 0; i < dense_.size(); ++i) {
+      if (present_[i] == 0) continue;
+      entries.emplace_back(static_cast<double>(lo_ + static_cast<int64_t>(i)),
+                           dense_[i]);
+    }
+    return entries;
+  }
+  for (size_t at = 0; at < slots_.size(); at += stride()) {
+    if (slots_[at] == kEmpty) continue;
+    entries.emplace_back(FromOrderedKey(slots_[at]),
+                         std::bit_cast<double>(slots_[at + width_]));
+  }
+  return entries;
 }
 
 void WeightTable::Lookup(const double* const* columns, size_t num_rows,

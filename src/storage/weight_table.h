@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace sitstats {
@@ -51,6 +52,10 @@ class WeightTable {
   /// a one-column oracle calls once the table is complete. A hashed table,
   /// composite ones included, is left as it is.
   void Compact();
+
+  /// Every (key, weight) entry of a one-column table, in no particular
+  /// order; -0.0 comes back as +0.0.
+  std::vector<std::pair<double, double>> Entries() const;
 
   /// out[r] = the weight of row r's key tuple (columns[c][r] for c below
   /// width()), or 0.0 when the tuple is absent.

@@ -238,18 +238,6 @@ Status RunWorkload(const FaultSweepOptions& options, const std::string& dir,
   SITSTATS_RETURN_IF_ERROR(RunBinaryStorageStage(dir, state));
   Catalog* catalog = state->loaded.get();
 
-  // Sampling layer: base statistics from a Bernoulli row sample.
-  {
-    BaseStatsOptions bopts;
-    bopts.sample = true;
-    bopts.sampling_rate = 0.5;
-    BaseStatsCache sampled(bopts);
-    Rng rng(options.spec.seed);
-    SITSTATS_RETURN_IF_ERROR(
-        sampled.GetOrBuild(*catalog, "customer", "c_acctbal", &rng)
-            .status());
-  }
-
   // Full (no-sampling) path with a tiny in-memory budget: forces the
   // temporary store to spill and read back even on this small table.
   {

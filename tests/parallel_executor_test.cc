@@ -144,7 +144,7 @@ constexpr SweepVariant kSweepVariants[] = {
 std::vector<std::string> ExecuteAndSerialize(
     Fixture* fx, SolverKind kind, int threads, size_t* steps_out = nullptr,
     ScheduleExecutionOptions eoptions = {},
-    const BaseStatsOptions& base_options = {}) {
+    const HistogramSpec& base_options = {}) {
   SitProblemOptions poptions;
   SitSchedulingProblem mapping =
       BuildSitSchedulingProblem(fx->catalog, fx->sits, poptions)
@@ -238,8 +238,8 @@ TEST(ParallelExecutorTest, ExecutorHonoursContainmentMode) {
   // Coarse base histograms misalign the oracle buckets, so the mode
   // matters on this fixture.
   Fixture fx = MakeSharedScanFixture();
-  BaseStatsOptions coarse;
-  coarse.histogram_spec.num_buckets = 7;
+  HistogramSpec coarse;
+  coarse.num_buckets = 7;
   ScheduleExecutionOptions eoptions;
   eoptions.containment_mode = ContainmentMode::kPaperRaw;
   std::vector<std::string> batched = ExecuteAndSerialize(

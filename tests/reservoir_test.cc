@@ -4,12 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <numeric>
 #include <random>
-
-#include "sampling/bernoulli.h"
 
 namespace sitstats {
 namespace {
@@ -309,39 +306,6 @@ TEST(ReservoirChiSquareTest, ZipfRunsFarPastTheSkipBoundary) {
   std::shuffle(lengths.begin(), lengths.end(), shuffle);
   const double chi = InclusionChiSquare(lengths, 100, 300, false, 4'000);
   EXPECT_LT(chi, kChiSquareCritical39);
-}
-
-TEST(BernoulliSampleTest, RateZeroAndOne) {
-  Rng rng(19);
-  std::vector<double> values(100, 1.0);
-  EXPECT_TRUE(BernoulliSample(values, 0.0, &rng).empty());
-  EXPECT_EQ(BernoulliSample(values, 1.0, &rng).size(), 100u);
-}
-
-TEST(BernoulliSampleTest, BoundaryRatesAgreeWithSampleSizeClamp) {
-  // The sampler's boundary semantics mirror CostModel::SampleSize's
-  // [0, num_rows] clamp: nothing kept at rate <= 0 or NaN, everything at
-  // rate >= 1 (without consuming randomness).
-  Rng rng(59);
-  std::vector<double> values(1'000, 1.0);
-  EXPECT_TRUE(BernoulliSample(values, -0.5, &rng).empty());
-  EXPECT_TRUE(
-      BernoulliSample(values, std::numeric_limits<double>::quiet_NaN(), &rng)
-          .empty());
-  EXPECT_EQ(BernoulliSample(values, 1.0 + 1e-9, &rng).size(), 1'000u);
-  // A denormal rate is a legal (0, 1) probability: each element keeps
-  // with probability ~5e-324, so nothing survives here — but the call
-  // must not trip the reserve-size cast or treat the rate as zero-or-one.
-  std::vector<double> denormal_sample = BernoulliSample(
-      values, std::numeric_limits<double>::denorm_min(), &rng);
-  EXPECT_LE(denormal_sample.size(), values.size());
-}
-
-TEST(BernoulliSampleTest, ApproximatesRate) {
-  Rng rng(23);
-  std::vector<double> values(100'000, 1.0);
-  std::vector<double> sample = BernoulliSample(values, 0.2, &rng);
-  EXPECT_NEAR(static_cast<double>(sample.size()), 20'000.0, 1'500.0);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -114,6 +115,13 @@ TEST_F(ServerTest, PingStatsAndParseErrors) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(client.CallRaw("BUILD x.y lo=").status().code(),
             StatusCode::kInvalidArgument);
+  // 2^32 + 100 buckets: rejected, not wrapped to a 100-bucket build.
+  EXPECT_EQ(client.CallRaw(std::string("BUILD ") + kSpec +
+                           " buckets=4294967396")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server_->num_sits(), 0u);
   EXPECT_TRUE(client.Ping().ok());
 }
 
@@ -520,15 +528,25 @@ TEST_F(ServerTest, ShutdownRequestStopsTheServer) {
 }
 
 TEST(ServerOptionsTest, StartRejectsOutOfRangeWorkerThreads) {
-  // Out-of-range counts fail before Start binds the socket or spawns a
-  // thread: cap + 1 build workers, and zero estimate workers.
+  // Out-of-range options fail before Start binds the socket or spawns a
+  // thread: cap + 1 build workers, zero estimate workers, and build
+  // defaults every BUILD would fail on.
   const std::string socket_path = "/tmp/sitstats_server_threads_test.sock";
   std::remove(socket_path.c_str());
   ServerOptions too_many;
   too_many.build_threads = kMaxThreads + 1;
   ServerOptions none;
   none.estimate_threads = 0;
-  for (ServerOptions options : {too_many, none}) {
+  std::vector<ServerOptions> rejected = {too_many, none};
+  for (double rate : {0.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    ServerOptions bad_rate;
+    bad_rate.build_defaults.sampling_rate = rate;
+    rejected.push_back(bad_rate);
+  }
+  ServerOptions no_buckets;
+  no_buckets.build_defaults.histogram_spec.num_buckets = 0;
+  rejected.push_back(no_buckets);
+  for (ServerOptions options : rejected) {
     options.socket_path = socket_path;
     TpchLiteSpec spec;
     spec.num_customers = 10;

@@ -88,6 +88,18 @@ TEST(StringUtilTest, ParseInt64RejectsGarbage) {
   EXPECT_EQ(ParseInt64("1 2").status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(StringUtilTest, ParseBucketCountTakesOnlyPositiveInts) {
+  EXPECT_EQ(ParseBucketCount("1").ValueOrDie(), 1);
+  EXPECT_EQ(ParseBucketCount("2147483647").ValueOrDie(),
+            std::numeric_limits<int>::max());
+  // 2^32 + 100 would wrap to 100 through static_cast<int>.
+  for (const char* bad : {"0", "-5", "2147483648", "4294967396", "12x", ""}) {
+    EXPECT_EQ(ParseBucketCount(bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+}
+
 TEST(StringUtilTest, ParseInt64RejectsOverflow) {
   // atoll clamps to the int64 limits; checked parsing must flag it.
   EXPECT_EQ(ParseInt64("9223372036854775808").status().code(),

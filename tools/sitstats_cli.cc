@@ -234,12 +234,13 @@ int BuildSit(const Args& args) {
   if (!variant.ok()) return FailStatus(variant.status());
 
   CLI_FLAG_OR_FAIL(double, rate, args.flags.GetDouble("rate", 0.1));
-  CLI_FLAG_OR_FAIL(int64_t, buckets, args.flags.GetInt("buckets", 100));
+  CLI_FLAG_OR_FAIL(int, buckets,
+                   ParseBucketCount(args.flags.Get("buckets", "100")));
   BaseStatsCache stats;
   SitBuildOptions options;
   options.variant = *variant;
   options.sampling_rate = rate;
-  options.histogram_spec.num_buckets = static_cast<int>(buckets);
+  options.histogram_spec.num_buckets = buckets;
   Result<Sit> sit = CreateSit(catalog.get(), &stats,
                               SitDescriptor(*attr, *query), options);
   if (!sit.ok()) return FailStatus(sit.status());
@@ -333,7 +334,8 @@ int RunSchedule(const Args& args) {
   if (hybrid_expansions < 0) {
     return Fail("--hybrid-expansions must be >= 0");
   }
-  CLI_FLAG_OR_FAIL(int64_t, buckets, args.flags.GetInt("buckets", 100));
+  CLI_FLAG_OR_FAIL(int, buckets,
+                   ParseBucketCount(args.flags.Get("buckets", "100")));
   CLI_FLAG_OR_FAIL(int64_t, threads, args.flags.GetInt("threads", 0));
   if (threads < 0 || threads > static_cast<int64_t>(kMaxThreads)) {
     return Fail("--threads must be in [0, " + std::to_string(kMaxThreads) +
@@ -381,7 +383,7 @@ int RunSchedule(const Args& args) {
   ScheduleExecutionOptions exec_options;
   exec_options.variant = *variant;
   exec_options.sampling_rate = problem_options.sampling_rate;
-  exec_options.histogram_spec.num_buckets = static_cast<int>(buckets);
+  exec_options.histogram_spec.num_buckets = buckets;
   exec_options.num_threads = static_cast<int>(threads);
   auto executed = ExecuteSitSchedule(catalog.get(), &stats, descriptors,
                                      *mapping, best->schedule, exec_options);

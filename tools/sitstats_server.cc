@@ -102,11 +102,10 @@ int Main(int argc, char** argv) {
         options.build_defaults.sampling_rate,
         flags->GetDouble("rate", options.build_defaults.sampling_rate));
     SITSTATS_ASSIGN_OR_RETURN(
-        int64_t buckets,
-        flags->GetInt("buckets",
-                      options.build_defaults.histogram_spec.num_buckets));
-    options.build_defaults.histogram_spec.num_buckets =
-        static_cast<int>(buckets);
+        options.build_defaults.histogram_spec.num_buckets,
+        ParseBucketCount(flags->Get(
+            "buckets",
+            std::to_string(options.build_defaults.histogram_spec.num_buckets))));
     std::string variant = flags->Get("variant", "");
     if (!variant.empty()) {
       SITSTATS_ASSIGN_OR_RETURN(options.build_defaults.variant,
