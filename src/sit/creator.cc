@@ -196,8 +196,8 @@ Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
   SITSTATS_ASSIGN_OR_RETURN(
       std::vector<SweepOutput> outputs,
       SweepScanTable(builds.front()->catalog_, spec, nullptr));
-  // Every build brought joins of its own, so the scan's lookups and spills
-  // are the sum of the targets' shares; the scan and its rows are shared.
+  // Every build brought joins of its own, so the scan's lookups are the
+  // sum of the targets' shares; the scan and its rows are shared.
   IoStats scan_stats;
   for (const SweepOutput& output : outputs) scan_stats += output.io_stats;
   scan_stats.sequential_scans = 1;

@@ -110,8 +110,7 @@ class SweepBuild {
 /// options they were started with, and their next scans must read the same
 /// table (InvalidArgument otherwise). Builds must not move meanwhile; calls
 /// on disjoint builds may run concurrently. Returns the scan's physical
-/// work: one scan, its rows, every join's lookups and every target's
-/// spills.
+/// work: one scan, its rows and every join's lookups.
 Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds);
 
 /// Creates one SIT over an acyclic-join generating query, dispatching on

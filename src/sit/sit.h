@@ -45,8 +45,8 @@ enum class SweepVariant {
   /// Exact m-Oracle (index / exact multiplicity map) + sampling: drops the
   /// containment assumption.
   kSweepIndex,
-  /// Histogram m-Oracle, no sampling (spillable temporary store): drops
-  /// the sampling assumption.
+  /// Histogram m-Oracle, no sampling (one weight per distinct attribute
+  /// value): drops the sampling assumption.
   kSweepFull,
   /// Exact m-Oracle, no sampling: identical to executing the generating
   /// query and building the histogram over the result.
@@ -68,11 +68,10 @@ struct Sit {
   /// stream; for kSweepExact this is exact).
   double estimated_cardinality = 0.0;
   /// Physical work of this SIT's own build: one sequential scan and its
-  /// rows per scan it took part in, the lookups of its own m-Oracle joins
-  /// and the rows its own temporary stores spilled (the sum of its
-  /// SweepOutput::io_stats shares). The same whether built alone, in a
-  /// shared-scan schedule, or beside concurrent builds; empty for Hist-SIT
-  /// and base-table SITs, which scan nothing.
+  /// rows per scan it took part in, and the lookups of its own m-Oracle
+  /// joins (the sum of its SweepOutput::io_stats shares). The same whether
+  /// built alone, in a shared-scan schedule, or beside concurrent builds;
+  /// empty for Hist-SIT and base-table SITs, which scan nothing.
   IoStats build_stats;
 };
 

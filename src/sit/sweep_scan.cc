@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <string>
 
 #include "common/fault_injection.h"
 #include "sampling/reservoir.h"
 #include "storage/scan.h"
-#include "storage/temp_store.h"
 #include "telemetry/telemetry.h"
 
 namespace sitstats {
@@ -18,10 +18,11 @@ namespace {
 struct TargetState {
   size_t attribute_slot = 0;           // index into the scan projection
   ReservoirSampler* reservoir = nullptr;  // sampling path
-  TempValueStore* store = nullptr;        // full path
   Rng* rng = nullptr;                  // this target's random stream
   double fractional_cardinality = 0.0;
-  WeightTable exact_map;
+  // Attribute value -> summed multiplicity, in row order: every row on the
+  // full path, the exact map's rows only on the sampling path.
+  WeightTable weights;
 };
 
 }  // namespace
@@ -104,9 +105,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
 
   std::vector<TargetState> states(spec.targets.size());
   std::vector<ReservoirSampler> reservoirs;
-  std::vector<TempValueStore> stores;
   reservoirs.reserve(spec.targets.size());
-  stores.reserve(spec.targets.size());
   for (size_t t = 0; t < spec.targets.size(); ++t) {
     states[t].attribute_slot = slot_of(spec.targets[t].attribute);
     states[t].rng = streams[t];
@@ -116,13 +115,6 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
           ReservoirSampler::Create(capacity, states[t].rng));
       reservoirs.push_back(std::move(sampler));
       states[t].reservoir = &reservoirs.back();
-    } else {
-      if (spec.temp_memory_runs > 0) {
-        stores.emplace_back(spec.temp_memory_runs);
-      } else {
-        stores.emplace_back();
-      }
-      states[t].store = &stores.back();
     }
   }
 
@@ -151,20 +143,27 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     if (multiplicity <= 0.0) return Status::OK();
     double attr_value = attr_values[r];
     state.fractional_cardinality += multiplicity;
-    if (target.build_exact_map) {
-      state.exact_map.Add(attr_value, multiplicity);
-    }
     // Steps 3-4: append `multiplicity` copies of the attribute value to
     // the conceptual temporary table.
     if (spec.use_sampling) {
+      if (target.build_exact_map) state.weights.Add(attr_value, multiplicity);
       // Unbiased randomized rounding of the fractional multiplicity.
       double floor_m = std::floor(multiplicity);
       uint64_t copies = static_cast<uint64_t>(floor_m);
       if (state.rng->Bernoulli(multiplicity - floor_m)) ++copies;
       if (copies > 0) state.reservoir->AddRepeated(attr_value, copies);
-    } else {
-      SITSTATS_RETURN_IF_ERROR(state.store->Append(attr_value, multiplicity));
+      return Status::OK();
     }
+    // The temporary table is only ever grouped by value (DESIGN.md note
+    // 2), so the full path sums each value's copies into `weights` as it
+    // scans. `weights` drops NaN keys, so a NaN fails here, with the
+    // message the histogram builder gives any other non-finite value.
+    if (std::isnan(attr_value)) {
+      return Status::InvalidArgument(
+          "histogram input has a value that is not finite: " +
+          std::to_string(attr_value));
+    }
+    state.weights.Add(attr_value, multiplicity);
     return Status::OK();
   };
 
@@ -225,26 +224,18 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     share.sequential_scans = 1;
     share.rows_scanned = rows;
     for (size_t idx : spec.targets[t].join_indices) add_lookups(idx, &share);
-    if (states[t].store != nullptr) {
-      share.temp_rows_spilled = states[t].store->runs_spilled();
-    }
-    total.temp_rows_spilled += share.temp_rows_spilled;
   }
   static telemetry::Counter& index_lookups =
       telemetry::MetricsRegistry::Global().GetCounter("storage.index_lookups");
   static telemetry::Counter& histogram_lookups =
       telemetry::MetricsRegistry::Global().GetCounter(
           "storage.histogram_lookups");
-  static telemetry::Counter& temp_rows_spilled =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "storage.temp_rows_spilled");
   static telemetry::Counter& rows_swept =
       telemetry::MetricsRegistry::Global().GetCounter("sit.rows_swept");
   static telemetry::Counter& moracle_calls =
       telemetry::MetricsRegistry::Global().GetCounter("sit.moracle_calls");
   index_lookups.Increment(total.index_lookups);
   histogram_lookups.Increment(total.histogram_lookups);
-  temp_rows_spilled.Increment(total.temp_rows_spilled);
   rows_swept.Increment(rows);
   moracle_calls.Increment(rows * spec.joins.size());
   SITSTATS_RETURN_IF_ERROR(swept);
@@ -261,6 +252,9 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     SITSTATS_FAULT_SITE("sit.sweep.build_output");
     SITSTATS_RETURN_IF_ERROR(spec.cancel.CheckCancelled("sweep output"));
     TargetState& state = states[t];
+    // Moved out, so a table that no later step reads is freed before the
+    // next target builds.
+    WeightTable weights = std::move(state.weights);
     SweepOutput out;
     out.estimated_cardinality = state.fractional_cardinality;
     if (spec.use_sampling) {
@@ -270,16 +264,11 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                    state.fractional_cardinality,
                                    spec.histogram_spec));
     } else {
-      std::vector<std::pair<double, double>> runs;
-      SITSTATS_RETURN_IF_ERROR(state.store->ReadAll(&runs));
-      // Free the store's buffer (and spill file) before the histogram
-      // build allocates its sort scratch array.
-      *state.store = TempValueStore();
       SITSTATS_ASSIGN_OR_RETURN(
           out.histogram,
-          BuildHistogramWeighted(std::move(runs), spec.histogram_spec));
+          BuildHistogramWeighted(weights.Entries(), spec.histogram_spec));
     }
-    out.exact_map = std::move(state.exact_map);
+    if (spec.targets[t].build_exact_map) out.exact_map = std::move(weights);
     out.io_stats = shares[t];
     outputs.push_back(std::move(out));
   }

@@ -58,13 +58,10 @@ struct SweepScanSpec {
   /// the rate must be finite and non-negative.
   double sampling_rate = 0.1;
   size_t min_sample_size = 100;
-  /// false => stream the full weighted projection through a spillable
-  /// temporary store instead of sampling (SweepFull / SweepExact).
+  /// false => sum every row's exact multiplicity per attribute value in
+  /// one WeightTable instead of sampling (SweepFull / SweepExact): memory
+  /// O(distinct values), whatever the stream's length.
   bool use_sampling = true;
-  /// In-memory run budget of the temporary store on the full path; 0 keeps
-  /// the store's default. Tests shrink it to force the spill path on small
-  /// tables.
-  size_t temp_memory_runs = 0;
   HistogramSpec histogram_spec;
   /// Cooperative cancellation: the row loop polls this token every batch
   /// of rows and aborts mid-scan with Status::Cancelled, or with
@@ -83,13 +80,14 @@ struct SweepOutput {
   /// approximated stream.
   double estimated_cardinality = 0.0;
   /// Exact weighted multiplicity map, attribute value -> summed
-  /// multiplicity in row order (only if build_exact_map was set).
+  /// multiplicity in row order (only if build_exact_map was set). On the
+  /// no-sampling path it is the very table the histogram was built from.
   WeightTable exact_map;
   /// This target's share of the scan's physical work: the scan and its
-  /// rows, rows x this target's joins in m-Oracle lookups (index_lookups
-  /// for exact oracles, histogram_lookups for approximating ones), and
-  /// the rows its own temporary store spilled. Joins are shared per scan,
-  /// so targets that share a join both count its lookups.
+  /// rows, and rows x this target's joins in m-Oracle lookups
+  /// (index_lookups for exact oracles, histogram_lookups for approximating
+  /// ones). Joins are shared per scan, so targets that share a join both
+  /// count its lookups.
   IoStats io_stats;
 };
 
@@ -97,7 +95,9 @@ struct SweepOutput {
 /// (steps 1-5 of Figure 2, generalized to shared scans and multi-way
 /// joins). Fractional expected multiplicities are converted to integral
 /// stream copies by unbiased randomized rounding when sampling; the
-/// no-sampling path keeps exact fractional weights.
+/// no-sampling path keeps exact fractional weights, summed per value in row
+/// order, and fails with InvalidArgument on a row of positive multiplicity
+/// whose attribute is not finite, as the histogram builder does.
 ///
 /// `rng` is the fallback random stream for targets that don't carry their
 /// own (SweepTarget::rng); it may be null if every target does. With
@@ -106,9 +106,9 @@ struct SweepOutput {
 /// batch, which only private streams make order-independent.
 ///
 /// Counts its own work: m-Oracle lookups are rows x joins, tallied once
-/// per batch, and the scan books them (with the temp-store spills and the
-/// sit.* counters) into the telemetry registry once, when it ends. Each
-/// output carries its target's share in SweepOutput::io_stats.
+/// per batch, and the scan books them (with the sit.* counters) into the
+/// telemetry registry once, when it ends. Each output carries its target's
+/// share in SweepOutput::io_stats.
 Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                                 const SweepScanSpec& spec,
                                                 Rng* rng);

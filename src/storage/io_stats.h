@@ -8,8 +8,8 @@ namespace sitstats {
 
 /// The physical work of one operation: the sequential scans a build or a
 /// schedule step performed, the rows they read, and the m-Oracle lookups
-/// and temp-store spills they caused. SIT-creation experiments compare
-/// techniques by these counts.
+/// they caused. SIT-creation experiments compare techniques by these
+/// counts.
 ///
 /// A plain per-operation tally: each sweep scan counts its own work and
 /// hands every target its share (SweepOutput::io_stats); builds and
@@ -20,7 +20,6 @@ struct IoStats {
   uint64_t rows_scanned = 0;
   uint64_t index_lookups = 0;
   uint64_t histogram_lookups = 0;
-  uint64_t temp_rows_spilled = 0;
 
   IoStats& operator+=(const IoStats& other);
   bool operator==(const IoStats& other) const = default;

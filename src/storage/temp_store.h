@@ -12,13 +12,12 @@ namespace sitstats {
 
 /// Append-only store of weighted values — run-length pairs
 /// (value, weight) — that spills to a temporary file once an in-memory
-/// budget is exceeded.
+/// budget is exceeded. Consecutive appends of the same value are merged.
 ///
-/// SweepFull streams the approximated join projection through one of
-/// these instead of sampling it. The stream arrives naturally as runs
-/// ("n copies of a_i" per scanned tuple), so run-length storage keeps the
-/// footprint linear in scanned tuples even when the modelled population
-/// has billions of rows. Consecutive appends of the same value are merged.
+/// No build path uses it: the no-sampling sweep sums each attribute
+/// value's weight in a WeightTable (DESIGN.md note 2). It is kept only for
+/// perfbench's `storage.temp_store_ms` layer, and goes when that layer
+/// does.
 ///
 /// The spill file is created lazily in the system temp directory and
 /// removed on destruction.

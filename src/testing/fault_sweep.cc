@@ -7,7 +7,6 @@
 
 #include "common/cli_flags.h"
 #include "common/fault_injection.h"
-#include "common/rng.h"
 #include "scheduler/executor.h"
 #include "scheduler/sit_problem.h"
 #include "scheduler/solver.h"
@@ -17,7 +16,6 @@
 #include "sit/creator.h"
 #include "sit/serialization.h"
 #include "sit/sit_catalog.h"
-#include "sit/sweep_scan.h"
 #include "storage/table_io.h"
 #include "telemetry/telemetry.h"
 
@@ -75,8 +73,8 @@ Result<std::vector<SitDescriptor>> MakeScheduleDescriptors() {
 /// catalog plus a small string table (TPC-H-lite has none), covering the
 /// storage.colfile.* manifest/write/read/mmap sites and the string-payload
 /// allocation site (oom.storage.colfile.strings). The mmap-backed reload
-/// replaces the CSV catalog, so every later stage — sweeps, schedules, the
-/// spill path — runs against mapped columns.
+/// replaces the CSV catalog, so every later stage — sweeps, schedules —
+/// runs against mapped columns.
 Status RunBinaryStorageStage(const std::string& dir, WorkloadState* state) {
   {
     Schema schema;
@@ -237,20 +235,6 @@ Status RunWorkload(const FaultSweepOptions& options, const std::string& dir,
   // colfile reload of the same data.
   SITSTATS_RETURN_IF_ERROR(RunBinaryStorageStage(dir, state));
   Catalog* catalog = state->loaded.get();
-
-  // Full (no-sampling) path with a tiny in-memory budget: forces the
-  // temporary store to spill and read back even on this small table.
-  {
-    SweepScanSpec spec;
-    spec.table = "lineitem";
-    SweepTarget target;
-    target.attribute = "l_quantity";
-    spec.targets.push_back(std::move(target));
-    spec.use_sampling = false;
-    spec.temp_memory_runs = 4;
-    Rng rng(options.spec.seed + 1);
-    SITSTATS_RETURN_IF_ERROR(SweepScanTable(catalog, spec, &rng).status());
-  }
 
   // Every variant over the 3-table chain (histogram, index, exact-map and
   // pure-histogram oracles all get exercised).

@@ -57,12 +57,12 @@ struct FaultSweepOptions {
 
 /// Runs the full fault sweep over a TPC-H-lite workload that exercises
 /// every fallible layer: CLI argument parsing (the shared CliFlags), CSV
-/// save/load round trip, sampled base statistics, a spilling full-path
-/// sweep scan, every Sweep variant over a 3-table chain, a shared-scan
-/// schedule execution, a SIT-catalog serialization round trip, telemetry
-/// export, and a sitstats-server session (client connect / send / recv
-/// plus server accept / read / dispatch / write) driven over a local
-/// socket, including the ACCURACY feedback and METRICS scrape verbs.
+/// save/load round trip, base statistics, every Sweep variant over a
+/// 3-table chain, a shared-scan schedule execution, a SIT-catalog
+/// serialization round trip, telemetry export, and a sitstats-server
+/// session (client connect / send / recv plus server accept / read /
+/// dispatch / write) driven over a local socket, including the ACCURACY
+/// feedback and METRICS scrape verbs.
 ///
 /// Sites under the "oom." prefix (sample vectors, histogram staging
 /// buffers, cache inserts) sweep in allocation-failure mode: armed via

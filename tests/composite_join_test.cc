@@ -246,7 +246,7 @@ TEST(CompositeJoinTest, CompositeLeafSitBytesArePinned) {
       SweepVariant::kSweep, SweepVariant::kSweepIndex,
       SweepVariant::kSweepFull, SweepVariant::kSweepExact};
   const uint64_t kPinned[] = {0x1d89f3b7057f881dull, 0xcf908ad8714c5b0aull,
-                              0x02e88ef6afe3efeaull, 0xa2b29a086b7f068eull};
+                              0x3ed3506a8d5c796dull, 0xa2b29a086b7f068eull};
   CompositeDb db = MakeCompositeDb();
   for (size_t v = 0; v < std::size(variants); ++v) {
     BaseStatsCache stats;

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "telemetry/metrics.h"
@@ -109,6 +112,119 @@ TEST(SweepScanTest, FullPathIsExactForIntegerMultiplicities) {
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(1.0), 1.0);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(4.0), 4.0);
   EXPECT_EQ(exact_map.Multiplicity(5.0), 0.0);  // y = 0
+}
+
+/// T(m, v): both columns double; row (m, v) joins with multiplicity m
+/// under IdentityOracle and carries attribute value v.
+Catalog MakeWeightedCatalog(
+    const std::vector<std::pair<double, double>>& rows) {
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("m", ValueType::kDouble);
+  schema.AddColumn("v", ValueType::kDouble);
+  Table* t = catalog.CreateTable("T", schema).ValueOrDie();
+  for (const auto& [m, v] : rows) {
+    SITSTATS_CHECK_OK(t->AppendRow({Value(m), Value(v)}));
+  }
+  return catalog;
+}
+
+TEST(SweepScanTest, FullPathHistogramAgreesWithItsExactMap) {
+  // An intermediate full-path target over a non-integral attribute (the
+  // table's hash layout). Key 0.5 gets weights 0.3, 0.2, 0.1 in row
+  // order, which sum to 0.6 in that order and to 0.6000000000000001 in
+  // ascending order; -0.0 and +0.0 are one key.
+  Catalog catalog = MakeWeightedCatalog({{0.3, 0.5},
+                                         {0.03, -0.0},
+                                         {0.2, 0.5},
+                                         {0.06, 0.0},
+                                         {0.1, 0.5},
+                                         {0.05, 1.25},
+                                         {0.1, 2.75},
+                                         {0.1, 1.25},
+                                         {0.2, 2.75},
+                                         {0.3, 3.1},
+                                         {0.0, 9.5},
+                                         {0.9, 4.4}});
+  IdentityOracle oracle;
+  Rng rng(9);
+  SweepScanSpec spec;
+  spec.table = "T";
+  spec.use_sampling = false;
+  spec.histogram_spec.num_buckets = 3;
+  spec.joins.push_back(SweepJoin{{"m"}, &oracle});
+  SweepTarget target;
+  target.attribute = "v";
+  target.join_indices = {0};
+  target.build_exact_map = true;
+  spec.targets.push_back(target);
+  auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
+  ASSERT_EQ(outputs.size(), 1u);
+  const Histogram& histogram = outputs[0].histogram;
+  const WeightTable& exact_map = outputs[0].exact_map;
+  EXPECT_FALSE(exact_map.dense());
+
+  std::vector<std::pair<double, double>> entries = exact_map.Entries();
+  std::sort(entries.begin(), entries.end());
+  ASSERT_EQ(entries.size(), 6u);  // 9.5's row has multiplicity 0
+  EXPECT_EQ(entries[0], std::make_pair(0.0, 0.03 + 0.06));
+  EXPECT_EQ(entries[1], std::make_pair(0.5, (0.3 + 0.2) + 0.1));
+  EXPECT_EQ(histogram.TotalDistinct(), static_cast<double>(exact_map.size()));
+  size_t next = 0;
+  for (const Bucket& bucket : histogram.buckets()) {
+    double frequency = 0.0;
+    double distinct = 0.0;
+    for (; next < entries.size() && entries[next].first <= bucket.hi;
+         ++next) {
+      EXPECT_GE(entries[next].first, bucket.lo);
+      frequency += entries[next].second;
+      distinct += 1.0;
+    }
+    EXPECT_EQ(bucket.frequency, frequency) << bucket.ToString();
+    EXPECT_EQ(bucket.distinct_values, distinct) << bucket.ToString();
+  }
+  EXPECT_EQ(next, entries.size());
+}
+
+TEST(SweepScanTest, FullPathRejectsNonFiniteAttributeValues) {
+  // A row of positive multiplicity whose attribute is NaN or infinite has
+  // no place in a histogram, on either path; a NaN on a row that joins
+  // nothing never reaches one.
+  IdentityOracle oracle;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    for (bool use_sampling : {false, true}) {
+      for (double m : {1.0, 0.0}) {
+        Catalog catalog =
+            MakeWeightedCatalog({{1.0, 1.5}, {m, bad}, {2.0, 2.5}});
+        Rng rng(10);
+        SweepScanSpec spec;
+        spec.table = "T";
+        spec.use_sampling = use_sampling;
+        spec.min_sample_size = 1'000;  // keep every row
+        spec.joins.push_back(SweepJoin{{"m"}, &oracle});
+        spec.targets.push_back(SweepTarget{"v", {0}, false});
+        Result<std::vector<SweepOutput>> outputs =
+            SweepScanTable(&catalog, spec, &rng);
+        const std::string label = std::to_string(bad) + " m=" +
+                                  std::to_string(m) + " sampling=" +
+                                  std::to_string(use_sampling);
+        if (m == 0.0) {
+          ASSERT_TRUE(outputs.ok()) << label << ": "
+                                    << outputs.status().ToString();
+          EXPECT_EQ(outputs->front().histogram.TotalDistinct(), 2.0) << label;
+          continue;
+        }
+        ASSERT_EQ(outputs.status().code(), StatusCode::kInvalidArgument)
+            << label;
+        EXPECT_EQ(outputs.status().message(),
+                  "histogram input has a value that is not finite: " +
+                      std::to_string(bad))
+            << label;
+      }
+    }
+  }
 }
 
 TEST(SweepScanTest, SamplingPathScalesToStreamWeight) {
@@ -257,7 +373,6 @@ TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
   SweepScanSpec spec;
   spec.table = "S";
   spec.use_sampling = false;
-  spec.temp_memory_runs = 8;  // force both temp stores to spill
   spec.joins.push_back(SweepJoin{{"y"}, &approximate});
   spec.joins.push_back(SweepJoin{{"y"}, &exact});
   SweepTarget by_histogram;
@@ -271,7 +386,7 @@ TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
   const char* const kCounters[] = {
       "storage.sequential_scans", "storage.rows_scanned",
       "storage.histogram_lookups", "storage.index_lookups",
-      "storage.temp_rows_spilled", "sit.moracle_calls"};
+      "sit.moracle_calls"};
   std::vector<uint64_t> before;
   for (const char* name : kCounters) before.push_back(CounterValue(name));
   auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
@@ -287,8 +402,6 @@ TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
   EXPECT_EQ(index_share.rows_scanned, 100u);
   EXPECT_EQ(index_share.histogram_lookups, 0u);
   EXPECT_EQ(index_share.index_lookups, 100u);
-  EXPECT_GT(hist_share.temp_rows_spilled, 0u);
-  EXPECT_GT(index_share.temp_rows_spilled, 0u);
 
   std::vector<uint64_t> delta;
   for (size_t i = 0; i < std::size(kCounters); ++i) {
@@ -299,8 +412,6 @@ TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
   EXPECT_EQ(delta[2], hist_share.histogram_lookups);
   EXPECT_EQ(delta[3], index_share.index_lookups);
   EXPECT_EQ(delta[4],
-            hist_share.temp_rows_spilled + index_share.temp_rows_spilled);
-  EXPECT_EQ(delta[5],
             hist_share.histogram_lookups + index_share.index_lookups);
 }
 
