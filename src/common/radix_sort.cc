@@ -83,10 +83,4 @@ void RadixSort(std::vector<std::pair<double, double>>* pairs) {
   });
 }
 
-void RadixSortByKey(std::vector<std::pair<double, uint64_t>>* entries) {
-  LsdRadixSort<1>(entries, [](const std::pair<double, uint64_t>& e, size_t) {
-    return OrderedKey(e.first);
-  });
-}
-
 }  // namespace sitstats

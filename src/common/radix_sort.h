@@ -43,10 +43,6 @@ void RadixSort(std::vector<double>* values);
 /// the order std::sort gives the pairs, up to the order of tied zeros.
 void RadixSort(std::vector<std::pair<double, double>>* pairs);
 
-/// Sorts (key, row id) entries by OrderedKey(key) alone; entries with
-/// equal keys keep their input order.
-void RadixSortByKey(std::vector<std::pair<double, uint64_t>>* entries);
-
 }  // namespace sitstats
 
 #endif  // SITSTATS_COMMON_RADIX_SORT_H_

@@ -27,37 +27,11 @@ int64_t ZipfDistribution::Sample(Rng* rng) const {
   return static_cast<int64_t>(it - cdf_.begin()) + 1;
 }
 
-std::vector<int64_t> ZipfDistribution::SampleMany(size_t count,
-                                                  Rng* rng) const {
-  std::vector<int64_t> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) out.push_back(Sample(rng));
-  return out;
-}
-
 double ZipfDistribution::Probability(int64_t k) const {
   if (k < 1 || static_cast<uint64_t>(k) > domain_size_) return 0.0;
   size_t idx = static_cast<size_t>(k - 1);
   double prev = idx == 0 ? 0.0 : cdf_[idx - 1];
   return cdf_[idx] - prev;
-}
-
-std::vector<int64_t> UniformInts(size_t count, int64_t lo, int64_t hi,
-                                 Rng* rng) {
-  std::vector<int64_t> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) out.push_back(rng->UniformInt(lo, hi));
-  return out;
-}
-
-std::vector<double> UniformDoubles(size_t count, double lo, double hi,
-                                   Rng* rng) {
-  std::vector<double> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(rng->UniformDouble(lo, hi));
-  }
-  return out;
 }
 
 }  // namespace sitstats

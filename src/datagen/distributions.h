@@ -19,9 +19,6 @@ class ZipfDistribution {
   /// One draw in [1, domain_size].
   int64_t Sample(Rng* rng) const;
 
-  /// `count` draws.
-  std::vector<int64_t> SampleMany(size_t count, Rng* rng) const;
-
   uint64_t domain_size() const { return domain_size_; }
   double z() const { return z_; }
 
@@ -33,14 +30,6 @@ class ZipfDistribution {
   double z_;
   std::vector<double> cdf_;
 };
-
-/// `count` uniform integer draws in [lo, hi].
-std::vector<int64_t> UniformInts(size_t count, int64_t lo, int64_t hi,
-                                 Rng* rng);
-
-/// `count` uniform double draws in [lo, hi).
-std::vector<double> UniformDoubles(size_t count, double lo, double hi,
-                                   Rng* rng);
 
 }  // namespace sitstats
 

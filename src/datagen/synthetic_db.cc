@@ -125,14 +125,4 @@ Result<ChainDatabase> MakeChainJoinDatabase(const ChainDbSpec& spec) {
   return ChainDatabase{std::move(catalog), std::move(query), attribute};
 }
 
-Result<GeneratingQuery> ChainPrefixQuery(const ChainDbSpec& spec, int k) {
-  if (k < 1 || k > spec.num_tables) {
-    return Status::InvalidArgument("chain prefix length out of range");
-  }
-  std::vector<std::string> tables;
-  for (int i = 0; i < k; ++i) tables.push_back(TableName(i));
-  SITSTATS_ASSIGN_OR_RETURN(std::vector<JoinPredicate> joins, ChainJoins(k));
-  return GeneratingQuery::Create(std::move(tables), std::move(joins));
-}
-
 }  // namespace sitstats

@@ -65,11 +65,6 @@ struct ChainDatabase {
 /// Joins: Ri.jn = R_{i+1}.jp.
 Result<ChainDatabase> MakeChainJoinDatabase(const ChainDbSpec& spec);
 
-/// The k-way prefix chain query R1 ⋈ ... ⋈ Rk of a chain database built
-/// with `num_tables >= k` (useful for comparing 2-, 3-, 4-way SITs over
-/// the same data).
-Result<GeneratingQuery> ChainPrefixQuery(const ChainDbSpec& spec, int k);
-
 }  // namespace sitstats
 
 #endif  // SITSTATS_DATAGEN_SYNTHETIC_DB_H_

@@ -110,12 +110,6 @@ double GridHistogram2D::TotalFrequency() const {
   return total;
 }
 
-double GridHistogram2D::TotalDistinctPairs() const {
-  double total = 0.0;
-  for (const Cell& c : cells_) total += c.distinct_pairs;
-  return total;
-}
-
 double GridHistogram2D::EstimateEquals(double x, double y) const {
   const Cell* cell = FindCell(x, y);
   if (cell == nullptr || cell->distinct_pairs <= 0.0) return 0.0;

@@ -60,7 +60,6 @@ class GridHistogram2D {
   const Cell* FindCell(double x, double y) const;
 
   double TotalFrequency() const;
-  double TotalDistinctPairs() const;
 
   /// Estimated number of tuples with first == x and second == y (uniform
   /// spread over the cell's distinct pairs); 0 outside the bounds.

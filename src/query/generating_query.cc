@@ -52,18 +52,6 @@ bool GeneratingQuery::ReferencesTable(const std::string& table) const {
   return std::find(tables_.begin(), tables_.end(), table) != tables_.end();
 }
 
-bool GeneratingQuery::IsChain() const {
-  JoinGraph graph = MakeJoinGraph();
-  size_t endpoints = 0;
-  for (const std::string& t : tables_) {
-    size_t d = graph.Degree(t);
-    if (d > 2) return false;
-    if (d <= 1) ++endpoints;
-  }
-  // A path has exactly two degree-<=1 nodes (or one node total).
-  return tables_.size() == 1 || endpoints == 2;
-}
-
 std::string GeneratingQuery::ToString() const {
   std::ostringstream os;
   for (size_t i = 0; i < tables_.size(); ++i) {

@@ -38,10 +38,6 @@ class GeneratingQuery {
   /// True for a single base table with no joins.
   bool IsBaseTable() const { return joins_.empty() && tables_.size() == 1; }
 
-  /// True if the join graph is a path (every table has degree <= 2 and at
-  /// most two endpoints). Base tables and single joins count as chains.
-  bool IsChain() const;
-
   JoinGraph MakeJoinGraph() const { return JoinGraph(tables_, joins_); }
 
   /// "R JOIN S ON R.x = S.y JOIN ..." rendering for diagnostics.

@@ -120,8 +120,9 @@ Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds);
 ///    scan by scan: leaves contribute base-table statistics (histograms
 ///    for the approximating oracles, indexes for the exact ones), every
 ///    internal node is one sequential scan that produces the intermediate
-///    SIT over its parent-join column, and the root scan produces the
-///    requested SIT.
+///    SIT over its parent-join column (for the exact oracles, only its
+///    exact multiplicity map), and the root scan produces the requested
+///    SIT.
 ///  - kHistSit performs no scans at all: it propagates base-table
 ///    histograms through the join using the containment assumption for
 ///    join cardinalities and the independence assumption for scaling —

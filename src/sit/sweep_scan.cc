@@ -14,14 +14,15 @@ namespace sitstats {
 
 namespace {
 
-/// Per-target accumulation state during the scan.
+/// Per-target accumulation state during the scan. A target keeps one
+/// accumulator: `weights` for an exact-map target or on the full path,
+/// `reservoir` for any other target on the sampling path.
 struct TargetState {
   size_t attribute_slot = 0;           // index into the scan projection
-  ReservoirSampler* reservoir = nullptr;  // sampling path
+  ReservoirSampler* reservoir = nullptr;
   Rng* rng = nullptr;                  // this target's random stream
   double fractional_cardinality = 0.0;
-  // Attribute value -> summed multiplicity, in row order: every row on the
-  // full path, the exact map's rows only on the sampling path.
+  // Attribute value -> summed multiplicity, in row order.
   WeightTable weights;
 };
 
@@ -109,7 +110,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   for (size_t t = 0; t < spec.targets.size(); ++t) {
     states[t].attribute_slot = slot_of(spec.targets[t].attribute);
     states[t].rng = streams[t];
-    if (spec.use_sampling) {
+    if (spec.use_sampling && !spec.targets[t].build_exact_map) {
       SITSTATS_ASSIGN_OR_RETURN(
           ReservoirSampler sampler,
           ReservoirSampler::Create(capacity, states[t].rng));
@@ -143,10 +144,17 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     if (multiplicity <= 0.0) return Status::OK();
     double attr_value = attr_values[r];
     state.fractional_cardinality += multiplicity;
+    // An exact-map target feeds only the next step's exact m-Oracle
+    // (DESIGN.md note 3), which reads this table and nothing else: no
+    // draws, no histogram. `weights` drops NaN keys, so a NaN join value
+    // of an intermediate result joins nothing.
+    if (target.build_exact_map) {
+      state.weights.Add(attr_value, multiplicity);
+      return Status::OK();
+    }
     // Steps 3-4: append `multiplicity` copies of the attribute value to
     // the conceptual temporary table.
     if (spec.use_sampling) {
-      if (target.build_exact_map) state.weights.Add(attr_value, multiplicity);
       // Unbiased randomized rounding of the fractional multiplicity.
       double floor_m = std::floor(multiplicity);
       uint64_t copies = static_cast<uint64_t>(floor_m);
@@ -192,7 +200,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
       }
       rows += n;
       // Target-major: all of a batch's rows for target 0, then target 1,
-      // ... keeps each target's work on one reservoir and one accumulator.
+      // ... keeps each target's work on its one accumulator.
       // Each drawing target has a private stream, so the order across
       // targets does not change any target's draws.
       for (size_t t = 0; t < spec.targets.size(); ++t) {
@@ -244,7 +252,8 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   sweep_scans.Increment();
   span.AddAttribute("rows", static_cast<double>(rows));
 
-  // Step 5: build the statistic per target.
+  // Step 5: build the statistic per target; an exact-map target hands its
+  // table on instead.
   SITSTATS_TRACE_SPAN("sweep.build_outputs");
   std::vector<SweepOutput> outputs;
   outputs.reserve(spec.targets.size());
@@ -252,23 +261,23 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     SITSTATS_FAULT_SITE("sit.sweep.build_output");
     SITSTATS_RETURN_IF_ERROR(spec.cancel.CheckCancelled("sweep output"));
     TargetState& state = states[t];
-    // Moved out, so a table that no later step reads is freed before the
-    // next target builds.
-    WeightTable weights = std::move(state.weights);
     SweepOutput out;
     out.estimated_cardinality = state.fractional_cardinality;
-    if (spec.use_sampling) {
+    if (spec.targets[t].build_exact_map) {
+      out.exact_map = std::move(state.weights);
+    } else if (spec.use_sampling) {
       SITSTATS_ASSIGN_OR_RETURN(
           out.histogram,
           BuildHistogramFromSample(state.reservoir->sample(),
                                    state.fractional_cardinality,
                                    spec.histogram_spec));
     } else {
+      // Moved out, so the table is freed before the next target builds.
+      WeightTable weights = std::move(state.weights);
       SITSTATS_ASSIGN_OR_RETURN(
           out.histogram,
           BuildHistogramWeighted(weights.Entries(), spec.histogram_spec));
     }
-    if (spec.targets[t].build_exact_map) out.exact_map = std::move(weights);
     out.io_stats = shares[t];
     outputs.push_back(std::move(out));
   }

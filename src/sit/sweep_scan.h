@@ -35,9 +35,11 @@ struct SweepTarget {
   /// tuple multiplicity is the product of the joins' multiplicities
   /// (Section 3.2's multi-way rule; acyclicity makes the product exact).
   std::vector<size_t> join_indices;
-  /// Also accumulate the exact (weighted) multiplicity map over
-  /// `attribute` — needed when the *next* sweep step wants an exact
-  /// m-Oracle over this intermediate result (SweepIndex / SweepExact).
+  /// Accumulate only the exact (weighted) multiplicity map over
+  /// `attribute`, for a *next* sweep step that wants an exact m-Oracle over
+  /// this intermediate result (SweepIndex / SweepExact). Such a target
+  /// draws nothing, builds no histogram and drops rows whose attribute is
+  /// NaN, on either path.
   bool build_exact_map = false;
   /// Random stream for this target's draws (randomized rounding and
   /// reservoir replacement). Null falls back to the scan-level rng. On the
@@ -74,14 +76,14 @@ struct SweepScanSpec {
 
 /// Result of one target of a sweep scan.
 struct SweepOutput {
-  /// The SIT statistic over the target attribute.
+  /// The SIT statistic over the target attribute; empty for an exact-map
+  /// target.
   Histogram histogram;
   /// Estimated |generating query| — the total (fractional) weight of the
   /// approximated stream.
   double estimated_cardinality = 0.0;
   /// Exact weighted multiplicity map, attribute value -> summed
-  /// multiplicity in row order (only if build_exact_map was set). On the
-  /// no-sampling path it is the very table the histogram was built from.
+  /// multiplicity in row order (only if build_exact_map was set).
   WeightTable exact_map;
   /// This target's share of the scan's physical work: the scan and its
   /// rows, and rows x this target's joins in m-Oracle lookups
@@ -96,8 +98,9 @@ struct SweepOutput {
 /// joins). Fractional expected multiplicities are converted to integral
 /// stream copies by unbiased randomized rounding when sampling; the
 /// no-sampling path keeps exact fractional weights, summed per value in row
-/// order, and fails with InvalidArgument on a row of positive multiplicity
-/// whose attribute is not finite, as the histogram builder does.
+/// order. A histogram target fails with InvalidArgument on a row of
+/// positive multiplicity whose attribute is not finite, as the histogram
+/// builder does; an exact-map target skips a NaN attribute instead.
 ///
 /// `rng` is the fallback random stream for targets that don't carry their
 /// own (SweepTarget::rng); it may be null if every target does. With

@@ -153,15 +153,4 @@ std::vector<double> Column::ToNumericVector() const {
   return out;
 }
 
-size_t Column::CellWidthBytes() const {
-  switch (type_) {
-    case ValueType::kInt64:
-    case ValueType::kDouble:
-      return 8;
-    case ValueType::kString:
-      return 24;  // rough average including small-string payload
-  }
-  return 8;
-}
-
 }  // namespace sitstats

@@ -66,10 +66,6 @@ class Column {
   /// string columns via SITSTATS_CHECK; statistics are numeric-only.
   std::vector<double> ToNumericVector() const;
 
-  /// Approximate in-memory width of one cell in bytes (used by the cost
-  /// model to derive page counts).
-  size_t CellWidthBytes() const;
-
  private:
   std::string name_;
   ValueType type_;

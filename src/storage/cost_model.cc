@@ -10,25 +10,12 @@ double CostModel::SequentialScanCost(uint64_t num_rows) const {
   return cost < 1.0 ? 1.0 : cost;
 }
 
-uint64_t CostModel::SequentialScanPages(const Table& table) const {
-  uint64_t bytes = table.SizeBytes();
-  if (bytes == 0) return 0;
-  return (bytes + page_size_bytes - 1) / page_size_bytes;
-}
-
 uint64_t CostModel::SampleSize(uint64_t num_rows, double rate) const {
   if (num_rows == 0 || !(rate > 0.0)) return 0;  // !(>) also rejects NaN
   if (rate >= 1.0) return num_rows;
   double size = std::ceil(static_cast<double>(num_rows) * rate);
   uint64_t clamped = static_cast<uint64_t>(size);
   return clamped > num_rows ? num_rows : clamped;
-}
-
-uint64_t CostModel::SampleSize(uint64_t num_rows, double rate,
-                               uint64_t min_sample_size) const {
-  uint64_t base = SampleSize(num_rows, rate);
-  uint64_t floored = base < min_sample_size ? min_sample_size : base;
-  return floored > num_rows ? num_rows : floored;
 }
 
 }  // namespace sitstats

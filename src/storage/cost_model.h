@@ -11,14 +11,10 @@ namespace sitstats {
 ///
 /// The paper charges Cost(T) = |T| / 1000 abstract units per sequential scan
 /// (cost proportional to input size) and SampleSize(T) = s * |T| values of
-/// memory per in-flight sample set. This struct also exposes a page-based
-/// variant for users who prefer I/O units.
+/// memory per in-flight sample set.
 struct CostModel {
   /// Rows per abstract cost unit (the paper's 1000).
   double rows_per_cost_unit = 1000.0;
-
-  /// Page size for the page-based variant.
-  uint64_t page_size_bytes = 8192;
 
   /// Paper-style scan cost: |T| / rows_per_cost_unit, never below 1 for a
   /// non-empty table.
@@ -27,21 +23,12 @@ struct CostModel {
     return SequentialScanCost(table.num_rows());
   }
 
-  /// Page-based scan cost: ceil(bytes / page_size).
-  uint64_t SequentialScanPages(const Table& table) const;
-
   /// Memory (in values) for one sample set at sampling rate `rate`:
   /// ceil(rate * num_rows), clamped to [0, num_rows]. A sample drawn from
   /// a table can never hold more values than the table has rows (rates
   /// above 1 and rounding both clamp), and an empty table yields an empty
   /// sample; non-finite or negative rates yield 0.
   uint64_t SampleSize(uint64_t num_rows, double rate) const;
-
-  /// SampleSize with a minimum-sample floor (mirrors the executor's
-  /// reservoir sizing, max(min_sample_size, rate * |T|)) — still clamped
-  /// to the table: min(num_rows, max(min_sample_size, ceil(rate * rows))).
-  uint64_t SampleSize(uint64_t num_rows, double rate,
-                      uint64_t min_sample_size) const;
 };
 
 }  // namespace sitstats

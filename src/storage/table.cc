@@ -96,10 +96,4 @@ Status Table::CheckConsistent() const {
   return Status::OK();
 }
 
-size_t Table::RowWidthBytes() const {
-  size_t width = 0;
-  for (const Column& c : columns_) width += c.CellWidthBytes();
-  return width;
-}
-
 }  // namespace sitstats

@@ -45,13 +45,6 @@ class Table {
   /// Verifies all columns have equal length.
   Status CheckConsistent() const;
 
-  /// Sum of per-column cell widths: approximate bytes per row, used by the
-  /// cost model.
-  size_t RowWidthBytes() const;
-
-  /// Total approximate bytes of the table.
-  size_t SizeBytes() const { return RowWidthBytes() * num_rows(); }
-
  private:
   std::string name_;
   Schema schema_;

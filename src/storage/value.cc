@@ -1,7 +1,5 @@
 #include "storage/value.h"
 
-#include "common/logging.h"
-
 namespace sitstats {
 
 const char* ValueTypeToString(ValueType type) {
@@ -20,12 +18,6 @@ ValueType Value::type() const {
   if (is_int64()) return ValueType::kInt64;
   if (is_double()) return ValueType::kDouble;
   return ValueType::kString;
-}
-
-double Value::AsNumeric() const {
-  if (is_int64()) return static_cast<double>(int64());
-  SITSTATS_CHECK(is_double()) << "AsNumeric on string value";
-  return dbl();
 }
 
 std::string Value::ToString() const {

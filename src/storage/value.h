@@ -33,10 +33,6 @@ class Value {
   double dbl() const { return std::get<double>(repr_); }
   const std::string& str() const { return std::get<std::string>(repr_); }
 
-  /// Numeric view of the cell: int64 widened to double. Must not be called
-  /// on strings (checked).
-  double AsNumeric() const;
-
   std::string ToString() const;
 
   bool operator==(const Value& other) const { return repr_ == other.repr_; }

@@ -27,7 +27,6 @@ TEST(GridHistogramTest, BuildAndLookup) {
       GridHistogram2D::FitBounds(points, 3, 3).ValueOrDie();
   GridHistogram2D grid = GridHistogram2D::Build(points, bounds).ValueOrDie();
   EXPECT_DOUBLE_EQ(grid.TotalFrequency(), 6.0);
-  EXPECT_DOUBLE_EQ(grid.TotalDistinctPairs(), 3.0);
   const GridHistogram2D::Cell* low = grid.FindCell(0, 0);
   ASSERT_NE(low, nullptr);
   EXPECT_DOUBLE_EQ(low->frequency, 3.0);  // (0,0)x2 and (1,1)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <thread>
 
 #include "common/logging.h"
@@ -353,6 +354,62 @@ TEST(CreatorTest, StarQuerySit) {
   EXPECT_DOUBLE_EQ(sit.estimated_cardinality, true_card);
   // Star root: a single scan over R suffices (S and T are leaves).
   EXPECT_EQ(sit.build_stats.sequential_scans, 1u);
+}
+
+TEST(CreatorTest, NanIntermediateJoinValueJoinsNothing) {
+  // Chain A(x) = B(y), B(z) = C(w), SIT over C.a: B is the intermediate
+  // step, and its attribute B.z is NaN on a row that joins A. Under the
+  // exact oracles that row's weight joins nothing, as in the executor.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Catalog catalog;
+  Schema a_schema;
+  a_schema.AddColumn("x", ValueType::kDouble);
+  Table* a = catalog.CreateTable("A", a_schema).ValueOrDie();
+  for (double x : {1.0, 2.0, 2.0, 3.0}) {
+    SITSTATS_CHECK_OK(a->AppendRow({Value(x)}));
+  }
+  Schema b_schema;
+  b_schema.AddColumn("y", ValueType::kDouble);
+  b_schema.AddColumn("z", ValueType::kDouble);
+  Table* b = catalog.CreateTable("B", b_schema).ValueOrDie();
+  for (auto [y, z] : {std::pair{1.0, 10.0}, std::pair{2.0, nan},
+                      std::pair{2.0, 20.0}, std::pair{3.0, 10.0},
+                      std::pair{4.0, 30.0}}) {
+    SITSTATS_CHECK_OK(b->AppendRow({Value(y), Value(z)}));
+  }
+  Schema c_schema;
+  c_schema.AddColumn("w", ValueType::kDouble);
+  c_schema.AddColumn("a", ValueType::kDouble);
+  Table* c = catalog.CreateTable("C", c_schema).ValueOrDie();
+  for (auto [w, value] : {std::pair{10.0, 1.0}, std::pair{10.0, 2.0},
+                          std::pair{20.0, 3.0}, std::pair{30.0, 4.0}}) {
+    SITSTATS_CHECK_OK(c->AppendRow({Value(w), Value(value)}));
+  }
+  GeneratingQuery q =
+      GeneratingQuery::Create(
+          {"A", "B", "C"},
+          {JoinPredicate{ColumnRef{"A", "x"}, ColumnRef{"B", "y"}},
+           JoinPredicate{ColumnRef{"B", "z"}, ColumnRef{"C", "w"}}})
+          .ValueOrDie();
+  SitDescriptor desc(ColumnRef{"C", "a"}, q);
+  // B(1,10) and B(3,10) each join one A row and two C rows; B(2,20) joins
+  // two A rows and one C row; B(2,NaN) joins no C row.
+  const double true_card = ExactJoinCardinality(catalog, q).ValueOrDie();
+  ASSERT_EQ(true_card, 6.0);
+  for (SweepVariant variant :
+       {SweepVariant::kSweepIndex, SweepVariant::kSweepExact,
+        SweepVariant::kHistSit}) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = variant;
+    Result<Sit> sit = CreateSit(&catalog, &stats, desc, options);
+    ASSERT_TRUE(sit.ok()) << SweepVariantToString(variant) << ": "
+                          << sit.status().ToString();
+    if (variant != SweepVariant::kHistSit) {
+      EXPECT_EQ(sit->estimated_cardinality, true_card)
+          << SweepVariantToString(variant);
+    }
+  }
 }
 
 TEST(SitCatalogTest, AddFindReplace) {

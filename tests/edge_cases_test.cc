@@ -85,7 +85,6 @@ TEST(EdgeCases, GridSingletonBounds) {
       GridHistogram2D::FitBounds(points, 5, 5).ValueOrDie();
   GridHistogram2D grid = GridHistogram2D::Build(points, bounds).ValueOrDie();
   EXPECT_DOUBLE_EQ(grid.TotalFrequency(), 10.0);
-  EXPECT_DOUBLE_EQ(grid.TotalDistinctPairs(), 1.0);
   EXPECT_DOUBLE_EQ(grid.EstimateEquals(3.0, 4.0), 10.0);
   EXPECT_EQ(grid.FindCell(3.1, 4.0), nullptr);
 }

@@ -199,17 +199,5 @@ TEST(CostModelTest, SampleSize) {
   EXPECT_EQ(model.SampleSize(0, 0.1), 0u);
 }
 
-TEST(CostModelTest, PageCost) {
-  CostModel model;
-  Schema schema;
-  schema.AddColumn("k", ValueType::kInt64);
-  Table t("T", schema);
-  for (int i = 0; i < 2000; ++i) {
-    SITSTATS_CHECK_OK(t.AppendRow({Value(int64_t{i})}));
-  }
-  // 2000 rows * 8 bytes = 16000 bytes -> 2 pages of 8192.
-  EXPECT_EQ(model.SequentialScanPages(t), 2u);
-}
-
 }  // namespace
 }  // namespace sitstats

@@ -123,27 +123,5 @@ TEST(RadixSortTest, PairsMatchStdSortOnValueWeightPairs) {
   }
 }
 
-TEST(RadixSortTest, ByKeyIsStable) {
-  for (size_t n : kSizes) {
-    std::vector<double> values = MixedDoubles(n, 300 + n);
-    std::vector<std::pair<double, uint64_t>> entries;
-    for (uint64_t i = 0; i < n; ++i) entries.emplace_back(values[i], i);
-    std::vector<std::pair<double, uint64_t>> expected = entries;
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    RadixSortByKey(&entries);
-    for (size_t i = 0; i < n; ++i) {
-      // Bit-equal keys: ties (the zeros included) keep their input order.
-      ASSERT_EQ(std::bit_cast<uint64_t>(entries[i].first),
-                std::bit_cast<uint64_t>(expected[i].first))
-          << "n=" << n << " i=" << i;
-      ASSERT_EQ(entries[i].second, expected[i].second)
-          << "n=" << n << " i=" << i;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace sitstats

@@ -24,11 +24,6 @@ TEST(ValueTest, TypesAndAccessors) {
   EXPECT_EQ(s.str(), "hi");
 }
 
-TEST(ValueTest, AsNumericWidensInt) {
-  EXPECT_DOUBLE_EQ(Value(int64_t{7}).AsNumeric(), 7.0);
-  EXPECT_DOUBLE_EQ(Value(2.25).AsNumeric(), 2.25);
-}
-
 TEST(ValueTest, Equality) {
   EXPECT_EQ(Value(int64_t{1}), Value(int64_t{1}));
   EXPECT_NE(Value(int64_t{1}), Value(1.0));  // int64 != double repr
@@ -73,7 +68,6 @@ TEST(ColumnTest, StringColumn) {
   c.AppendString("a");
   c.AppendString("b");
   EXPECT_EQ(c.string_data()[0], "a");
-  EXPECT_EQ(c.CellWidthBytes(), 24u);
 }
 
 TEST(SchemaTest, FindColumn) {
@@ -111,13 +105,6 @@ TEST(TableTest, GetColumn) {
   Table t("T", TwoColumnSchema());
   ASSERT_TRUE(t.GetColumn("k").ok());
   EXPECT_EQ(t.GetColumn("missing").status().code(), StatusCode::kNotFound);
-}
-
-TEST(TableTest, RowWidthAndSize) {
-  Table t("T", TwoColumnSchema());
-  EXPECT_EQ(t.RowWidthBytes(), 16u);
-  ASSERT_TRUE(t.AppendRow({Value(int64_t{1}), Value(0.5)}).ok());
-  EXPECT_EQ(t.SizeBytes(), 16u);
 }
 
 TEST(CatalogTest, CreateAndLookup) {
@@ -214,17 +201,6 @@ TEST(CostModelTest, SampleSizeClampsToTable) {
   EXPECT_EQ(model.SampleSize(100, 0.0), 0u);
   EXPECT_EQ(model.SampleSize(100, -0.5), 0u);
   EXPECT_EQ(model.SampleSize(100, std::nan("")), 0u);
-}
-
-TEST(CostModelTest, SampleSizeWithMinimumFloor) {
-  CostModel model;
-  // rate*rows below the floor: the floor wins...
-  EXPECT_EQ(model.SampleSize(10'000, 0.001, 100), 100u);
-  // ...unless the table itself is smaller than the floor.
-  EXPECT_EQ(model.SampleSize(40, 0.1, 100), 40u);
-  EXPECT_EQ(model.SampleSize(0, 0.1, 100), 0u);
-  // Above the floor the plain rate applies.
-  EXPECT_EQ(model.SampleSize(10'000, 0.1, 100), 1'000u);
 }
 
 }  // namespace

@@ -87,6 +87,18 @@ TEST(SweepScanTest, ValidatesInput) {
   }
 }
 
+/// Two targets over one attribute and join: a histogram target, then an
+/// exact-map target.
+std::vector<SweepTarget> HistogramAndExactMapTargets(
+    const std::string& attribute) {
+  SweepTarget histogram_target;
+  histogram_target.attribute = attribute;
+  histogram_target.join_indices = {0};
+  SweepTarget map_target = histogram_target;
+  map_target.build_exact_map = true;
+  return {histogram_target, map_target};
+}
+
 TEST(SweepScanTest, FullPathIsExactForIntegerMultiplicities) {
   Catalog catalog = MakeCatalog();
   Rng rng(2);
@@ -95,20 +107,17 @@ TEST(SweepScanTest, FullPathIsExactForIntegerMultiplicities) {
   spec.table = "S";
   spec.use_sampling = false;
   spec.joins.push_back(SweepJoin{{"y"}, &oracle});
-  SweepTarget target;
-  target.attribute = "a";
-  target.join_indices = {0};
-  target.build_exact_map = true;
-  spec.targets.push_back(target);
+  spec.targets = HistogramAndExactMapTargets("a");
   auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
-  ASSERT_EQ(outputs.size(), 1u);
+  ASSERT_EQ(outputs.size(), 2u);
   // Stream weight: sum over rows of (i % 5) = 20 * (0+1+2+3+4) = 200.
   EXPECT_DOUBLE_EQ(outputs[0].estimated_cardinality, 200.0);
   EXPECT_DOUBLE_EQ(outputs[0].histogram.TotalFrequency(), 200.0);
+  EXPECT_DOUBLE_EQ(outputs[1].estimated_cardinality, 200.0);
   // Rows with y == 0 contribute nothing; exact map contains the others.
-  EXPECT_EQ(outputs[0].exact_map.size(), 80u);
+  EXPECT_EQ(outputs[1].exact_map.size(), 80u);
   // Row i contributes weight i%5 at value a=i.
-  const ExactMapMOracle exact_map(outputs[0].exact_map);
+  const ExactMapMOracle exact_map(outputs[1].exact_map);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(1.0), 1.0);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(4.0), 4.0);
   EXPECT_EQ(exact_map.Multiplicity(5.0), 0.0);  // y = 0
@@ -130,10 +139,11 @@ Catalog MakeWeightedCatalog(
 }
 
 TEST(SweepScanTest, FullPathHistogramAgreesWithItsExactMap) {
-  // An intermediate full-path target over a non-integral attribute (the
-  // table's hash layout). Key 0.5 gets weights 0.3, 0.2, 0.1 in row
-  // order, which sum to 0.6 in that order and to 0.6000000000000001 in
-  // ascending order; -0.0 and +0.0 are one key.
+  // A full-path histogram target and an exact-map target over a
+  // non-integral attribute (the table's hash layout). Key 0.5 gets
+  // weights 0.3, 0.2, 0.1 in row order, which sum to 0.6 in that order
+  // and to 0.6000000000000001 in ascending order; -0.0 and +0.0 are one
+  // key.
   Catalog catalog = MakeWeightedCatalog({{0.3, 0.5},
                                          {0.03, -0.0},
                                          {0.2, 0.5},
@@ -153,15 +163,11 @@ TEST(SweepScanTest, FullPathHistogramAgreesWithItsExactMap) {
   spec.use_sampling = false;
   spec.histogram_spec.num_buckets = 3;
   spec.joins.push_back(SweepJoin{{"m"}, &oracle});
-  SweepTarget target;
-  target.attribute = "v";
-  target.join_indices = {0};
-  target.build_exact_map = true;
-  spec.targets.push_back(target);
+  spec.targets = HistogramAndExactMapTargets("v");
   auto outputs = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
-  ASSERT_EQ(outputs.size(), 1u);
+  ASSERT_EQ(outputs.size(), 2u);
   const Histogram& histogram = outputs[0].histogram;
-  const WeightTable& exact_map = outputs[0].exact_map;
+  const WeightTable& exact_map = outputs[1].exact_map;
   EXPECT_FALSE(exact_map.dense());
 
   std::vector<std::pair<double, double>> entries = exact_map.Entries();
@@ -184,6 +190,40 @@ TEST(SweepScanTest, FullPathHistogramAgreesWithItsExactMap) {
     EXPECT_EQ(bucket.distinct_values, distinct) << bucket.ToString();
   }
   EXPECT_EQ(next, entries.size());
+}
+
+TEST(SweepScanTest, ExactMapTargetDrawsNothingAndBuildsNoHistogram) {
+  // On the sampling path, an exact-map target's stream (100 rows x 2.5
+  // copies) far exceeds the reservoir's capacity of 10, and every row's
+  // fractional multiplicity would cost a rounding draw. The target keeps
+  // only its map, so its random stream is untouched.
+  Catalog catalog = MakeCatalog();
+  ConstantOracle oracle(2.5);
+  Rng own(11);
+  SweepScanSpec spec;
+  spec.table = "S";
+  spec.use_sampling = true;
+  spec.sampling_rate = 0.1;
+  spec.min_sample_size = 10;
+  spec.joins.push_back(SweepJoin{{"y"}, &oracle});
+  SweepTarget target;
+  target.attribute = "a";
+  target.join_indices = {0};
+  target.build_exact_map = true;
+  target.rng = &own;
+  spec.targets.push_back(target);
+  auto outputs = SweepScanTable(&catalog, spec, nullptr).ValueOrDie();
+  ASSERT_EQ(outputs.size(), 1u);
+
+  Rng fresh(11);
+  EXPECT_EQ(own.NextUint64(), fresh.NextUint64());
+  EXPECT_TRUE(outputs[0].histogram.empty());
+  EXPECT_DOUBLE_EQ(outputs[0].estimated_cardinality, 250.0);
+  EXPECT_EQ(outputs[0].exact_map.size(), 100u);  // a = 1..100
+  const ExactMapMOracle exact_map(outputs[0].exact_map);
+  EXPECT_DOUBLE_EQ(exact_map.Multiplicity(1.0), 2.5);
+  EXPECT_DOUBLE_EQ(exact_map.Multiplicity(100.0), 2.5);
+  EXPECT_EQ(exact_map.Multiplicity(101.0), 0.0);
 }
 
 TEST(SweepScanTest, FullPathRejectsNonFiniteAttributeValues) {
