@@ -189,7 +189,7 @@ void BM_MOracleBatchIndex(benchmark::State& state) {
   for (double v : BenchData().r) {
     SITSTATS_CHECK_OK(table->AppendRow({Value(v)}));
   }
-  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
+  ExactMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   RunOracleBatches(state, oracle);
 }
 BENCHMARK(BM_MOracleBatchIndex);
@@ -214,7 +214,7 @@ BENCHMARK(BM_IndexEqualRange);
 void BM_MOracleBatchExactMap(benchmark::State& state) {
   WeightTable multiplicities;
   for (double v : BenchData().r) multiplicities.Add(v, 1.0);
-  ExactMapMOracle oracle(std::move(multiplicities));
+  ExactMOracle oracle(std::move(multiplicities));
   RunOracleBatches(state, oracle);
 }
 BENCHMARK(BM_MOracleBatchExactMap);

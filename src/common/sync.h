@@ -207,12 +207,6 @@ class CondVar {
     return cv_.wait_until(mu, deadline) == std::cv_status::no_timeout;
   }
 
-  /// Waits until notified or `timeout` elapses; returns false on timeout.
-  bool WaitFor(Mutex& mu, std::chrono::steady_clock::duration timeout)
-      REQUIRES(mu) {
-    return cv_.wait_for(mu, timeout) == std::cv_status::no_timeout;
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

@@ -85,9 +85,4 @@ std::vector<JoinPredicate> JoinGraph::IncidentJoins(
   return out;
 }
 
-size_t JoinGraph::Degree(const std::string& table) const {
-  auto it = incident_.find(table);
-  return it == incident_.end() ? 0 : it->second.size();
-}
-
 }  // namespace sitstats

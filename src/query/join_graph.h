@@ -36,10 +36,6 @@ class JoinGraph {
   /// Join predicates incident to `table`.
   std::vector<JoinPredicate> IncidentJoins(const std::string& table) const;
 
-  /// Degree of `table` in the graph. A chain query has exactly two nodes
-  /// of degree 1 and the rest of degree 2.
-  size_t Degree(const std::string& table) const;
-
  private:
   std::vector<std::string> tables_;
   std::vector<JoinPredicate> joins_;

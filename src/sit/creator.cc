@@ -149,7 +149,6 @@ Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
   const bool exact_oracle = UsesExactOracle(options.variant);
   SweepScanSpec spec;
   spec.sampling_rate = options.sampling_rate;
-  spec.min_sample_size = options.min_sample_size;
   spec.use_sampling = UsesSampling(options.variant);
   spec.histogram_spec = options.histogram_spec;
   spec.cancel = options.cancel;
@@ -202,6 +201,16 @@ Result<IoStats> AdvanceSweepBuilds(std::span<SweepBuild* const> builds) {
   for (const SweepOutput& output : outputs) scan_stats += output.io_stats;
   scan_stats.sequential_scans = 1;
   scan_stats.rows_scanned = outputs.front().io_stats.rows_scanned;
+  for (size_t i = 0; i < builds.size(); ++i) {
+    // A NaN attribute joins nothing at an intermediate step, and the scan
+    // skipped it; at the root it is the SIT's own value, which no
+    // histogram can hold.
+    if (outputs[i].nan_rows > 0 &&
+        builds[i]->next_node() == builds[i]->tree_.root()) {
+      return Status::InvalidArgument(
+          "histogram input has a value that is not finite: nan");
+    }
+  }
   for (size_t i = 0; i < builds.size(); ++i) {
     builds[i]->io_stats_ += outputs[i].io_stats;
     builds[i]->node_outputs_[builds[i]->next_node()] = std::move(outputs[i]);

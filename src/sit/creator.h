@@ -24,7 +24,6 @@ struct SitBuildOptions {
   /// paper uses 10%); must be in (0, 1] for every Sweep variant. Only the
   /// sampling variants read it.
   double sampling_rate = 0.1;
-  size_t min_sample_size = 100;
   /// Bucketing of the produced SIT and of intermediate SITs.
   HistogramSpec histogram_spec;
   /// Bucket-alignment handling of the histogram m-Oracle (ablation knob;

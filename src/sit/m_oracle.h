@@ -106,26 +106,42 @@ class HistogramMOracle : public MultiplicityOracle {
   size_t scan_ = 0;  // most breakpoints in one bin
 };
 
-/// Exact m-Oracle over a base table (the SweepIndex idea): it answers from
-/// the catalog's index over R.x, the exact row count of every key
-/// (Catalog::EnsureIndex), which it borrows rather than copies.
-class IndexMOracle : public MultiplicityOracle {
+/// The exact m-Oracle: a row's multiplicity is its key's entry in one
+/// WeightTable (a key is a tuple of width() join values). The table is
+/// borrowed, when the other operand is a base table: the catalog's count
+/// table over its join column(s), one per predicate of a composite edge
+/// (Catalog::EnsureIndex). Or it is owned: the previous Sweep scan's exact
+/// map of a never-materialized intermediate result (SweepOutput::exact_map),
+/// which extends SweepIndex/SweepExact to multi-join generating queries.
+/// Not copyable or movable: `table_` may point into `owned_`.
+class ExactMOracle : public MultiplicityOracle {
  public:
-  /// `counts` is the index over `column` ("Table.column"); it must outlive
-  /// the oracle.
-  IndexMOracle(const WeightTable* counts, const std::string& column)
-      : counts_(counts), description_("IndexMOracle(" + column + ")") {}
+  /// Borrows `counts`, the catalog's index over `key_set`
+  /// ("Table.column[,column...]"); it must outlive the oracle.
+  ExactMOracle(const WeightTable* counts, const std::string& key_set)
+      : table_(counts), description_("IndexMOracle(" + key_set + ")") {}
+  /// Owns `multiplicities`, a previous sweep step's exact map.
+  explicit ExactMOracle(WeightTable multiplicities)
+      : owned_(std::move(multiplicities)),
+        table_(&owned_),
+        description_("ExactMapMOracle") {
+    owned_.Compact();
+  }
+  ExactMOracle(const ExactMOracle&) = delete;
+  ExactMOracle& operator=(const ExactMOracle&) = delete;
 
   void MultiplicityBatch(const double* const* columns, size_t num_columns,
                          size_t num_rows, double* out) const override {
     (void)num_columns;
-    counts_->Lookup(columns, num_rows, out);
+    table_->Lookup(columns, num_rows, out);
   }
+  size_t num_columns() const override { return table_->width(); }
   bool exact() const override { return true; }
   std::string Describe() const override { return description_; }
 
  private:
-  const WeightTable* counts_;
+  WeightTable owned_;  // empty when borrowing
+  const WeightTable* table_;
   std::string description_;
 };
 
@@ -152,35 +168,6 @@ class GridMOracle : public MultiplicityOracle {
  private:
   GridHistogram2D::Bounds bounds_;
   std::vector<double> values_;  // one per cell, in CellIndex order
-};
-
-/// Exact m-Oracle that owns its table from join value (a tuple of
-/// width() values) to multiplicity. Two tables feed it:
-///  - an *intermediate* join result that was never materialized: the total
-///    (possibly fractional) multiplicity per value accumulated during the
-///    previous Sweep scan (SweepOutput::exact_map). This generalizes
-///    SweepIndex/SweepExact to multi-join generating queries, where the
-///    other join operand is not a base table and hence has no index;
-///  - a composite (multi-predicate) edge to a base table: CountKeys over
-///    the child's join columns, the composite-key analogue of an index.
-class ExactMapMOracle : public MultiplicityOracle {
- public:
-  explicit ExactMapMOracle(WeightTable multiplicities)
-      : multiplicities_(std::move(multiplicities)) {
-    multiplicities_.Compact();
-  }
-
-  void MultiplicityBatch(const double* const* columns, size_t num_columns,
-                         size_t num_rows, double* out) const override {
-    (void)num_columns;
-    multiplicities_.Lookup(columns, num_rows, out);
-  }
-  size_t num_columns() const override { return multiplicities_.width(); }
-  bool exact() const override { return true; }
-  std::string Describe() const override { return "ExactMapMOracle"; }
-
- private:
-  WeightTable multiplicities_;
 };
 
 }  // namespace sitstats

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/fault_injection.h"
+#include "common/string_util.h"
 
 namespace sitstats {
 
@@ -30,19 +31,13 @@ Result<std::vector<std::pair<double, double>>> ReadPairs(
   return points;
 }
 
-/// Builds the oracle for a *composite* edge (two or more predicates) whose
-/// child is a base table.
+/// Builds the approximating oracle for a *composite* edge (two or more
+/// predicates) whose child is a base table.
 Result<std::unique_ptr<MultiplicityOracle>> MakeCompositeLeafOracle(
     Catalog* catalog, BaseStatsCache* base_stats,
-    const JoinTree::Node& node, const JoinTree::Node& child, bool exact) {
+    const JoinTree::Node& node, const JoinTree::Node& child) {
   SITSTATS_ASSIGN_OR_RETURN(const Table* child_table,
                             catalog->GetTable(child.table));
-  if (exact) {
-    SITSTATS_ASSIGN_OR_RETURN(WeightTable counts,
-                              CountKeys(*child_table, child.columns_to_parent));
-    return std::unique_ptr<MultiplicityOracle>(
-        std::make_unique<ExactMapMOracle>(std::move(counts)));
-  }
   if (child.columns_to_parent.size() != 2) {
     return Status::NotImplemented(
         "histogram-based oracles support at most two parallel join "
@@ -92,27 +87,28 @@ Result<std::unique_ptr<MultiplicityOracle>> MakeChildOracle(
   const JoinTree::Node& child = tree.node(child_index);
   const bool child_is_leaf = tree.IsLeaf(child_index);
 
-  if (child.HasCompositeParentEdge()) {
-    return MakeCompositeLeafOracle(catalog, base_stats, node, child, exact);
-  }
-
   if (exact) {
     if (child_is_leaf) {
-      // SweepIndex proper: repeated index lookups on the base table.
+      // SweepIndex proper: repeated index lookups on the base table, over
+      // one join column or one per predicate of a composite edge.
       // Concurrent schedule steps wanting the same index race safely in
       // EnsureIndex: one count wins, and every oracle borrows the winner.
       SITSTATS_ASSIGN_OR_RETURN(
           const WeightTable* index,
-          catalog->EnsureIndex(child.table, child.column_to_parent()));
-      return std::unique_ptr<MultiplicityOracle>(std::make_unique<IndexMOracle>(
-          index, child.table + "." + child.column_to_parent()));
+          catalog->EnsureIndex(child.table, child.columns_to_parent));
+      return std::unique_ptr<MultiplicityOracle>(std::make_unique<ExactMOracle>(
+          index, child.table + "." + Join(child.columns_to_parent, ",")));
     }
     if (child_output == nullptr) {
       return Status::Internal("exact oracle for internal child " +
                               child.table + " without its sweep output");
     }
     return std::unique_ptr<MultiplicityOracle>(
-        std::make_unique<ExactMapMOracle>(std::move(child_output->exact_map)));
+        std::make_unique<ExactMOracle>(std::move(child_output->exact_map)));
+  }
+
+  if (child.HasCompositeParentEdge()) {
+    return MakeCompositeLeafOracle(catalog, base_stats, node, child);
   }
 
   const Histogram* other_side = nullptr;

@@ -20,14 +20,14 @@ namespace sitstats {
 ///    base histogram (leaf child) or the child's intermediate SIT
 ///    (`child_output->histogram`), and whose scanned side is the node's
 ///    base histogram over the join column.
-///  - exact = true: an IndexMOracle borrowing the catalog's key-count index
-///    over the child's join column (counted on first use) for leaf
-///    children, or an ExactMapMOracle consuming `child_output->exact_map`
-///    for internal children.
+///  - exact = true: an ExactMOracle. For a leaf child it borrows the
+///    catalog's count table over the child's join column(s),
+///    Catalog::EnsureIndex(child, columns_to_parent), counted on first use
+///    whatever the edge's width; for an internal child it owns
+///    `child_output->exact_map`.
 ///
-/// A composite (multi-predicate) edge gets a GridMOracle over two aligned
-/// 2D grids, or, when exact, an ExactMapMOracle over CountKeys of the
-/// child's join columns.
+/// A composite (multi-predicate) edge that is not exact gets a GridMOracle
+/// over two aligned 2D grids.
 ///
 /// `child_output` may be null for leaf children; for internal children it
 /// must be the child's SweepOutput and, when exact, its exact_map is moved

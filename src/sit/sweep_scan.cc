@@ -22,6 +22,7 @@ struct TargetState {
   ReservoirSampler* reservoir = nullptr;
   Rng* rng = nullptr;                  // this target's random stream
   double fractional_cardinality = 0.0;
+  uint64_t nan_rows = 0;
   // Attribute value -> summed multiplicity, in row order.
   WeightTable weights;
 };
@@ -134,45 +135,38 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   // multiplicities of the current batch.
   std::vector<std::vector<double>> batch_multiplicities(spec.joins.size());
   auto process_row = [&](const SweepTarget& target, TargetState& state,
-                         std::span<const double> attr_values,
-                         size_t r) -> Status {
+                         std::span<const double> attr_values, size_t r) {
     double multiplicity = 1.0;
     for (size_t idx : target.join_indices) {
       multiplicity *= batch_multiplicities[idx][r];
       if (multiplicity == 0.0) break;
     }
-    if (multiplicity <= 0.0) return Status::OK();
-    double attr_value = attr_values[r];
+    if (multiplicity <= 0.0) return;
+    const double attr_value = attr_values[r];
+    // NaN joins nothing: at an intermediate step the row's weight has no
+    // next join to reach, so it is neither accumulated nor counted. The
+    // root has no next join, and AdvanceSweepBuilds fails it instead.
+    if (std::isnan(attr_value)) {
+      ++state.nan_rows;
+      return;
+    }
     state.fractional_cardinality += multiplicity;
     // An exact-map target feeds only the next step's exact m-Oracle
     // (DESIGN.md note 3), which reads this table and nothing else: no
-    // draws, no histogram. `weights` drops NaN keys, so a NaN join value
-    // of an intermediate result joins nothing.
-    if (target.build_exact_map) {
+    // draws, no histogram. The temporary table of the full path is only
+    // ever grouped by value (DESIGN.md note 2), so it sums each value's
+    // copies into `weights` as it scans, too.
+    if (target.build_exact_map || !spec.use_sampling) {
       state.weights.Add(attr_value, multiplicity);
-      return Status::OK();
+      return;
     }
     // Steps 3-4: append `multiplicity` copies of the attribute value to
-    // the conceptual temporary table.
-    if (spec.use_sampling) {
-      // Unbiased randomized rounding of the fractional multiplicity.
-      double floor_m = std::floor(multiplicity);
-      uint64_t copies = static_cast<uint64_t>(floor_m);
-      if (state.rng->Bernoulli(multiplicity - floor_m)) ++copies;
-      if (copies > 0) state.reservoir->AddRepeated(attr_value, copies);
-      return Status::OK();
-    }
-    // The temporary table is only ever grouped by value (DESIGN.md note
-    // 2), so the full path sums each value's copies into `weights` as it
-    // scans. `weights` drops NaN keys, so a NaN fails here, with the
-    // message the histogram builder gives any other non-finite value.
-    if (std::isnan(attr_value)) {
-      return Status::InvalidArgument(
-          "histogram input has a value that is not finite: " +
-          std::to_string(attr_value));
-    }
-    state.weights.Add(attr_value, multiplicity);
-    return Status::OK();
+    // the conceptual temporary table, by unbiased randomized rounding of
+    // the fractional multiplicity.
+    double floor_m = std::floor(multiplicity);
+    uint64_t copies = static_cast<uint64_t>(floor_m);
+    if (state.rng->Bernoulli(multiplicity - floor_m)) ++copies;
+    if (copies > 0) state.reservoir->AddRepeated(attr_value, copies);
   };
 
   // Rows read and looked up by every join, counted per batch so the row
@@ -209,8 +203,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
         std::span<const double> attr_values =
             batch.column(state.attribute_slot);
         for (size_t r = 0; r < n; ++r) {
-          SITSTATS_RETURN_IF_ERROR(
-              process_row(target, state, attr_values, r));
+          process_row(target, state, attr_values, r);
         }
       }
     }
@@ -263,6 +256,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     TargetState& state = states[t];
     SweepOutput out;
     out.estimated_cardinality = state.fractional_cardinality;
+    out.nan_rows = state.nan_rows;
     if (spec.targets[t].build_exact_map) {
       out.exact_map = std::move(state.weights);
     } else if (spec.use_sampling) {

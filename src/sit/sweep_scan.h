@@ -38,8 +38,7 @@ struct SweepTarget {
   /// Accumulate only the exact (weighted) multiplicity map over
   /// `attribute`, for a *next* sweep step that wants an exact m-Oracle over
   /// this intermediate result (SweepIndex / SweepExact). Such a target
-  /// draws nothing, builds no histogram and drops rows whose attribute is
-  /// NaN, on either path.
+  /// draws nothing and builds no histogram, on either path.
   bool build_exact_map = false;
   /// Random stream for this target's draws (randomized rounding and
   /// reservoir replacement). Null falls back to the scan-level rng. On the
@@ -82,6 +81,9 @@ struct SweepOutput {
   /// Estimated |generating query| — the total (fractional) weight of the
   /// approximated stream.
   double estimated_cardinality = 0.0;
+  /// Rows of positive multiplicity whose attribute is NaN: skipped, so
+  /// neither accumulated nor counted in estimated_cardinality.
+  uint64_t nan_rows = 0;
   /// Exact weighted multiplicity map, attribute value -> summed
   /// multiplicity in row order (only if build_exact_map was set).
   WeightTable exact_map;
@@ -98,9 +100,11 @@ struct SweepOutput {
 /// joins). Fractional expected multiplicities are converted to integral
 /// stream copies by unbiased randomized rounding when sampling; the
 /// no-sampling path keeps exact fractional weights, summed per value in row
-/// order. A histogram target fails with InvalidArgument on a row of
-/// positive multiplicity whose attribute is not finite, as the histogram
-/// builder does; an exact-map target skips a NaN attribute instead.
+/// order. Every target skips a row whose attribute is NaN (NaN joins
+/// nothing) and counts it in SweepOutput::nan_rows; AdvanceSweepBuilds
+/// fails a root step that skipped any. A histogram target fails with
+/// InvalidArgument on a row of positive multiplicity whose attribute is
+/// infinite, as the histogram builder does.
 ///
 /// `rng` is the fallback random stream for targets that don't carry their
 /// own (SweepTarget::rng); it may be null if every target does. With

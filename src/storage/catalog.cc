@@ -168,27 +168,27 @@ std::vector<std::string> Catalog::TableNames() const {
 }
 
 Result<const WeightTable*> Catalog::EnsureIndex(
-    const std::string& table_name, const std::string& column_name) const {
+    const std::string& table_name,
+    const std::vector<std::string>& columns) const {
   {
     ReaderLock lock(mu_);
-    auto it = indexes_.find({table_name, column_name});
+    auto it = indexes_.find({table_name, columns});
     if (it != indexes_.end()) return &it->second;
   }
   // Count outside the lock; losing the insertion race below just discards
   // this copy.
   telemetry::TraceSpan span("storage.build_index");
-  span.AddAttribute("column", table_name + "." + column_name);
+  span.AddAttribute("column", table_name + "." + Join(columns, ","));
   SITSTATS_ASSIGN_OR_RETURN(const Table* table, GetTable(table_name));
   SITSTATS_FAULT_SITE("storage.index.build");
-  SITSTATS_ASSIGN_OR_RETURN(WeightTable index,
-                            CountKeys(*table, {column_name}));
+  SITSTATS_ASSIGN_OR_RETURN(WeightTable index, CountKeys(*table, columns));
   // Registration site sits between the build and the registry insert: a
   // failure here must leave the catalog without any trace of the new
   // index (the fault sweep asserts ValidateConsistency afterwards).
   SITSTATS_FAULT_SITE("storage.catalog.register_index");
   WriterLock lock(mu_);
   auto [it, inserted] =
-      indexes_.try_emplace({table_name, column_name}, std::move(index));
+      indexes_.try_emplace({table_name, columns}, std::move(index));
   (void)inserted;
   return &it->second;
 }
@@ -212,8 +212,8 @@ Status Catalog::ValidateConsistency() const {
     SITSTATS_RETURN_IF_ERROR(table->CheckConsistent());
   }
   for (const auto& [key, index] : indexes_) {
-    const auto& [table_name, column_name] = key;
-    const std::string name = table_name + "." + column_name;
+    const auto& [table_name, columns] = key;
+    const std::string name = table_name + "." + Join(columns, ",");
     auto it = tables_.find(table_name);
     const Table* covered =
         it == tables_.end() ? nullptr : PublishedTable(*it->second);
@@ -221,30 +221,35 @@ Status Catalog::ValidateConsistency() const {
       return Status::Internal(
           "index " + name + " covers a table the catalog has not loaded");
     }
-    // The recount holds exactly the column's keys, each with a nonzero
+    // The recount holds exactly the columns' keys, each with a nonzero
     // count. So equal key counts and equal lookups for every row's key
     // mean the index holds the same keys with the same counts.
     const Table& table = *covered;
-    SITSTATS_ASSIGN_OR_RETURN(WeightTable recount,
-                              CountKeys(table, {column_name}));
+    SITSTATS_ASSIGN_OR_RETURN(WeightTable recount, CountKeys(table, columns));
     if (recount.size() != index.size()) {
       return Status::Internal("index " + name + ": " +
                               std::to_string(index.size()) +
-                              " entries but the column has " +
+                              " entries but the columns have " +
                               std::to_string(recount.size()) +
                               " distinct keys");
     }
-    SITSTATS_ASSIGN_OR_RETURN(const Column* column,
-                              table.GetColumn(column_name));
-    const std::vector<double> keys = column->ToNumericVector();
-    const double* probes = keys.data();
-    std::vector<double> expected(keys.size());
-    std::vector<double> actual(keys.size());
-    recount.Lookup(&probes, keys.size(), expected.data());
-    index.Lookup(&probes, keys.size(), actual.data());
+    std::vector<std::vector<double>> keys;
+    std::vector<const double*> probes;
+    keys.reserve(columns.size());
+    for (const std::string& column_name : columns) {
+      SITSTATS_ASSIGN_OR_RETURN(const Column* column,
+                                table.GetColumn(column_name));
+      keys.push_back(column->ToNumericVector());
+      probes.push_back(keys.back().data());
+    }
+    std::vector<double> expected(table.num_rows());
+    std::vector<double> actual(table.num_rows());
+    recount.Lookup(probes.data(), table.num_rows(), expected.data());
+    index.Lookup(probes.data(), table.num_rows(), actual.data());
     if (actual != expected) {
-      return Status::Internal(
-          "index " + name + ": entries disagree with a recount of the column");
+      return Status::Internal("index " + name +
+                              ": entries disagree with a recount of its "
+                              "columns");
     }
   }
   return Status::OK();

@@ -21,8 +21,7 @@ namespace sitstats {
 /// one pass over the rows: a key is the tuple of a row's values in
 /// `columns` order. Rows with a NaN in any of the columns are not counted
 /// (NaN joins nothing). Fails on an empty column list, an unknown column
-/// or a string column. This is the catalog's index over one column and
-/// the composite exact m-Oracle's table over two or more.
+/// or a string column. Catalog::EnsureIndex caches one per key set.
 Result<WeightTable> CountKeys(const Table& table,
                               const std::vector<std::string>& columns);
 
@@ -95,19 +94,25 @@ class Catalog {
     return tables_.size();
   }
 
-  /// The index over table.column — CountKeys(table, {column}), the exact
-  /// row count of every key — counting it if absent. It is the one count
-  /// table per column: the Index m-Oracle looks rows up in it, and the
-  /// base histograms (BaseStatsCache) are built from its entries. Const
-  /// like GetTable: counting a column caches derived state and changes no
-  /// table. Safe when several threads want the same index at once: the
-  /// first insert wins, the rest get the winner, and an existing index is
-  /// never replaced out from under a reader. Nothing evicts an index: it
-  /// lives as long as the catalog, so a server keeps the count table of
-  /// every column its requests have read until it exits (a hash-layout
-  /// table holds 32-64 bytes per distinct key; DESIGN note 16).
+  /// The index over `columns` of the table, CountKeys(table, columns),
+  /// counted if absent: the one count table per key set. Every exact
+  /// m-Oracle over a base table looks rows up in it, and the base
+  /// histograms (BaseStatsCache) are built from one-column indexes. Const
+  /// like GetTable: counting caches derived state and changes no table.
+  /// Safe when several threads want the same index at once: the first
+  /// insert wins, the rest get the winner, and an existing index is never
+  /// replaced out from under a reader. Nothing evicts an index, so a
+  /// server keeps every count table its requests have read until it exits
+  /// (a hash-layout table holds 32-64 bytes per distinct key; DESIGN note
+  /// 16).
+  Result<const WeightTable*> EnsureIndex(
+      const std::string& table_name,
+      const std::vector<std::string>& columns) const;
+  /// The index over one column: EnsureIndex(table_name, {column_name}).
   Result<const WeightTable*> EnsureIndex(const std::string& table_name,
-                                         const std::string& column_name) const;
+                                         const std::string& column_name) const {
+    return EnsureIndex(table_name, std::vector<std::string>{column_name});
+  }
 
   /// Resolves "Table.column"; returns (table, column) or an error.
   Result<std::pair<const Table*, const Column*>> ResolveColumn(
@@ -115,8 +120,8 @@ class Catalog {
 
   /// Deep cross-subsystem invariants: every loaded table's columns agree in
   /// length with each other and with the schema (pending tables are not
-  /// loaded for this), and every index agrees
-  /// with the table it covers: a recount of the column has as many keys as
+  /// loaded for this), and every index, over one column or several, agrees
+  /// with the table it covers: a recount of its columns has as many keys as
   /// the index, and each row's key has the same count in both.
   /// O(total rows + total indexed rows); wired to bulk-load boundaries via
   /// SITSTATS_DCHECK_OK and exposed to tests.
@@ -145,7 +150,9 @@ class Catalog {
   /// Guards tables_ and indexes_ (the registries, not table contents).
   mutable SharedMutex mu_;
   std::map<std::string, std::unique_ptr<TableSlot>> tables_ GUARDED_BY(mu_);
-  mutable std::map<std::pair<std::string, std::string>, WeightTable>
+  /// (table, columns) -> the count table over that key set.
+  mutable std::map<std::pair<std::string, std::vector<std::string>>,
+                   WeightTable>
       indexes_ GUARDED_BY(mu_);
 };
 

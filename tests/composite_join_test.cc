@@ -11,6 +11,7 @@
 #include "histogram/grid_histogram.h"
 #include "sit/creator.h"
 #include "sit/serialization.h"
+#include "telemetry/trace.h"
 
 namespace sitstats {
 namespace {
@@ -88,7 +89,7 @@ TEST(CompositeExactOracleTest, ExactCountsOnPairs) {
   SITSTATS_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(int64_t{1})}));
   SITSTATS_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(int64_t{1})}));
   SITSTATS_CHECK_OK(t->AppendRow({Value(int64_t{1}), Value(int64_t{2})}));
-  ExactMapMOracle oracle(CountKeys(*t, {"x", "y"}).ValueOrDie());
+  ExactMOracle oracle(CountKeys(*t, {"x", "y"}).ValueOrDie());
   EXPECT_EQ(oracle.num_columns(), 2u);
   double v11[] = {1.0, 1.0};
   double v12[] = {1.0, 2.0};
@@ -179,6 +180,38 @@ TEST(CompositeJoinTest, SweepExactMatchesTrueCardinality) {
                 .ValueOrDie();
   double truth = ExactJoinCardinality(db.catalog, db.query).ValueOrDie();
   EXPECT_DOUBLE_EQ(sit.estimated_cardinality, truth);
+}
+
+TEST(CompositeJoinTest, ExactBuildsShareOneCountTableOfTheKeyPair) {
+  // Two composite SweepExact builds on one catalog count R's (x1, x2)
+  // pairs once, in the catalog, and both borrow that table.
+  CompositeDb db = MakeCompositeDb(2'000);
+  telemetry::Tracer& tracer = telemetry::Tracer::Global();
+  tracer.Clear();
+  tracer.SetEnabled(true);
+  for (int build = 0; build < 2; ++build) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = SweepVariant::kSweepExact;
+    ASSERT_TRUE(CreateSit(&db.catalog, &stats,
+                          SitDescriptor(db.attribute, db.query), options)
+                    .ok());
+  }
+  tracer.SetEnabled(false);
+  int pair_counts = 0;
+  for (const telemetry::TraceEvent& event : tracer.Snapshot()) {
+    if (event.name != "storage.build_index") continue;
+    for (const auto& [key, value] : event.args) {
+      pair_counts += key == "column" && value == "R.x1,x2";
+    }
+  }
+  tracer.Clear();
+  EXPECT_EQ(pair_counts, 1);
+  const std::vector<std::string> pair = {"x1", "x2"};
+  const WeightTable* counts = db.catalog.EnsureIndex("R", pair).ValueOrDie();
+  EXPECT_EQ(counts->width(), 2u);
+  EXPECT_EQ(db.catalog.EnsureIndex("R", pair).ValueOrDie(), counts);
+  EXPECT_TRUE(db.catalog.ValidateConsistency().ok());
 }
 
 TEST(CompositeJoinTest, GridOracleBeatsIndependencePropagation) {

@@ -356,10 +356,10 @@ TEST(CreatorTest, StarQuerySit) {
   EXPECT_EQ(sit.build_stats.sequential_scans, 1u);
 }
 
-TEST(CreatorTest, NanIntermediateJoinValueJoinsNothing) {
-  // Chain A(x) = B(y), B(z) = C(w), SIT over C.a: B is the intermediate
-  // step, and its attribute B.z is NaN on a row that joins A. Under the
-  // exact oracles that row's weight joins nothing, as in the executor.
+/// Chain A(x) = B(y), B(z) = C(w) with the SIT over C.a: B is the
+/// intermediate step. B.z is NaN on a row that joins A; `root_nan` also
+/// makes C.a NaN on a C row that joins B.
+Catalog NanChainCatalog(bool root_nan) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   Catalog catalog;
   Schema a_schema;
@@ -381,23 +381,38 @@ TEST(CreatorTest, NanIntermediateJoinValueJoinsNothing) {
   c_schema.AddColumn("w", ValueType::kDouble);
   c_schema.AddColumn("a", ValueType::kDouble);
   Table* c = catalog.CreateTable("C", c_schema).ValueOrDie();
-  for (auto [w, value] : {std::pair{10.0, 1.0}, std::pair{10.0, 2.0},
+  for (auto [w, value] : {std::pair{10.0, 1.0},
+                          std::pair{10.0, root_nan ? nan : 2.0},
                           std::pair{20.0, 3.0}, std::pair{30.0, 4.0}}) {
     SITSTATS_CHECK_OK(c->AppendRow({Value(w), Value(value)}));
   }
+  return catalog;
+}
+
+SitDescriptor NanChainSit() {
   GeneratingQuery q =
       GeneratingQuery::Create(
           {"A", "B", "C"},
           {JoinPredicate{ColumnRef{"A", "x"}, ColumnRef{"B", "y"}},
            JoinPredicate{ColumnRef{"B", "z"}, ColumnRef{"C", "w"}}})
           .ValueOrDie();
-  SitDescriptor desc(ColumnRef{"C", "a"}, q);
+  return SitDescriptor(ColumnRef{"C", "a"}, q);
+}
+
+TEST(CreatorTest, NanIntermediateJoinValueJoinsNothing) {
+  // The NaN B.z row's weight joins nothing, as in the executor: the exact
+  // oracles count it nowhere, and the histogram steps of Sweep and
+  // SweepFull skip it rather than fail.
+  Catalog catalog = NanChainCatalog(/*root_nan=*/false);
+  const SitDescriptor desc = NanChainSit();
   // B(1,10) and B(3,10) each join one A row and two C rows; B(2,20) joins
   // two A rows and one C row; B(2,NaN) joins no C row.
-  const double true_card = ExactJoinCardinality(catalog, q).ValueOrDie();
+  const double true_card =
+      ExactJoinCardinality(catalog, desc.query()).ValueOrDie();
   ASSERT_EQ(true_card, 6.0);
   for (SweepVariant variant :
-       {SweepVariant::kSweepIndex, SweepVariant::kSweepExact,
+       {SweepVariant::kSweep, SweepVariant::kSweepIndex,
+        SweepVariant::kSweepFull, SweepVariant::kSweepExact,
         SweepVariant::kHistSit}) {
     BaseStatsCache stats;
     SitBuildOptions options;
@@ -405,10 +420,34 @@ TEST(CreatorTest, NanIntermediateJoinValueJoinsNothing) {
     Result<Sit> sit = CreateSit(&catalog, &stats, desc, options);
     ASSERT_TRUE(sit.ok()) << SweepVariantToString(variant) << ": "
                           << sit.status().ToString();
-    if (variant != SweepVariant::kHistSit) {
+    EXPECT_TRUE(sit->histogram.Validate().ok())
+        << SweepVariantToString(variant) << ": "
+        << sit->histogram.Validate().ToString();
+    if (variant == SweepVariant::kSweepIndex ||
+        variant == SweepVariant::kSweepExact) {
       EXPECT_EQ(sit->estimated_cardinality, true_card)
           << SweepVariantToString(variant);
     }
+  }
+}
+
+TEST(CreatorTest, NanRootAttributeFailsEverySweep) {
+  // A NaN in the SIT's own attribute, on a row that joins, is a value no
+  // histogram can hold: every sweep variant fails at the root step.
+  Catalog catalog = NanChainCatalog(/*root_nan=*/true);
+  const SitDescriptor desc = NanChainSit();
+  for (SweepVariant variant :
+       {SweepVariant::kSweep, SweepVariant::kSweepIndex,
+        SweepVariant::kSweepFull, SweepVariant::kSweepExact}) {
+    BaseStatsCache stats;
+    SitBuildOptions options;
+    options.variant = variant;
+    Result<Sit> sit = CreateSit(&catalog, &stats, desc, options);
+    ASSERT_EQ(sit.status().code(), StatusCode::kInvalidArgument)
+        << SweepVariantToString(variant) << ": " << sit.status().ToString();
+    EXPECT_EQ(sit.status().message(),
+              "histogram input has a value that is not finite: nan")
+        << SweepVariantToString(variant);
   }
 }
 

@@ -48,7 +48,7 @@ TEST(HistogramMOracleTest, ValueOutsideScannedSideUsesDvOne) {
   EXPECT_NEAR(oracle.Multiplicity(5.0), 10.0, 1e-9);
 }
 
-TEST(IndexMOracleTest, ExactCounts) {
+TEST(ExactMOracleTest, ExactCounts) {
   Catalog catalog;
   Schema schema;
   schema.AddColumn("x", ValueType::kInt64);
@@ -56,29 +56,48 @@ TEST(IndexMOracleTest, ExactCounts) {
   for (int64_t v : {1, 1, 1, 2, 7}) {
     SITSTATS_CHECK_OK(t->AppendRow({Value(v)}));
   }
-  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
+  ExactMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   EXPECT_TRUE(oracle.exact());
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(1.0), 3.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(2.0), 1.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(3.0), 0.0);
 }
 
-TEST(ExactMapMOracleTest, LookupAndMissing) {
+TEST(ExactMOracleTest, LookupAndMissing) {
   WeightTable map;
   map.Add(1.0, 2.5);
   map.Add(2.0, 4.0);
-  ExactMapMOracle oracle(std::move(map));
+  ExactMOracle oracle(std::move(map));
   EXPECT_TRUE(oracle.exact());
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(1.0), 2.5);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(2.0), 4.0);
   EXPECT_DOUBLE_EQ(oracle.Multiplicity(9.0), 0.0);
 }
 
+TEST(ExactMOracleTest, BorrowsTheCatalogTableOfAnyWidth) {
+  Catalog catalog;
+  Schema schema;
+  schema.AddColumn("x", ValueType::kInt64);
+  schema.AddColumn("y", ValueType::kInt64);
+  Table* t = catalog.CreateTable("R", schema).ValueOrDie();
+  for (int64_t v : {1, 1, 2}) {
+    SITSTATS_CHECK_OK(t->AppendRow({Value(v), Value(v + 1)}));
+  }
+  const std::vector<std::string> pair = {"x", "y"};
+  ExactMOracle oracle(catalog.EnsureIndex("R", pair).ValueOrDie(), "R.x,y");
+  EXPECT_EQ(oracle.num_columns(), 2u);
+  EXPECT_EQ(oracle.Describe(), "IndexMOracle(R.x,y)");
+  const double hit[] = {1.0, 2.0};
+  EXPECT_DOUBLE_EQ(oracle.MultiplicityN(hit, 2), 2.0);
+  EXPECT_EQ(ExactMOracle(WeightTable(3)).num_columns(), 3u);
+  EXPECT_EQ(ExactMOracle(WeightTable()).Describe(), "ExactMapMOracle");
+}
+
 TEST(MOracleTest, DescribeIsInformative) {
   Histogram r({Bucket{0, 9, 1, 1}});
   HistogramMOracle h(r, r);
   EXPECT_FALSE(h.Describe().empty());
-  ExactMapMOracle m{WeightTable()};
+  ExactMOracle m{WeightTable()};
   EXPECT_FALSE(m.Describe().empty());
 }
 
@@ -269,7 +288,7 @@ bool DenseFor(const std::vector<double>& keys) {
 void ExpectIndexKernel(const std::vector<double>& keys,
                        const std::vector<double>& extra_probes) {
   Catalog catalog = KeyCatalog(keys);
-  IndexMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
+  ExactMOracle oracle(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   std::vector<double> probes = keys;
   probes.insert(probes.end(), extra_probes.begin(), extra_probes.end());
   ExpectKernelMatches(
@@ -337,7 +356,7 @@ void ExpectExactMapKernel(const std::vector<std::pair<double, double>>& adds,
   WeightTable compacted = table;
   compacted.Compact();
   EXPECT_EQ(compacted.dense(), dense);
-  ExactMapMOracle oracle(std::move(table));
+  ExactMOracle oracle(std::move(table));
   ExpectKernelMatches(oracle, {WithNeighbours(probes)},
                       [&](const std::vector<double>& y) {
                         auto it = reference.find(y[0]);
@@ -379,7 +398,10 @@ TEST(MOracleKernelTest, CompositeExactMatchesCount) {
   for (const auto& [x, y] : rows) {
     SITSTATS_CHECK_OK(t->AppendRow({Value(x), Value(y)}));
   }
-  ExactMapMOracle oracle(CountKeys(*t, {"x", "y"}).ValueOrDie());
+  // The catalog's composite count table, as a composite exact edge borrows.
+  ExactMOracle oracle(
+      catalog.EnsureIndex("R", std::vector<std::string>{"x", "y"}).ValueOrDie(),
+      "R.x,y");
   std::vector<double> xs;
   std::vector<double> ys;
   std::vector<double> values = {0.0, -0.0, 1, 2.5, 7, kInf, kNaN, -1e9, 4,

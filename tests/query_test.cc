@@ -39,8 +39,7 @@ TEST(JoinGraphTest, ChainProperties) {
               {Join("R", "a", "S", "b"), Join("S", "c", "T", "d")});
   EXPECT_TRUE(g.IsConnected());
   EXPECT_TRUE(g.IsAcyclic());
-  EXPECT_EQ(g.Degree("R"), 1u);
-  EXPECT_EQ(g.Degree("S"), 2u);
+  EXPECT_EQ(g.Neighbors("R").size(), 1u);
   EXPECT_EQ(g.Neighbors("S").size(), 2u);
   EXPECT_EQ(g.IncidentJoins("T").size(), 1u);
 }
@@ -115,8 +114,10 @@ TEST(GeneratingQueryTest, StarIsNotChain) {
       {Join("R", "a", "S", "b"), Join("R", "c", "T", "d"),
        Join("R", "e", "U", "f")});
   ASSERT_TRUE(q.ok());
-  // The centre joins three tables, which no path does.
-  EXPECT_EQ(q->MakeJoinGraph().Degree("R"), 3u);
+  // The centre joins three tables, which no path does: rooted there, the
+  // join tree has three children below its root.
+  JoinTree tree = JoinTree::Build(*q, "R").ValueOrDie();
+  EXPECT_EQ(tree.node(tree.root()).children.size(), 3u);
 }
 
 TEST(GeneratingQueryTest, EquivalenceIgnoresOrder) {

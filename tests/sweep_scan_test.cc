@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -117,7 +118,7 @@ TEST(SweepScanTest, FullPathIsExactForIntegerMultiplicities) {
   // Rows with y == 0 contribute nothing; exact map contains the others.
   EXPECT_EQ(outputs[1].exact_map.size(), 80u);
   // Row i contributes weight i%5 at value a=i.
-  const ExactMapMOracle exact_map(outputs[1].exact_map);
+  const ExactMOracle exact_map(outputs[1].exact_map);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(1.0), 1.0);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(4.0), 4.0);
   EXPECT_EQ(exact_map.Multiplicity(5.0), 0.0);  // y = 0
@@ -220,40 +221,50 @@ TEST(SweepScanTest, ExactMapTargetDrawsNothingAndBuildsNoHistogram) {
   EXPECT_TRUE(outputs[0].histogram.empty());
   EXPECT_DOUBLE_EQ(outputs[0].estimated_cardinality, 250.0);
   EXPECT_EQ(outputs[0].exact_map.size(), 100u);  // a = 1..100
-  const ExactMapMOracle exact_map(outputs[0].exact_map);
+  const ExactMOracle exact_map(outputs[0].exact_map);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(1.0), 2.5);
   EXPECT_DOUBLE_EQ(exact_map.Multiplicity(100.0), 2.5);
   EXPECT_EQ(exact_map.Multiplicity(101.0), 0.0);
 }
 
 TEST(SweepScanTest, FullPathRejectsNonFiniteAttributeValues) {
-  // A row of positive multiplicity whose attribute is NaN or infinite has
-  // no place in a histogram, on either path; a NaN on a row that joins
-  // nothing never reaches one.
+  // A row of positive multiplicity whose attribute is infinite has no
+  // place in a histogram, on either path. A NaN attribute joins nothing:
+  // every target skips its row, accumulating and counting none of its
+  // weight, and reports it in nan_rows (AdvanceSweepBuilds fails a root
+  // step that skipped one). A row that joins nothing is never looked at.
   IdentityOracle oracle;
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity(),
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double bad : {nan, std::numeric_limits<double>::infinity(),
                      -std::numeric_limits<double>::infinity()}) {
     for (bool use_sampling : {false, true}) {
       for (double m : {1.0, 0.0}) {
         Catalog catalog =
             MakeWeightedCatalog({{1.0, 1.5}, {m, bad}, {2.0, 2.5}});
         Rng rng(10);
+        Rng map_rng(11);
         SweepScanSpec spec;
         spec.table = "T";
         spec.use_sampling = use_sampling;
         spec.min_sample_size = 1'000;  // keep every row
         spec.joins.push_back(SweepJoin{{"m"}, &oracle});
         spec.targets.push_back(SweepTarget{"v", {0}, false});
+        spec.targets.push_back(SweepTarget{"v", {0}, true, &map_rng});
         Result<std::vector<SweepOutput>> outputs =
             SweepScanTable(&catalog, spec, &rng);
         const std::string label = std::to_string(bad) + " m=" +
                                   std::to_string(m) + " sampling=" +
                                   std::to_string(use_sampling);
-        if (m == 0.0) {
+        if (m == 0.0 || std::isnan(bad)) {
           ASSERT_TRUE(outputs.ok()) << label << ": "
                                     << outputs.status().ToString();
+          const uint64_t skipped = m == 0.0 ? 0 : 1;
+          for (const SweepOutput& output : *outputs) {
+            EXPECT_EQ(output.nan_rows, skipped) << label;
+            EXPECT_DOUBLE_EQ(output.estimated_cardinality, 3.0) << label;
+          }
           EXPECT_EQ(outputs->front().histogram.TotalDistinct(), 2.0) << label;
+          EXPECT_EQ(outputs->back().exact_map.size(), 2u) << label;
           continue;
         }
         ASSERT_EQ(outputs.status().code(), StatusCode::kInvalidArgument)
@@ -406,7 +417,7 @@ TEST(SweepScanTest, EachTargetCountsItsOwnLookupsByKind) {
       SITSTATS_CHECK_OK(r->AppendRow({Value(v)}));
     }
   }
-  IndexMOracle exact(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
+  ExactMOracle exact(catalog.EnsureIndex("R", "x").ValueOrDie(), "R.x");
   HistogramMOracle approximate(Histogram({Bucket{0, 4, 7, 4}}),
                                Histogram({Bucket{0, 4, 100, 5}}));
   Rng rng(8);

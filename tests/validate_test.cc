@@ -242,6 +242,41 @@ TEST(CatalogValidateTest, RejectsStaleIndex) {
   EXPECT_NE(s.message().find("entries"), std::string::npos);
 }
 
+TEST(CatalogValidateTest, AcceptsConsistentCompositeIndex) {
+  Catalog catalog = MakeCatalog();
+  SITSTATS_CHECK_OK(
+      catalog.EnsureIndex("T", std::vector<std::string>{"k", "v"}).status());
+  EXPECT_TRUE(catalog.ValidateConsistency().ok())
+      << catalog.ValidateConsistency().ToString();
+}
+
+TEST(CatalogValidateTest, RejectsStaleCompositeIndex) {
+  Catalog catalog = MakeCatalog();
+  SITSTATS_CHECK_OK(
+      catalog.EnsureIndex("T", std::vector<std::string>{"k", "v"}).status());
+  Table* table = catalog.GetMutableTable("T").ValueOrDie();
+  SITSTATS_CHECK_OK(table->AppendRow({Value(int64_t{3}), Value(int64_t{50})}));
+  Status s = catalog.ValidateConsistency();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("entries"), std::string::npos);
+  EXPECT_NE(s.message().find("T.k,v"), std::string::npos) << s.message();
+}
+
+TEST(CatalogValidateTest, CompositeIndexCheckCatchesCellDisagreement) {
+  Catalog catalog = MakeCatalog();
+  SITSTATS_CHECK_OK(
+      catalog.EnsureIndex("T", std::vector<std::string>{"k", "v"}).status());
+  // Every (k, v) key is distinct, and stays so: the recount has as many
+  // keys as the index, and only the per-row lookups can disagree.
+  Table* table = catalog.GetMutableTable("T").ValueOrDie();
+  Column* column = table->GetMutableColumn("v").ValueOrDie();
+  int64_t* data = const_cast<int64_t*>(column->int64_data().data());
+  data[0] += 1000;
+  Status s = catalog.ValidateConsistency();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("disagree"), std::string::npos) << s.message();
+}
+
 TEST(CatalogValidateTest, IndexCheckValidCatchesCellDisagreement) {
   Catalog catalog = MakeCatalog();
   SITSTATS_CHECK_OK(catalog.EnsureIndex("T", "k").status());
