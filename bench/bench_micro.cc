@@ -1,13 +1,14 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: histogram construction and its sort, reservoir sampling
-// (including the skip-ahead path for huge runs), the m-Oracle kernels,
-// join-cardinality estimation, one full Sweep scan, the schedule solvers,
-// and the colfile checksum every load verifies.
+// primitives: histogram construction and its sort, reservoir batch merges
+// (including runs of 10^6 copies), the m-Oracle kernels, join-cardinality
+// estimation, one sweep scan per accumulator and one full Sweep build, the
+// schedule solvers, and the colfile checksum every load verifies.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -21,6 +22,7 @@
 #include "scheduler/solver.h"
 #include "sit/m_oracle.h"
 #include "sit/creator.h"
+#include "sit/sweep_scan.h"
 #include "storage/catalog.h"
 #include "storage/column_file.h"
 #include "storage/scan.h"
@@ -92,52 +94,98 @@ void BM_BuildEquiDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildEquiDepth)->Arg(100'000);
 
-void BM_ReservoirAdd(benchmark::State& state) {
-  Rng rng(3);
+// The reservoir takes its stream a batch at a time (one hypergeometric
+// draw per batch, then K evictions and K position draws). Each case merges
+// 100k rows into a 2k-slot reservoir in scan-sized batches of
+// kScanBatchRows rows; items are rows.
+void MergeInScanBatches(const std::vector<double>& values,
+                        const std::vector<uint64_t>& copies,
+                        benchmark::State& state) {
+  uint64_t key = 3;
   for (auto _ : state) {
-    ReservoirSampler sampler(2'000, &rng);
-    for (int i = 0; i < 100'000; ++i) {
-      sampler.Add(static_cast<double>(i));
+    ReservoirSampler sampler(2'000, key++);
+    for (size_t begin = 0; begin < values.size(); begin += kScanBatchRows) {
+      const size_t rows = std::min(kScanBatchRows, values.size() - begin);
+      sampler.MergeBatch(std::span(values).subspan(begin, rows),
+                         std::span(copies).subspan(begin, rows));
     }
-    benchmark::DoNotOptimize(sampler.sample());
+    benchmark::DoNotOptimize(sampler.sample().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(values.size()));
+}
+
+std::vector<double> RowIds(size_t n) {
+  std::vector<double> values(n);
+  for (size_t i = 0; i < n; ++i) values[i] = static_cast<double>(i);
+  return values;
+}
+
+void BM_ReservoirMergeUnitCopies(benchmark::State& state) {
+  MergeInScanBatches(RowIds(100'000), std::vector<uint64_t>(100'000, 1),
+                     state);
+}
+BENCHMARK(BM_ReservoirMergeUnitCopies);
+
+void BM_ReservoirMergeShortRuns(benchmark::State& state) {
+  // The Sweep loop's common case: 1-64 copies per scanned row.
+  Rng lengths_rng(5);
+  std::vector<uint64_t> copies(100'000);
+  for (uint64_t& len : copies) {
+    len = static_cast<uint64_t>(lengths_rng.UniformInt(1, 64));
+  }
+  MergeInScanBatches(RowIds(copies.size()), copies, state);
+}
+BENCHMARK(BM_ReservoirMergeShortRuns);
+
+void BM_ReservoirMergeHugeRuns(benchmark::State& state) {
+  // 10^6 copies per row: 10^11 logical elements per iteration.
+  MergeInScanBatches(RowIds(100'000),
+                     std::vector<uint64_t>(100'000, 1'000'000), state);
+}
+BENCHMARK(BM_ReservoirMergeHugeRuns);
+
+// One SweepScanTable over a 100k-row table and its join to a 100k-row
+// child through the histogram m-Oracle, with one target: sampled (rounding
+// and one reservoir merge per batch) or on the full path (one WeightTable
+// add per row). Same scan, same join, same multiplicities, so the ratio is
+// the sampling layer's cost over the accumulator it replaces; CI fails if
+// the sampled median exceeds a bar times the full-path one.
+void RunSweepTarget(benchmark::State& state, bool use_sampling) {
+  ChainDbSpec db_spec;
+  db_spec.num_tables = 2;
+  db_spec.table_rows = {100'000, 100'000};
+  db_spec.join_domain = 10'000;
+  ChainDatabase db = MakeChainJoinDatabase(db_spec).ValueOrDie();
+  BaseStatsCache stats;
+  const Histogram& child =
+      *stats.GetOrBuild(*db.catalog, "R1", "jn", nullptr).ValueOrDie();
+  const Histogram& scanned =
+      *stats.GetOrBuild(*db.catalog, "R2", "jp", nullptr).ValueOrDie();
+  HistogramMOracle oracle(child, scanned);
+  SweepScanSpec spec;
+  spec.table = "R2";
+  spec.use_sampling = use_sampling;
+  spec.joins.push_back(SweepJoin{{"jp"}, &oracle});
+  spec.targets.push_back(SweepTarget{"a", {0}, false});
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    Rng rng(seed++);
+    auto outputs = SweepScanTable(db.catalog.get(), spec, &rng).ValueOrDie();
+    benchmark::DoNotOptimize(outputs);
   }
   state.SetItemsProcessed(state.iterations() * 100'000);
 }
-BENCHMARK(BM_ReservoirAdd);
 
-void BM_ReservoirAddRepeatedHuge(benchmark::State& state) {
-  // One billion logical elements per iteration via skip sampling.
-  Rng rng(3);
-  for (auto _ : state) {
-    ReservoirSampler sampler(2'000, &rng);
-    for (int i = 0; i < 1'000; ++i) {
-      sampler.AddRepeated(static_cast<double>(i), 1'000'000);
-    }
-    benchmark::DoNotOptimize(sampler.sample());
-  }
+void BM_SweepTargetSampled(benchmark::State& state) {
+  RunSweepTarget(state, true);
 }
-BENCHMARK(BM_ReservoirAddRepeatedHuge);
+BENCHMARK(BM_SweepTargetSampled);
 
-void BM_ReservoirAddRepeatedShort(benchmark::State& state) {
-  // The Sweep loop's common case: one run of 1-64 copies per scanned row,
-  // 100k rows per iteration into a 2k-slot reservoir. Items are calls.
-  Rng lengths_rng(5);
-  std::vector<uint64_t> lengths(100'000);
-  for (uint64_t& len : lengths) {
-    len = static_cast<uint64_t>(lengths_rng.UniformInt(1, 64));
-  }
-  Rng rng(3);
-  for (auto _ : state) {
-    ReservoirSampler sampler(2'000, &rng);
-    for (size_t i = 0; i < lengths.size(); ++i) {
-      sampler.AddRepeated(static_cast<double>(i), lengths[i]);
-    }
-    benchmark::DoNotOptimize(sampler.sample());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(lengths.size()));
+void BM_SweepTargetFullPath(benchmark::State& state) {
+  RunSweepTarget(state, false);
 }
-BENCHMARK(BM_ReservoirAddRepeatedShort);
+BENCHMARK(BM_SweepTargetFullPath);
 
 // The m-Oracle kernels on Zipf(1) join values, 100k rows over a 10k
 // domain: R's column builds the oracle and 100k probes from a second Zipf

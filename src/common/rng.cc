@@ -19,15 +19,6 @@ uint64_t HashString64(std::string_view text) {
   return hash;
 }
 
-uint64_t MixSeed64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
 uint64_t DeriveStreamSeed(uint64_t base_seed, std::string_view name) {
   return MixSeed64(base_seed ^ HashString64(name));
 }

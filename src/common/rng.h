@@ -13,7 +13,65 @@ uint64_t HashString64(std::string_view text);
 
 /// Finalizer of the SplitMix64 generator: a cheap, high-quality 64-bit
 /// mixer (every input bit affects every output bit).
-uint64_t MixSeed64(uint64_t x);
+inline uint64_t MixSeed64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// SplitMix64's state increment (the odd integer nearest 2^64 / phi).
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ull;
+
+/// The `index`-th output (0-based) of the SplitMix64 stream seeded with
+/// `key`: a pure function of (key, index), so a draw is addressed by its
+/// position (a row of a table, a batch of a scan) rather than by how many
+/// draws came before it. That is what lets the sweep's draws be split at
+/// any batch boundary without changing them.
+inline uint64_t SplitMix64At(uint64_t key, uint64_t index) {
+  return MixSeed64(key + (index + 1) * kSplitMix64Gamma);
+}
+
+/// A uniform double in [0, 1) from the top 53 bits of `bits`.
+inline double UnitDouble(uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1p-53;
+}
+
+/// Counter-keyed sequential stream: SplitMix64 (Steele, Lea and Flood,
+/// OOPSLA 2014) seeded with a key, so its i-th draw is SplitMix64At(key,
+/// i). Costs one add and one MixSeed64 per draw; the sampling layer keys
+/// one per scan batch.
+class SplitMix64 {
+ public:
+  explicit SplitMix64(uint64_t key) : state_(key) {}
+
+  uint64_t NextUint64() {
+    state_ += kSplitMix64Gamma;
+    return MixSeed64(state_);
+  }
+
+  /// Uniform double in [0, 1).
+  double NextDouble() { return UnitDouble(NextUint64()); }
+
+  /// Uniform integer in [0, n), n > 0: Lemire's multiply-shift with the
+  /// rejection step that makes it exact (ACM TOMACS 2019).
+  uint64_t Below(uint64_t n) {
+    unsigned __int128 product =
+        static_cast<unsigned __int128>(NextUint64()) * n;
+    if (static_cast<uint64_t>(product) < n) {
+      const uint64_t threshold = (0 - n) % n;
+      while (static_cast<uint64_t>(product) < threshold) {
+        product = static_cast<unsigned __int128>(NextUint64()) * n;
+      }
+    }
+    return static_cast<uint64_t>(product >> 64);
+  }
+
+ private:
+  uint64_t state_;
+};
 
 /// Derives the seed of an independent, named random stream from a base
 /// seed: MixSeed64(base_seed ^ HashString64(name)).

@@ -40,6 +40,13 @@ Result<double> PayloadDouble(const std::string& payload,
   return ParseDouble(text);
 }
 
+/// A `key=1` flag: true for "1", false for any other value.
+Result<bool> PayloadFlag(const std::string& payload, const std::string& key) {
+  Result<std::string> text = PayloadField(payload, key);
+  if (!text.ok()) return text.status();
+  return *text == "1";
+}
+
 }  // namespace
 
 Result<SitStatsClient> SitStatsClient::Connect(
@@ -220,9 +227,7 @@ Result<SitStatsClient::EstimateReply> SitStatsClient::Estimate(
                             PayloadDouble(payload, "cardinality"));
   SITSTATS_ASSIGN_OR_RETURN(reply.provenance,
                             PayloadField(payload, "provenance"));
-  SITSTATS_ASSIGN_OR_RETURN(std::string cached,
-                            PayloadField(payload, "cached"));
-  reply.cached = cached == "1";
+  SITSTATS_ASSIGN_OR_RETURN(reply.cached, PayloadFlag(payload, "cached"));
   SITSTATS_ASSIGN_OR_RETURN(reply.estimate_id,
                             PayloadField(payload, "estimate_id"));
   SITSTATS_ASSIGN_OR_RETURN(reply.trace_id,

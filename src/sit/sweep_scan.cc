@@ -20,7 +20,8 @@ namespace {
 struct TargetState {
   size_t attribute_slot = 0;           // index into the scan projection
   ReservoirSampler* reservoir = nullptr;
-  Rng* rng = nullptr;                  // this target's random stream
+  // Keys this target's draws: rounding by row, merges by batch.
+  uint64_t draw_key = 0;
   double fractional_cardinality = 0.0;
   uint64_t nan_rows = 0;
   // Attribute value -> summed multiplicity, in row order.
@@ -105,16 +106,18 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                     spec.sampling_rate)));
   if (capacity == 0) capacity = 1;
 
+  // A sampled target takes one draw from its stream, at scan start: the
+  // key of every rounding and merge draw of this scan.
   std::vector<TargetState> states(spec.targets.size());
   std::vector<ReservoirSampler> reservoirs;
   reservoirs.reserve(spec.targets.size());
   for (size_t t = 0; t < spec.targets.size(); ++t) {
     states[t].attribute_slot = slot_of(spec.targets[t].attribute);
-    states[t].rng = streams[t];
     if (spec.use_sampling && !spec.targets[t].build_exact_map) {
+      states[t].draw_key = streams[t]->NextUint64();
       SITSTATS_ASSIGN_OR_RETURN(
           ReservoirSampler sampler,
-          ReservoirSampler::Create(capacity, states[t].rng));
+          ReservoirSampler::Create(capacity, states[t].draw_key));
       reservoirs.push_back(std::move(sampler));
       states[t].reservoir = &reservoirs.back();
     }
@@ -131,42 +134,29 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
       SequentialScan scan,
       SequentialScan::Open(catalog, spec.table, projection));
 
-  // Per-row work for one target, reading the precomputed per-join
-  // multiplicities of the current batch.
+  // A row's weight for one target, from the precomputed per-join
+  // multiplicities of the current batch: their product, or 0 for a row
+  // that joins nothing or is skipped. A positive weight counts towards the
+  // target's cardinality.
   std::vector<std::vector<double>> batch_multiplicities(spec.joins.size());
-  auto process_row = [&](const SweepTarget& target, TargetState& state,
-                         std::span<const double> attr_values, size_t r) {
+  auto row_weight = [&](const SweepTarget& target, TargetState& state,
+                        std::span<const double> attr_values,
+                        size_t r) -> double {
     double multiplicity = 1.0;
     for (size_t idx : target.join_indices) {
       multiplicity *= batch_multiplicities[idx][r];
       if (multiplicity == 0.0) break;
     }
-    if (multiplicity <= 0.0) return;
-    const double attr_value = attr_values[r];
+    if (multiplicity <= 0.0) return 0.0;
     // NaN joins nothing: at an intermediate step the row's weight has no
     // next join to reach, so it is neither accumulated nor counted. The
     // root has no next join, and AdvanceSweepBuilds fails it instead.
-    if (std::isnan(attr_value)) {
+    if (std::isnan(attr_values[r])) {
       ++state.nan_rows;
-      return;
+      return 0.0;
     }
     state.fractional_cardinality += multiplicity;
-    // An exact-map target feeds only the next step's exact m-Oracle
-    // (DESIGN.md note 3), which reads this table and nothing else: no
-    // draws, no histogram. The temporary table of the full path is only
-    // ever grouped by value (DESIGN.md note 2), so it sums each value's
-    // copies into `weights` as it scans, too.
-    if (target.build_exact_map || !spec.use_sampling) {
-      state.weights.Add(attr_value, multiplicity);
-      return;
-    }
-    // Steps 3-4: append `multiplicity` copies of the attribute value to
-    // the conceptual temporary table, by unbiased randomized rounding of
-    // the fractional multiplicity.
-    double floor_m = std::floor(multiplicity);
-    uint64_t copies = static_cast<uint64_t>(floor_m);
-    if (state.rng->Bernoulli(multiplicity - floor_m)) ++copies;
-    if (copies > 0) state.reservoir->AddRepeated(attr_value, copies);
+    return multiplicity;
   };
 
   // Rows read and looked up by every join, counted per batch so the row
@@ -174,6 +164,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   uint64_t rows = 0;
   ScanBatch batch;
   std::vector<const double*> oracle_columns;
+  std::vector<uint64_t> copies(kScanBatchRows);
   auto sweep = [&]() -> Status {
     while (scan.NextBatch(&batch)) {
       // Poll the token once per batch: a timeout or first-error abort
@@ -192,20 +183,42 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
             oracle_columns.data(), oracle_columns.size(), n,
             batch_multiplicities[j].data());
       }
-      rows += n;
       // Target-major: all of a batch's rows for target 0, then target 1,
-      // ... keeps each target's work on its one accumulator.
-      // Each drawing target has a private stream, so the order across
-      // targets does not change any target's draws.
+      // ... keeps each target's work on its one accumulator. Every draw is
+      // keyed by its target, row and batch, so neither the order across
+      // targets nor the batch's neighbours change any target's draws.
       for (size_t t = 0; t < spec.targets.size(); ++t) {
         const SweepTarget& target = spec.targets[t];
         TargetState& state = states[t];
         std::span<const double> attr_values =
-            batch.column(state.attribute_slot);
-        for (size_t r = 0; r < n; ++r) {
-          process_row(target, state, attr_values, r);
+            batch.column(state.attribute_slot).first(n);
+        if (state.reservoir == nullptr) {
+          // An exact-map target feeds only the next step's exact m-Oracle
+          // (DESIGN.md note 3), which reads this table and nothing else:
+          // no draws, no histogram. The temporary table of the full path
+          // is only ever grouped by value (DESIGN.md note 2), so it sums
+          // each value's copies into `weights` as it scans, too.
+          for (size_t r = 0; r < n; ++r) {
+            const double weight = row_weight(target, state, attr_values, r);
+            if (weight > 0.0) state.weights.Add(attr_values[r], weight);
+          }
+          continue;
         }
+        // Steps 3-4: `multiplicity` copies of each row's attribute value
+        // join the conceptual temporary table, by unbiased randomized
+        // rounding on a draw keyed by the row's index in the table, then
+        // the whole batch merges into the reservoir at once.
+        for (size_t r = 0; r < n; ++r) {
+          const double weight = row_weight(target, state, attr_values, r);
+          const double floor_weight = std::floor(weight);
+          const double u = UnitDouble(SplitMix64At(state.draw_key, rows + r));
+          copies[r] = static_cast<uint64_t>(floor_weight) +
+                      (u < weight - floor_weight ? 1 : 0);
+        }
+        state.reservoir->MergeBatch(attr_values,
+                                    std::span<const uint64_t>(copies).first(n));
       }
+      rows += n;
     }
     return Status::OK();
   };
@@ -235,15 +248,24 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
       telemetry::MetricsRegistry::Global().GetCounter("sit.rows_swept");
   static telemetry::Counter& moracle_calls =
       telemetry::MetricsRegistry::Global().GetCounter("sit.moracle_calls");
+  static telemetry::Counter& slots_merged =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "sampling.slots_merged");
+  uint64_t merged = 0;
+  for (const ReservoirSampler& reservoir : reservoirs) {
+    merged += reservoir.slots_merged();
+  }
   index_lookups.Increment(total.index_lookups);
   histogram_lookups.Increment(total.histogram_lookups);
   rows_swept.Increment(rows);
   moracle_calls.Increment(rows * spec.joins.size());
+  slots_merged.Increment(merged);
   SITSTATS_RETURN_IF_ERROR(swept);
   static telemetry::Counter& sweep_scans =
       telemetry::MetricsRegistry::Global().GetCounter("sit.sweep_scans");
   sweep_scans.Increment();
   span.AddAttribute("rows", static_cast<double>(rows));
+  span.AddAttribute("slots_merged", static_cast<double>(merged));
 
   // Step 5: build the statistic per target; an exact-map target hands its
   // table on instead.

@@ -40,13 +40,19 @@ struct SweepTarget {
   /// this intermediate result (SweepIndex / SweepExact). Such a target
   /// draws nothing and builds no histogram, on either path.
   bool build_exact_map = false;
-  /// Random stream for this target's draws (randomized rounding and
-  /// reservoir replacement). Null falls back to the scan-level rng. On the
-  /// sampling path every target must resolve to a *different* stream
-  /// (SweepScanTable rejects aliases), so a target consumes exactly the
-  /// draws it would consume scanned alone — that is what makes a SIT
-  /// built in a batch byte-identical to the same SIT built alone, at any
-  /// thread count. SweepBuild passes each SIT's own stream here.
+  /// Random stream for this target's draws. Null falls back to the
+  /// scan-level rng. A sampled target takes one NextUint64() from it at
+  /// scan start, its draw key; every draw of the scan is counter-keyed
+  /// from that: the randomized rounding of a row by (key, the row's index
+  /// in the table), the reservoir merge of a batch by (key, the batch's
+  /// index) (ReservoirSampler). So a scan consumes one draw of the stream,
+  /// however many rows it has, and no draw depends on how the scan is cut
+  /// into batches for other targets or threads. On the sampling path every
+  /// target must resolve to a *different* stream (SweepScanTable rejects
+  /// aliases), so a target consumes exactly the draws it would consume
+  /// scanned alone — that is what makes a SIT built in a batch
+  /// byte-identical to the same SIT built alone, at any thread count.
+  /// SweepBuild passes each SIT's own stream here.
   Rng* rng = nullptr;
 };
 
@@ -110,12 +116,16 @@ struct SweepOutput {
 /// own (SweepTarget::rng); it may be null if every target does. With
 /// spec.use_sampling, two targets resolving to the same stream are an
 /// InvalidArgument. Rows are processed target by target within each
-/// batch, which only private streams make order-independent.
+/// batch, which only private streams make order-independent. A sampled
+/// target rounds a whole batch, then merges it into its reservoir at once
+/// (kScanBatchRows rows per merge, whatever the thread count).
 ///
 /// Counts its own work: m-Oracle lookups are rows x joins, tallied once
-/// per batch, and the scan books them (with the sit.* counters) into the
-/// telemetry registry once, when it ends. Each output carries its target's
-/// share in SweepOutput::io_stats.
+/// per batch, and the scan books them (with the sit.* counters and
+/// sampling.slots_merged, the reservoir slots its merges refilled) into
+/// the telemetry registry once, when it ends; the sweep.scan span carries
+/// the same slots_merged. Each output carries its target's share in
+/// SweepOutput::io_stats.
 Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                                 const SweepScanSpec& spec,
                                                 Rng* rng);

@@ -277,7 +277,7 @@ TEST(CompositeJoinTest, CompositeLeafSitBytesArePinned) {
   const SweepVariant variants[] = {
       SweepVariant::kSweep, SweepVariant::kSweepIndex,
       SweepVariant::kSweepFull, SweepVariant::kSweepExact};
-  const uint64_t kPinned[] = {0x1d89f3b7057f881dull, 0xcf908ad8714c5b0aull,
+  const uint64_t kPinned[] = {0x667ce416162b49d9ull, 0x455e3d8c63d41ee7ull,
                               0x3ed3506a8d5c796dull, 0xa2b29a086b7f068eull};
   CompositeDb db = MakeCompositeDb();
   for (size_t v = 0; v < std::size(variants); ++v) {

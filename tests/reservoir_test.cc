@@ -7,6 +7,8 @@
 #include <map>
 #include <numeric>
 #include <random>
+#include <span>
+#include <vector>
 
 namespace sitstats {
 namespace {
@@ -80,8 +82,8 @@ TEST(ReservoirTest, AddRepeatedMatchesIndividualAddsDistribution) {
 
 TEST(ReservoirTest, HugeRunsUseSkipSamplingAndStayUnbiased) {
   // Stream: 1e9 copies of A, then 1e9 copies of B, then 2e9 copies of C.
-  // Expected sample shares: 25% / 25% / 50%. Must complete fast (skip
-  // sampling) and unbiased despite positions ~1e9.
+  // Expected sample shares: 25% / 25% / 50%. Must complete fast (one
+  // hypergeometric draw per run) and unbiased despite positions ~1e9.
   Rng rng(13);
   ReservoirSampler sampler(2'000, &rng);
   sampler.AddRepeated(1.0, 1'000'000'000ull);
@@ -115,7 +117,7 @@ TEST(ReservoirTest, StreamCountsPastUint32StayExact) {
   // Overflow regression (ISSUE 4): join-multiplicity streams exceed
   // 2^32 rows at production scale, so stream positions must be tracked
   // in 64 bits — a 32-bit counter would wrap and re-inflate inclusion
-  // probabilities. Skip sampling keeps this cheap despite the counts.
+  // probabilities. One merge per run keeps this cheap despite the counts.
   Rng rng(37);
   ReservoirSampler sampler(100, &rng);
   const uint64_t kRun = (1ull << 31) + 12'345;
@@ -137,9 +139,10 @@ TEST(ReservoirTest, StreamCountsPastUint32StayExact) {
 }
 
 TEST(ReservoirTest, CapacityEqualToStreamLengthKeepsEverything) {
-  // Boundary: the fill phase exactly consumes the stream. No replacement
-  // draw may fire, so the sample is the stream verbatim and the rng is
-  // untouched (checked by comparing against a fresh rng's next draw).
+  // Boundary: the fill phase exactly consumes the stream. No merge draws,
+  // so the sample is the stream verbatim and the rng, whose one draw
+  // would be the merge key, is untouched (checked by comparing against a
+  // fresh rng's next draw).
   Rng rng(41);
   Rng control(41);
   const size_t kLen = 256;
@@ -153,45 +156,61 @@ TEST(ReservoirTest, CapacityEqualToStreamLengthKeepsEverything) {
   EXPECT_EQ(rng.NextDouble(), control.NextDouble());
 }
 
-TEST(ReservoirTest, SplitRunsAreDrawIdentical) {
-  // The sampler carries the next replacement position across calls, so
-  // AddRepeated(v, a + b), AddRepeated(v, a) + AddRepeated(v, b), and
-  // a + b calls to Add give the same sample and leave the rng at the same
-  // point — for splits before, at and after the fill boundary, and below
-  // and past the t = 64c skip switch.
+TEST(ReservoirTest, EqualStateKeyAndBatchMergeIdentically) {
+  // A merge is a pure function of (sample, stream size, key, batch index):
+  // two samplers that reach the same state by different splits of the same
+  // fill-phase prefix merge the next batch into the same sample, and
+  // drawing that key takes one NextUint64 of the rng, however long the
+  // stream.
   const size_t kCap = 16;
-  const int kPrefix = 8;  // distinct values, so slot identity shows
-  // Splits after a = 8 fill the reservoir exactly, and a = 1'016 ends at
-  // position 64c = 1'024.
-  for (uint64_t a : {uint64_t{0}, uint64_t{5}, uint64_t{8}, uint64_t{9},
-                     uint64_t{300}, uint64_t{1'016}, uint64_t{1'017},
-                     uint64_t{5'000}}) {
-    for (uint64_t b : {uint64_t{1}, uint64_t{64}, uint64_t{2'000}}) {
-      Rng rng_whole(43);
-      Rng rng_split(43);
-      Rng rng_single(43);
-      ReservoirSampler whole(kCap, &rng_whole);
-      ReservoirSampler split(kCap, &rng_split);
-      ReservoirSampler single(kCap, &rng_single);
-      for (int i = 0; i < kPrefix; ++i) {
-        whole.Add(static_cast<double>(-i));
-        split.Add(static_cast<double>(-i));
-        single.Add(static_cast<double>(-i));
-      }
-      whole.AddRepeated(1.0, a + b);
-      split.AddRepeated(1.0, a);
-      split.AddRepeated(1.0, b);
-      for (uint64_t i = 0; i < a + b; ++i) single.Add(1.0);
-      SCOPED_TRACE(testing::Message() << "a=" << a << " b=" << b);
-      EXPECT_EQ(split.sample(), whole.sample());
-      EXPECT_EQ(single.sample(), whole.sample());
-      EXPECT_EQ(split.stream_size(), whole.stream_size());
-      EXPECT_EQ(single.stream_size(), whole.stream_size());
-      const uint64_t next = rng_whole.NextUint64();
-      EXPECT_EQ(rng_split.NextUint64(), next);
-      EXPECT_EQ(rng_single.NextUint64(), next);
-    }
+  const std::vector<double> prefix = {0, 1, 2, 3, 4, 5, 6, 7,
+                                      8, 9, 10, 11, 12, 13, 14, 15};
+  const std::vector<double> next_values = {100, 101, 102};
+  const std::vector<uint64_t> next_copies = {5, 0, 40};
+  for (size_t split : {size_t{1}, size_t{5}, size_t{8}, size_t{15}}) {
+    Rng rng_a(43);
+    Rng rng_b(43);
+    ReservoirSampler a(kCap, &rng_a);
+    ReservoirSampler b(kCap, &rng_b);
+    // a: one batch of `split` rows, then one of the rest; b: the other way
+    // round. Both hold the prefix after two merges.
+    const std::vector<uint64_t> ones(prefix.size(), 1);
+    const std::span<const double> values(prefix);
+    const std::span<const uint64_t> copies(ones);
+    a.MergeBatch(values.first(split), copies.first(split));
+    a.MergeBatch(values.subspan(split), copies.subspan(split));
+    b.MergeBatch(values.first(kCap - split), copies.first(kCap - split));
+    b.MergeBatch(values.subspan(kCap - split), copies.subspan(kCap - split));
+    ASSERT_EQ(a.sample(), b.sample());
+    a.MergeBatch(next_values, next_copies);
+    b.MergeBatch(next_values, next_copies);
+    SCOPED_TRACE(testing::Message() << "split=" << split);
+    EXPECT_EQ(a.sample(), b.sample());
+    EXPECT_EQ(a.stream_size(), kCap + 45);
+    EXPECT_EQ(a.slots_merged(), b.slots_merged());
+    Rng control(43);
+    control.NextUint64();
+    const uint64_t next = control.NextUint64();
+    EXPECT_EQ(rng_a.NextUint64(), next);
+    EXPECT_EQ(rng_b.NextUint64(), next);
   }
+  // The same state under another key, or at another batch index, draws
+  // differently (with overwhelming probability).
+  const std::vector<double> big_values = {1, 2, 3, 4};
+  const std::vector<uint64_t> big_copies = {1'000, 1'000, 1'000, 1'000};
+  auto merged = [&](uint64_t key, size_t empty_batches) {
+    ReservoirSampler sampler(64, key);
+    for (size_t i = 0; i < 64; ++i) sampler.Add(-static_cast<double>(i));
+    for (size_t i = 0; i < empty_batches; ++i) {
+      sampler.MergeBatch(std::span<const double>(),
+                         std::span<const uint64_t>());
+    }
+    sampler.MergeBatch(big_values, big_copies);
+    return sampler.sample();
+  };
+  EXPECT_EQ(merged(7, 0), merged(7, 0));
+  EXPECT_NE(merged(7, 0), merged(8, 0));
+  EXPECT_NE(merged(7, 0), merged(7, 1));
 }
 
 TEST(ReservoirTest, AddRepeatedAtCapacityBoundaries) {
@@ -271,25 +290,24 @@ std::vector<uint64_t> UniformRunLengths(uint64_t lo, uint64_t hi,
 }
 
 TEST(ReservoirChiSquareTest, PerElementAdd) {
-  // 40 runs of 2 elements, c = 2: N = 40c, all below 64c. With a tiny
-  // capacity, neighbouring positions' replacement odds c/i differ most,
-  // so an off-by-one in the skip draw shows.
+  // 40 runs of 2 elements, c = 2, one merge per element. With a tiny
+  // capacity, neighbouring positions' inclusion odds differ most between
+  // merges, so an off-by-one in the hypergeometric draw shows.
   std::vector<uint64_t> lengths(kChiSquareRuns, 2);
   const double chi = InclusionChiSquare(lengths, 2, 10'000, true, 1'000);
   EXPECT_LT(chi, kChiSquareCritical39);
 }
 
 TEST(ReservoirChiSquareTest, ShortRuns) {
-  // Runs of 1-20 copies, c = 20: every replacement decision falls inside
-  // a short run.
+  // Runs of 1-20 copies, c = 20: every merge is a short one-row batch.
   const double chi = InclusionChiSquare(UniformRunLengths(1, 20, 71), 20,
                                         1'000, false, 2'000);
   EXPECT_LT(chi, kChiSquareCritical39);
 }
 
 TEST(ReservoirChiSquareTest, RunsCrossingTheSkipBoundary) {
-  // Runs of 1-100 copies, c = 10: the stream crosses t = 64c mid-run, so
-  // both skip draws (exact product and closed form) decide replacements.
+  // Runs of 1-100 copies, c = 10: merges right after the fill, where K is
+  // near the run length, and later ones, where it is near 0.
   const double chi = InclusionChiSquare(UniformRunLengths(1, 100, 73), 10,
                                         2'000, false, 3'000);
   EXPECT_LT(chi, kChiSquareCritical39);
@@ -297,7 +315,7 @@ TEST(ReservoirChiSquareTest, RunsCrossingTheSkipBoundary) {
 
 TEST(ReservoirChiSquareTest, ZipfRunsFarPastTheSkipBoundary) {
   // Zipf-like run lengths 1e7 / rank, shuffled, c = 100: N is about 4e7,
-  // so almost every replacement happens at t >> 64c.
+  // so almost every merge happens at t >> c, by HRUA.
   std::vector<uint64_t> lengths;
   for (size_t g = 0; g < kChiSquareRuns; ++g) {
     lengths.push_back(10'000'000 / (g + 1));
@@ -306,6 +324,126 @@ TEST(ReservoirChiSquareTest, ZipfRunsFarPastTheSkipBoundary) {
   std::shuffle(lengths.begin(), lengths.end(), shuffle);
   const double chi = InclusionChiSquare(lengths, 100, 300, false, 4'000);
   EXPECT_LT(chi, kChiSquareCritical39);
+}
+
+/// Upper p = 0.001 critical value of chi-square with `df` degrees of
+/// freedom (Wilson–Hilferty; within 0.2% of the table at df = 39).
+double ChiSquareCritical001(double df) {
+  const double z = 3.0902;  // the standard normal's 0.999 quantile
+  const double h = 2.0 / (9.0 * df);
+  return df * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
+}
+
+/// A stream cut into batches: batch b is one MergeBatch of rows whose
+/// copies are `batches[b]`. Every row carries its own value, its index in
+/// the stream, so a sampled slot names the row its position came from.
+using BatchShapes = std::vector<std::vector<uint64_t>>;
+
+/// Merges the stream into fresh samplers (key = seed + trial) and checks
+/// each position's inclusion probability c / T: summed over the trials, a
+/// row of q copies must be sampled trials * c * q / T times. Rows of zero
+/// copies must never be sampled. Returns Pearson's statistic over the rows
+/// with copies, and sets `*df` to their number minus one.
+double PositionChiSquare(const BatchShapes& batches, size_t capacity,
+                         int trials, uint64_t seed, double* df) {
+  std::vector<uint64_t> copies;
+  std::vector<std::vector<double>> values(batches.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    for (uint64_t q : batches[b]) {
+      values[b].push_back(static_cast<double>(copies.size()));
+      copies.push_back(q);
+    }
+  }
+  std::vector<double> observed(copies.size(), 0.0);
+  for (int trial = 0; trial < trials; ++trial) {
+    ReservoirSampler sampler(capacity, seed + static_cast<uint64_t>(trial));
+    for (size_t b = 0; b < batches.size(); ++b) {
+      sampler.MergeBatch(values[b], batches[b]);
+    }
+    for (double v : sampler.sample()) observed[static_cast<size_t>(v)] += 1;
+  }
+  const double total = static_cast<double>(
+      std::accumulate(copies.begin(), copies.end(), uint64_t{0}));
+  double chi_square = 0.0;
+  double cells = 0.0;
+  for (size_t r = 0; r < copies.size(); ++r) {
+    if (copies[r] == 0) {
+      EXPECT_EQ(observed[r], 0.0) << "row " << r << " has no copies";
+      continue;
+    }
+    const double expected = static_cast<double>(trials) *
+                            static_cast<double>(capacity) *
+                            static_cast<double>(copies[r]) / total;
+    EXPECT_GE(expected, 5.0) << "row " << r << " too short for the test";
+    const double diff = observed[r] - expected;
+    chi_square += diff * diff / expected;
+    cells += 1.0;
+  }
+  *df = cells - 1.0;
+  return chi_square;
+}
+
+/// `rows` copy counts drawn uniformly from [lo, hi].
+std::vector<uint64_t> UniformCopies(size_t rows, uint64_t lo, uint64_t hi,
+                                    uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint64_t> copies;
+  for (size_t r = 0; r < rows; ++r) {
+    copies.push_back(static_cast<uint64_t>(rng.UniformInt(
+        static_cast<int64_t>(lo), static_cast<int64_t>(hi))));
+  }
+  return copies;
+}
+
+TEST(ReservoirChiSquareTest, OneRowBatches) {
+  // 300 one-row merges of 1-5 copies, c = 20: each merge draws K and
+  // evicts, with no position draws.
+  BatchShapes batches;
+  for (uint64_t q : UniformCopies(300, 1, 5, 81)) batches.push_back({q});
+  double df = 0.0;
+  const double chi = PositionChiSquare(batches, 20, 3'000, 5'000, &df);
+  EXPECT_LT(chi, ChiSquareCritical001(df));
+}
+
+TEST(ReservoirChiSquareTest, ScanBatchesWhoseFillEndsMidBatch) {
+  // Three 4096-row batches, c = 1'500. The first batch's ~2k copies end
+  // the fill mid-batch and leave ~550 positions, of which K ~ 400 must be
+  // drawn (rejection near its densest); the next two (0-3 copies a row,
+  // zeros included) are the scan's steady state.
+  BatchShapes batches = {UniformCopies(4'096, 0, 1, 83),
+                         UniformCopies(4'096, 0, 3, 85),
+                         UniformCopies(4'096, 0, 3, 87)};
+  double df = 0.0;
+  const double chi = PositionChiSquare(batches, 1'500, 150, 6'000, &df);
+  EXPECT_LT(chi, ChiSquareCritical001(df));
+}
+
+TEST(ReservoirChiSquareTest, BatchesWithZeroCopies) {
+  // Empty batches, all-zero batches and zero rows between 1-8 copy rows,
+  // c = 30: a batch that adds nothing changes nothing but its index.
+  BatchShapes batches;
+  for (int b = 0; b < 20; ++b) {
+    batches.push_back({});
+    batches.push_back({0, 0, 0});
+    std::vector<uint64_t> rows =
+        UniformCopies(10, 1, 8, 89 + static_cast<uint64_t>(b));
+    rows[3] = 0;
+    rows[7] = 0;
+    batches.push_back(rows);
+  }
+  double df = 0.0;
+  const double chi = PositionChiSquare(batches, 30, 2'000, 7'000, &df);
+  EXPECT_LT(chi, ChiSquareCritical001(df));
+}
+
+TEST(ReservoirChiSquareTest, OneBatchFarLargerThanTheReservoir) {
+  // One batch of 64 rows of 1e8-2e8 copies, c = 50: M is ~10^10 times c,
+  // so the fill ends inside row 0 and almost every slot is refilled from
+  // positions past 2^32.
+  BatchShapes batches = {UniformCopies(64, 100'000'000, 200'000'000, 91)};
+  double df = 0.0;
+  const double chi = PositionChiSquare(batches, 50, 1'000, 8'000, &df);
+  EXPECT_LT(chi, ChiSquareCritical001(df));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <random>
 #include <set>
+#include <vector>
 
 namespace sitstats {
 namespace {
@@ -85,6 +86,39 @@ TEST(RngTest, DrawsArePinned) {
   const bool kExpected[] = {true, true, true, false, false, true, false,
                             false};
   for (bool expected : kExpected) EXPECT_EQ(rng.Bernoulli(0.5), expected);
+}
+
+TEST(RngTest, SplitMix64IsPositionAddressable) {
+  // The i-th draw of SplitMix64(key) is SplitMix64At(key, i), so a draw can
+  // be taken by position; the first outputs for key 0 are SplitMix64's
+  // published reference values.
+  SplitMix64 stream(1234567);
+  for (uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(stream.NextUint64(), SplitMix64At(1234567, i)) << i;
+  }
+  SplitMix64 zero(0);
+  EXPECT_EQ(zero.NextUint64(), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(zero.NextUint64(), 0x6e789e6aa1b965f4ull);
+  for (int i = 0; i < 1'000; ++i) {
+    const double u = UnitDouble(zero.NextUint64());
+    EXPECT_GE(u, 0.0);
+    EXPECT_LT(u, 1.0);
+  }
+  EXPECT_EQ(UnitDouble(~uint64_t{0}), 1.0 - 0x1p-53);
+}
+
+TEST(RngTest, SplitMix64BelowIsUniform) {
+  // Below(n) stays in [0, n) and hits each of 10 values about equally; at
+  // n = 2^63 + 1 almost half the raw draws are rejected, and the result is
+  // still in range.
+  SplitMix64 stream(99);
+  std::vector<int> hits(10, 0);
+  const int kDraws = 100'000;
+  for (int i = 0; i < kDraws; ++i) ++hits[stream.Below(10)];
+  for (int h : hits) EXPECT_NEAR(h, kDraws / 10, 500);
+  EXPECT_EQ(stream.Below(1), 0u);
+  const uint64_t n = (uint64_t{1} << 63) + 1;
+  for (int i = 0; i < 1'000; ++i) EXPECT_LT(stream.Below(n), n);
 }
 
 #if defined(__GLIBCXX__)

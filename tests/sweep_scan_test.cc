@@ -294,6 +294,46 @@ TEST(SweepScanTest, SamplingPathScalesToStreamWeight) {
   EXPECT_NEAR(outputs[0].histogram.TotalFrequency(), 700.0, 1e-6);
 }
 
+TEST(SweepScanTest, SampledTargetTakesOneDrawPerScanAndCountsMergedSlots) {
+  // A sampled target takes its draw key from one NextUint64 of its stream
+  // at scan start, whatever the stream's length; every rounding and merge
+  // draw is keyed from it, so the same key rebuilds the same sample. The
+  // scan books the slots its merges refilled into sampling.slots_merged:
+  // none while the stream fits in the reservoir.
+  Catalog catalog = MakeCatalog();
+  ConstantOracle oracle(2.5);
+  for (size_t min_sample : {size_t{10}, size_t{1'000}}) {
+    SweepScanSpec spec;
+    spec.table = "S";
+    spec.use_sampling = true;
+    spec.sampling_rate = 0.0;
+    spec.min_sample_size = min_sample;
+    spec.joins.push_back(SweepJoin{{"y"}, &oracle});
+    spec.targets.push_back(SweepTarget{"a", {0}, false});
+    Rng rng(11);
+    const uint64_t merged_before = CounterValue("sampling.slots_merged");
+    auto first = SweepScanTable(&catalog, spec, &rng).ValueOrDie();
+    const uint64_t merged = CounterValue("sampling.slots_merged") -
+                            merged_before;
+    Rng control(11);
+    control.NextUint64();
+    EXPECT_EQ(rng.NextUint64(), control.NextUint64());
+    Rng again(11);
+    auto second = SweepScanTable(&catalog, spec, &again).ValueOrDie();
+    EXPECT_EQ(first[0].histogram.ToString(), second[0].histogram.ToString());
+    EXPECT_DOUBLE_EQ(first[0].estimated_cardinality, 250.0);
+    if (min_sample == 10) {
+      // 100 rows of 2 or 3 copies: the first 10 fill, and the merge
+      // refills between 1 and 10 slots.
+      EXPECT_GE(merged, 1u);
+      EXPECT_LE(merged, 10u);
+    } else {
+      EXPECT_EQ(merged, 0u);
+      EXPECT_NEAR(first[0].histogram.TotalFrequency(), 250.0, 1e-6);
+    }
+  }
+}
+
 TEST(SweepScanTest, SharedScanProducesIndependentTargets) {
   Catalog catalog = MakeCatalog();
   Rng rng(4);
