@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // primitives: histogram construction and its sort, reservoir batch merges
 // (including runs of 10^6 copies), the m-Oracle kernels, join-cardinality
-// estimation, one sweep scan per accumulator and one full Sweep build, the
-// schedule solvers, and the colfile checksum every load verifies.
+// estimation, key counting in sorted and shuffled row order, one sweep scan
+// per accumulator and one full Sweep build, the schedule solvers, and the
+// colfile checksum every load verifies.
 
 #include <benchmark/benchmark.h>
 
@@ -266,6 +267,48 @@ void BM_MOracleBatchExactMap(benchmark::State& state) {
   RunOracleBatches(state, oracle);
 }
 BENCHMARK(BM_MOracleBatchExactMap);
+
+// CountKeys over one int64 column: 100k rows over 80k distinct integers
+// spanning 0..99998, in key order or shuffled. The count table's layout is
+// a function of the column's keys, so the two should cost about the same;
+// CI fails if the shuffled median exceeds a bar times the sorted one.
+Table CountKeysTable(bool shuffled) {
+  std::vector<int64_t> keys;
+  for (int64_t j = 0; j < 80'000; ++j) keys.push_back(j * 5 / 4);
+  for (int64_t j = 0; j < 20'000; ++j) keys.push_back(j * 5);
+  std::sort(keys.begin(), keys.end());
+  if (shuffled) {
+    Rng rng(33);
+    for (size_t i = keys.size() - 1; i > 0; --i) {
+      std::swap(keys[i], keys[rng.NextUint64() % (i + 1)]);
+    }
+  }
+  Schema schema;
+  schema.AddColumn("k", ValueType::kInt64);
+  Table table("T", schema);
+  for (int64_t k : keys) SITSTATS_CHECK_OK(table.AppendRow({Value(k)}));
+  return table;
+}
+
+void RunCountKeys(benchmark::State& state, bool shuffled) {
+  const Table table = CountKeysTable(shuffled);
+  for (auto _ : state) {
+    WeightTable counts = CountKeys(table, {"k"}).ValueOrDie();
+    benchmark::DoNotOptimize(counts);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(table.num_rows()));
+}
+
+void BM_CountKeysSorted(benchmark::State& state) {
+  RunCountKeys(state, false);
+}
+BENCHMARK(BM_CountKeysSorted);
+
+void BM_CountKeysShuffled(benchmark::State& state) {
+  RunCountKeys(state, true);
+}
+BENCHMARK(BM_CountKeysShuffled);
 
 void BM_EstimateJoinCardinality(benchmark::State& state) {
   HistogramSpec spec;

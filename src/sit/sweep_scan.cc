@@ -24,6 +24,8 @@ struct TargetState {
   uint64_t draw_key = 0;
   double fractional_cardinality = 0.0;
   uint64_t nan_rows = 0;
+  // An infinite attribute of a row of positive multiplicity, or 0.
+  double infinite = 0.0;
   // Attribute value -> summed multiplicity, in row order.
   WeightTable weights;
 };
@@ -106,6 +108,7 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
                                     spec.sampling_rate)));
   if (capacity == 0) capacity = 1;
 
+  // A weighted target lays its table out for its attribute column's keys.
   // A sampled target takes one draw from its stream, at scan start: the
   // key of every rounding and merge draw of this scan.
   std::vector<TargetState> states(spec.targets.size());
@@ -113,7 +116,11 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
   reservoirs.reserve(spec.targets.size());
   for (size_t t = 0; t < spec.targets.size(); ++t) {
     states[t].attribute_slot = slot_of(spec.targets[t].attribute);
-    if (spec.use_sampling && !spec.targets[t].build_exact_map) {
+    if (!spec.use_sampling || spec.targets[t].build_exact_map) {
+      SITSTATS_ASSIGN_OR_RETURN(const Column* column,
+                                table->GetColumn(spec.targets[t].attribute));
+      states[t].weights = WeightTable::ForColumn(*column);
+    } else {
       states[t].draw_key = streams[t]->NextUint64();
       SITSTATS_ASSIGN_OR_RETURN(
           ReservoirSampler sampler,
@@ -154,6 +161,10 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     if (std::isnan(attr_values[r])) {
       ++state.nan_rows;
       return 0.0;
+    }
+    // An exact map keeps an infinite join key; no histogram holds one.
+    if (std::isinf(attr_values[r]) && !target.build_exact_map) {
+      state.infinite = attr_values[r];
     }
     state.fractional_cardinality += multiplicity;
     return multiplicity;
@@ -276,6 +287,11 @@ Result<std::vector<SweepOutput>> SweepScanTable(Catalog* catalog,
     SITSTATS_FAULT_SITE("sit.sweep.build_output");
     SITSTATS_RETURN_IF_ERROR(spec.cancel.CheckCancelled("sweep output"));
     TargetState& state = states[t];
+    if (state.infinite != 0.0) {
+      return Status::InvalidArgument(
+          "histogram input has a value that is not finite: " +
+          std::to_string(state.infinite));
+    }
     SweepOutput out;
     out.estimated_cardinality = state.fractional_cardinality;
     out.nan_rows = state.nan_rows;

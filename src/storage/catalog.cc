@@ -55,6 +55,19 @@ Result<WeightTable> CountKeys(const Table& table,
     }
     cols.push_back(col);
   }
+  if (cols.size() == 1) {
+    const Column& column = *cols.front();
+    WeightTable counts = WeightTable::ForColumn(column);
+    if (column.type() == ValueType::kInt64) {
+      for (int64_t v : column.int64_data()) {
+        counts.Add(static_cast<double>(v), 1.0);
+      }
+    } else {
+      for (double v : column.double_data()) counts.Add(v, 1.0);
+    }
+    counts.Compact();
+    return counts;
+  }
   WeightTable counts(cols.size());
   std::vector<double> key(cols.size());
   for (size_t row = 0; row < table.num_rows(); ++row) {
@@ -63,7 +76,6 @@ Result<WeightTable> CountKeys(const Table& table,
     }
     counts.Add(key.data(), 1.0);
   }
-  counts.Compact();
   return counts;
 }
 
@@ -182,6 +194,8 @@ Result<const WeightTable*> Catalog::EnsureIndex(
   SITSTATS_ASSIGN_OR_RETURN(const Table* table, GetTable(table_name));
   SITSTATS_FAULT_SITE("storage.index.build");
   SITSTATS_ASSIGN_OR_RETURN(WeightTable index, CountKeys(*table, columns));
+  span.AddAttribute("layout", index.dense() ? "dense" : "hash");
+  span.AddAttribute("keys", static_cast<uint64_t>(index.size()));
   // Registration site sits between the build and the registry insert: a
   // failure here must leave the catalog without any trace of the new
   // index (the fault sweep asserts ValidateConsistency afterwards).

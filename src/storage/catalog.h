@@ -19,7 +19,9 @@ namespace sitstats {
 
 /// The exact key -> row-count table over `columns` of `table`, built in
 /// one pass over the rows: a key is the tuple of a row's values in
-/// `columns` order. Rows with a NaN in any of the columns are not counted
+/// `columns` order. A one-column table is laid out for its column first
+/// (WeightTable::ForColumn), so its layout is the same in any row order.
+/// Rows with a NaN in any of the columns are not counted
 /// (NaN joins nothing). Fails on an empty column list, an unknown column
 /// or a string column. Catalog::EnsureIndex caches one per key set.
 Result<WeightTable> CountKeys(const Table& table,

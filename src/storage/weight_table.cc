@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "common/radix_sort.h"
+#include "storage/column.h"
 
 namespace sitstats {
 
@@ -37,6 +39,29 @@ uint64_t Hash(const uint64_t* keys, size_t width) {
   for (size_t c = 0; c < width; ++c) h = Mix(h ^ keys[c]);
   return h;
 }
+
+// The span [lo, hi] of keys that are all integers of magnitude below 2^53,
+// where the cast is exact and an integer round-trips (-0.0 is key 0).
+struct KeySpan {
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+
+  // False when `v` is no such integer.
+  bool Take(double v) {
+    if (!(std::fabs(v) < kDenseLimit)) return false;
+    const int64_t key = static_cast<int64_t>(v);
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+    return static_cast<double>(key) == v;
+  }
+  // hi - lo + 1 when there are keys spanning at most `limit` integers, or
+  // 0.
+  size_t DenseSpan(size_t limit) const {
+    return lo <= hi && static_cast<uint64_t>(hi - lo) < limit
+               ? static_cast<size_t>(hi - lo) + 1
+               : 0;
+  }
+};
 
 }  // namespace
 
@@ -74,74 +99,86 @@ uint64_t* WeightTable::Insert(const uint64_t* keys) {
   return slot + width_;
 }
 
-void WeightTable::SetDenseSpan(int64_t lo, size_t span) {
-  std::vector<double> dense(span, 0.0);
-  std::vector<uint8_t> present(span, 0);
-  for (size_t i = 0; i < present_.size(); ++i) {
-    if (present_[i] == 0) continue;
-    const size_t to = static_cast<size_t>(lo_ + static_cast<int64_t>(i) - lo);
-    dense[to] = dense_[i];
-    present[to] = 1;
+size_t WeightTable::DenseIndex(double key) const {
+  // NaN fails the range test; inside it the cast is exact (see KeySpan).
+  if (key >= lo_value_ && key <= hi_value_) {
+    const int64_t integer = static_cast<int64_t>(key);
+    if (static_cast<double>(integer) == key) {
+      return static_cast<size_t>(integer - lo_);
+    }
   }
-  dense_ = std::move(dense);
-  present_ = std::move(present);
-  lo_ = lo;
-  lo_value_ = static_cast<double>(lo);
-  hi_value_ = static_cast<double>(lo + static_cast<int64_t>(span) - 1);
+  return dense_.size();
 }
 
-bool WeightTable::FitDense(int64_t key) {
-  const int64_t end = lo_ + static_cast<int64_t>(dense_.size());
-  if (key >= lo_ && key < end) return true;
-  const int64_t lo = dense_.empty() ? key : std::min(lo_, key);
-  const int64_t hi = dense_.empty() ? key : std::max(end - 1, key);
-  const size_t needed = static_cast<size_t>(hi - lo) + 1;
-  const size_t cap =
-      std::max(kDenseGrowthFloor, kDenseSpanFactor * (size_ + 1));
-  if (needed > cap) return false;
-  // Grow by at least doubling, on the new key's side, so keys that arrive
-  // in order cost amortised O(1). The span stays inside (-2^53, 2^53), so
-  // its ends are exact doubles.
-  const int64_t span = static_cast<int64_t>(
-      std::min(cap, std::max(needed, 2 * dense_.size())));
-  const int64_t limit = static_cast<int64_t>(kDenseLimit) - 1;
-  const int64_t new_lo = key < lo_ ? std::max(hi - span + 1, -limit) : lo;
-  const int64_t new_hi = key < lo_ ? hi : std::min(lo + span - 1, limit);
-  SetDenseSpan(new_lo, static_cast<size_t>(new_hi - new_lo + 1));
-  return true;
-}
-
-void WeightTable::SpillToHash() {
-  hashed_ = true;
-  size_ = 0;
+template <typename Fn>
+void WeightTable::ForEachEntry(Fn fn) const {
   for (size_t i = 0; i < dense_.size(); ++i) {
-    if (present_[i] == 0) continue;
-    const uint64_t key =
-        OrderedKey(static_cast<double>(lo_ + static_cast<int64_t>(i)));
-    *Insert(&key) = std::bit_cast<uint64_t>(dense_[i]);
+    if (dense_[i] != 0.0) {
+      fn(static_cast<double>(lo_ + static_cast<int64_t>(i)), dense_[i]);
+    }
   }
-  std::vector<double>().swap(dense_);
-  std::vector<uint8_t>().swap(present_);
+  for (size_t at = 0; at < slots_.size(); at += 2) {
+    if (slots_[at] == kEmpty) continue;
+    fn(FromOrderedKey(slots_[at]), std::bit_cast<double>(slots_[at + 1]));
+  }
+}
+
+void WeightTable::Relayout(int64_t lo, size_t span) {
+  if (span == dense_.size() && (span == 0 || lo == lo_)) return;
+  const WeightTable old = std::move(*this);
+  *this = WeightTable();
+  if (span > 0) {
+    dense_.assign(span, 0.0);
+    lo_ = lo;
+    // The span lies inside (-2^53, 2^53), so its ends are exact doubles.
+    lo_value_ = static_cast<double>(lo);
+    hi_value_ = static_cast<double>(lo + static_cast<int64_t>(span) - 1);
+  }
+  old.ForEachEntry([this](double key, double weight) {
+    if (!dense()) {
+      const uint64_t bits = OrderedKey(key);
+      *Insert(&bits) = std::bit_cast<uint64_t>(weight);
+      return;
+    }
+    dense_[DenseIndex(key)] = weight;
+    ++size_;
+  });
+}
+
+WeightTable WeightTable::ForColumn(const Column& column) {
+  KeySpan keys;
+  // Stops at the first value that is neither NaN nor such an integer; an
+  // int64 of magnitude 2^53 or more widens to a double that large.
+  auto take_all = [&keys](auto values) {
+    for (const auto value : values) {
+      const double v = static_cast<double>(value);
+      if (!std::isnan(v) && !keys.Take(v)) return false;
+    }
+    return true;
+  };
+  const bool integral =
+      column.type() == ValueType::kInt64    ? take_all(column.int64_data())
+      : column.type() == ValueType::kDouble ? take_all(column.double_data())
+                                            : false;
+  WeightTable table;
+  if (integral) {
+    table.Relayout(keys.lo, keys.DenseSpan(kDenseSpanFactor * column.size()));
+  }
+  return table;
 }
 
 void WeightTable::Add(const double* key, double weight) {
-  if (!hashed_) {
-    const double k = key[0];
-    if (std::isnan(k)) return;
-    // Below 2^53 in magnitude the cast is exact, and an integer
-    // round-trips.
-    const int64_t integer =
-        std::fabs(k) < kDenseLimit ? static_cast<int64_t>(k) : 0;
-    if (static_cast<double>(integer) == k && FitDense(integer)) {
-      const size_t i = static_cast<size_t>(integer - lo_);
-      if (present_[i] == 0) {
-        present_[i] = 1;
-        ++size_;
-      }
+  if (!(weight > 0.0)) return;
+  if (dense()) {
+    const size_t i = DenseIndex(key[0]);
+    if (i < dense_.size()) {
+      size_ += dense_[i] == 0.0;
       dense_[i] += weight;
       return;
     }
-    SpillToHash();
+    if (std::isnan(key[0])) return;
+    // A key the table was not laid out for.
+    Relayout(0, 0);
   }
   scratch_.resize(width_);
   for (size_t c = 0; c < width_; ++c) {
@@ -154,37 +191,22 @@ void WeightTable::Add(const double* key, double weight) {
 }
 
 void WeightTable::Compact() {
-  if (hashed_) return;
-  // Trim the span to the stored keys, or give it up when they are too
-  // sparse for it.
-  size_t first = 0;
-  size_t last = dense_.size();
-  while (first < last && present_[first] == 0) ++first;
-  while (last > first && present_[last - 1] == 0) --last;
-  if (last - first > kDenseSpanFactor * size_) {
-    SpillToHash();
-    return;
-  }
-  SetDenseSpan(lo_ + static_cast<int64_t>(first), last - first);
+  if (width_ > 1) return;
+  KeySpan keys;
+  bool integral = true;
+  ForEachEntry([&](double key, double) {
+    integral = integral && keys.Take(key);
+  });
+  Relayout(keys.lo, integral ? keys.DenseSpan(kDenseSpanFactor * size_) : 0);
 }
 
 std::vector<std::pair<double, double>> WeightTable::Entries() const {
   SITSTATS_DCHECK_EQ(width_, size_t{1});
   std::vector<std::pair<double, double>> entries;
   entries.reserve(size_);
-  if (!hashed_) {
-    for (size_t i = 0; i < dense_.size(); ++i) {
-      if (present_[i] == 0) continue;
-      entries.emplace_back(static_cast<double>(lo_ + static_cast<int64_t>(i)),
-                           dense_[i]);
-    }
-    return entries;
-  }
-  for (size_t at = 0; at < slots_.size(); at += stride()) {
-    if (slots_[at] == kEmpty) continue;
-    entries.emplace_back(FromOrderedKey(slots_[at]),
-                         std::bit_cast<double>(slots_[at + width_]));
-  }
+  ForEachEntry([&entries](double key, double weight) {
+    entries.emplace_back(key, weight);
+  });
   return entries;
 }
 
@@ -193,17 +215,8 @@ void WeightTable::Lookup(const double* const* columns, size_t num_rows,
   if (dense()) {
     const double* y = columns[0];
     for (size_t r = 0; r < num_rows; ++r) {
-      const double v = y[r];
-      double weight = 0.0;
-      // NaN fails the range test; inside it the cast is exact, and an
-      // integer that round-trips is a key of the span (-0.0 is key 0).
-      if (v >= lo_value_ && v <= hi_value_) {
-        const int64_t key = static_cast<int64_t>(v);
-        if (static_cast<double>(key) == v) {
-          weight = dense_[static_cast<size_t>(key - lo_)];
-        }
-      }
-      out[r] = weight;
+      const size_t i = DenseIndex(y[r]);
+      out[r] = i < dense_.size() ? dense_[i] : 0.0;
     }
     return;
   }

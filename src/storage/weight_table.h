@@ -8,49 +8,58 @@
 
 namespace sitstats {
 
+class Column;
+
 /// Exact key -> weight table: the one lookup structure behind the
 /// catalog's key-count indexes (CountKeys in storage/catalog.h), the exact
-/// m-Oracles and the sweep's exact-map accumulator (DESIGN.md note 15).
+/// m-Oracles and the sweep's weighted accumulators (DESIGN.md note 15).
 ///
 /// A key is a tuple of width() doubles, and two tuples are one key when
 /// their components compare equal under `==`: -0.0 and +0.0 are one key,
-/// and a tuple holding a NaN is never stored and never matches.
+/// and a tuple holding a NaN is never stored and never matches. A key is
+/// stored iff its summed weight is positive: Add() ignores a weight that
+/// is not.
 ///
 /// Two layouts answer a lookup with one probe:
 ///  - dense: one weight per integer of a span [lo, lo + n), for one-column
 ///    keys that are all integers of magnitude below 2^53;
 ///  - hash: open addressing with linear probing (load at most 1/2) on the
 ///    components' OrderedKey bits, for everything else.
-/// A one-column table accumulates densely while its keys allow it and
-/// their span stays within max(kDenseGrowthFloor, kDenseSpanFactor x the
-/// key count), and moves to the hash layout, for good, once they do not.
-/// Compact() trims a dense span to the stored keys, or moves the table to
-/// the hash layout when they span more than kDenseSpanFactor x their
-/// count. A key's weight is the left-to-right sum of its Add() weights; a
-/// layout change moves weights, never re-sums them.
+/// The layout follows the key set, never the order keys arrive in:
+/// ForColumn() lays an empty table out for a column's keys, Compact() a
+/// complete one for the keys it holds, and a dense table never grows (a
+/// key outside its span moves it to the hash). A key's weight is the
+/// left-to-right sum of its Add() weights; a layout change moves weights,
+/// never re-sums them. Composite (width > 1) tables are always hashed.
 class WeightTable {
  public:
-  /// Largest final dense span, as a multiple of the number of keys.
+  /// Largest dense span, as a multiple of the number of keys (Compact) or
+  /// of the column's rows (ForColumn).
   static constexpr size_t kDenseSpanFactor = 4;
-  /// Span a dense accumulator may reach whatever its key count.
-  static constexpr size_t kDenseGrowthFloor = size_t{1} << 16;
 
-  explicit WeightTable(size_t width = 1) : width_(width), hashed_(width > 1) {}
+  /// An empty table, hashed until Compact() says otherwise.
+  explicit WeightTable(size_t width = 1) : width_(width) {}
+
+  /// An empty one-column table laid out for the keys of `column`, read
+  /// once: dense over [min, max] when every non-NaN value is an integer of
+  /// magnitude below 2^53 and the span is at most kDenseSpanFactor x the
+  /// column's rows, hashed otherwise (string columns included).
+  static WeightTable ForColumn(const Column& column);
 
   size_t width() const { return width_; }
   /// Number of distinct keys.
   size_t size() const { return size_; }
-  bool dense() const { return !hashed_ && !dense_.empty(); }
+  bool dense() const { return !dense_.empty(); }
 
   /// Adds `weight` to the key tuple `key[0..width())`, whose entry starts
-  /// at 0.0. Ignored when a component is NaN.
+  /// at 0.0. Ignored when a component is NaN or the weight is not
+  /// positive.
   void Add(const double* key, double weight);
   void Add(double key, double weight) { Add(&key, weight); }
 
-  /// Trims a dense span to the stored keys, or moves the table to the hash
-  /// layout when they are too sparse for it (see the class comment): what
-  /// a one-column oracle calls once the table is complete. A hashed table,
-  /// composite ones included, is left as it is.
+  /// Lays a complete one-column table out for the keys it holds: dense
+  /// when they are integers spanning at most kDenseSpanFactor x their
+  /// count, hashed otherwise. A composite table is left as it is.
   void Compact();
 
   /// Every (key, weight) entry of a one-column table, in no particular
@@ -71,27 +80,28 @@ class WeightTable {
   // The weight word of the slot for `keys`, inserting the key if absent.
   uint64_t* Insert(const uint64_t* keys);
   void Grow();
-  // Makes room in the dense span for integer `key`; false when the span
-  // would outgrow its cap.
-  bool FitDense(int64_t key);
-  void SetDenseSpan(int64_t lo, size_t span);
-  // Moves every dense entry into the hash layout.
-  void SpillToHash();
+  // The index of `key` in the dense span, or dense_.size().
+  size_t DenseIndex(double key) const;
+  // Calls fn(key, weight) for every entry of a one-column table.
+  template <typename Fn>
+  void ForEachEntry(Fn fn) const;
+  // Moves every entry of a one-column table into the dense span
+  // [lo, lo + span), which holds its keys, or into the hash when `span` is
+  // 0.
+  void Relayout(int64_t lo, size_t span);
 
   size_t width_;
   size_t size_ = 0;
-  bool hashed_;  // the hash layout holds the entries
   std::vector<uint64_t> scratch_;  // Add()'s key words
   // Hash layout.
   size_t mask_ = 0;              // capacity - 1; capacity is a power of 2
   std::vector<uint64_t> slots_;  // empty until the first insert
-  // Dense layout: dense_[k - lo_] is the weight of integer key k, and
-  // present_ marks the stored keys.
+  // Dense layout, when dense_ is not empty: dense_[k - lo_] is the weight
+  // of integer key k, and a positive weight marks a stored key.
   std::vector<double> dense_;
-  std::vector<uint8_t> present_;
   int64_t lo_ = 0;
-  double lo_value_ = 0.0;  // the span as doubles, for the lookup's range
-  double hi_value_ = -1.0;  // test (empty: nothing passes)
+  double lo_value_ = 0.0;  // the span as doubles, for the range tests
+  double hi_value_ = -1.0;
 };
 
 }  // namespace sitstats

@@ -453,6 +453,57 @@ TEST(CreatorTest, NanRootAttributeFailsEverySweep) {
   }
 }
 
+TEST(CreatorTest, InfiniteRootAttributeFailsEverySweep) {
+  // An infinite SIT attribute on a row that joins is a value no histogram
+  // can hold, sampled or not: every sweep variant fails, whether or not a
+  // sample would have drawn the row. A(x) = 1..50; B(y, a) of 1000 rows,
+  // each joining one A row, with the infinity on the last one.
+  for (double infinity : {std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()}) {
+    Catalog catalog;
+    Schema a_schema;
+    a_schema.AddColumn("x", ValueType::kInt64);
+    Table* a = catalog.CreateTable("A", a_schema).ValueOrDie();
+    for (int64_t x = 1; x <= 50; ++x) {
+      SITSTATS_CHECK_OK(a->AppendRow({Value(x)}));
+    }
+    Schema b_schema;
+    b_schema.AddColumn("y", ValueType::kInt64);
+    b_schema.AddColumn("a", ValueType::kDouble);
+    Table* b = catalog.CreateTable("B", b_schema).ValueOrDie();
+    for (int64_t row = 0; row < 1000; ++row) {
+      const double value = row == 999 ? infinity : static_cast<double>(row);
+      SITSTATS_CHECK_OK(b->AppendRow({Value(row % 50 + 1), Value(value)}));
+    }
+    const GeneratingQuery q =
+        GeneratingQuery::Create(
+            {"A", "B"}, {JoinPredicate{ColumnRef{"A", "x"}, ColumnRef{"B", "y"}}})
+            .ValueOrDie();
+    const SitDescriptor desc(ColumnRef{"B", "a"}, q);
+    const std::string expected = std::string(
+        "histogram input has a value that is not finite: ") +
+        (infinity > 0 ? "inf" : "-inf");
+    // A sample holds about 100 of the 1000 rows, so some of these seeds
+    // leave the infinity out of it.
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      for (SweepVariant variant :
+           {SweepVariant::kSweep, SweepVariant::kSweepIndex,
+            SweepVariant::kSweepFull, SweepVariant::kSweepExact}) {
+        BaseStatsCache stats;
+        SitBuildOptions options;
+        options.variant = variant;
+        options.seed = seed;
+        Result<Sit> sit = CreateSit(&catalog, &stats, desc, options);
+        ASSERT_EQ(sit.status().code(), StatusCode::kInvalidArgument)
+            << SweepVariantToString(variant) << " seed " << seed << ": "
+            << sit.status().ToString();
+        EXPECT_EQ(sit.status().message(), expected)
+            << SweepVariantToString(variant);
+      }
+    }
+  }
+}
+
 TEST(SitCatalogTest, AddFindReplace) {
   ChainDatabase db = SmallDb(2);
   BaseStatsCache stats;

@@ -376,14 +376,43 @@ TEST(MOracleKernelTest, ExactMapMatchesUnorderedMapInBothLayouts) {
   ExpectExactMapKernel(adds, {0.5, -1e7 + 1}, /*dense=*/false);
   ExpectExactMapKernel({{0.125, 1}, {kTwo53, 2}, {-kInf, 3}, {1e-310, 4}},
                        {0.0, 1, kTwo53 + 2}, /*dense=*/false);
-  // A span that outgrows the dense accumulator early moves to the hash for
-  // good, even though the final keys would fill a dense span.
+  // Keys whose first two adds span far more than 4x their count end dense:
+  // the layout follows the final keys, not the order they arrived in.
   std::vector<std::pair<double, double>> filled = {{0, 1}, {70'000, 2}};
   for (int k = 69'999; k > 0; k -= 3) filled.push_back({k, 0.5});
-  ExpectExactMapKernel(filled, {-1, 70'001}, /*dense=*/false);
+  ExpectExactMapKernel(filled, {-1, 70'001}, /*dense=*/true);
   // Empty maps, and a map of nothing but a NaN key.
   ExpectExactMapKernel({}, {0.0, 1.0}, /*dense=*/false);
   ExpectExactMapKernel({{kNaN, 1}}, {0.0, 1.0}, /*dense=*/false);
+}
+
+TEST(MOracleKernelTest, NonPositiveWeightsStoreNoKey) {
+  // A key is stored iff its summed weight is positive: zero, negative and
+  // NaN weights are ignored, in either layout.
+  const double kNegZero = -0.0;
+  for (bool hashed : {false, true}) {
+    WeightTable table;
+    for (double key : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) table.Add(key, 1.0);
+    if (hashed) table.Add(0.5, 1.0);
+    table.Compact();
+    ASSERT_EQ(table.dense(), !hashed);
+    const size_t stored = table.size();
+    for (double weight : {0.0, kNegZero, -1.0, -kInf, kNaN}) {
+      table.Add(7.0, weight);
+      table.Add(-3.5, weight);
+      table.Add(2.0, weight);
+    }
+    EXPECT_EQ(table.size(), stored) << hashed;
+    EXPECT_EQ(table.dense(), !hashed);
+    const std::vector<double> probes = {7.0, -3.5, 2.0};
+    std::vector<double> out(probes.size());
+    const double* column = probes.data();
+    table.Lookup(&column, probes.size(), out.data());
+    EXPECT_EQ(out, (std::vector<double>{0.0, 0.0, 1.0})) << hashed;
+    for (const auto& [key, weight] : table.Entries()) {
+      EXPECT_GT(weight, 0.0) << key;
+    }
+  }
 }
 
 TEST(MOracleKernelTest, CompositeExactMatchesCount) {

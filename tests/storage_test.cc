@@ -1,7 +1,12 @@
+#include <algorithm>
 #include <cmath>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "storage/catalog.h"
 #include "storage/column.h"
 #include "storage/cost_model.h"
@@ -172,6 +177,61 @@ TEST(CatalogTest, EnsureIndexBuildsOnceAndNeverReplaces) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(catalog.EnsureIndex("T", "missing").status().code(),
             StatusCode::kNotFound);
+}
+
+/// One int64 column "k" holding `keys` in the given order.
+Table KeyTable(const std::vector<int64_t>& keys) {
+  Schema schema;
+  schema.AddColumn("k", ValueType::kInt64);
+  Table table("T", schema);
+  for (int64_t k : keys) SITSTATS_CHECK_OK(table.AppendRow({Value(k)}));
+  return table;
+}
+
+TEST(CatalogTest, CountKeysLayoutIgnoresRowOrder) {
+  // 100k rows over 80k distinct integers spanning 0..99998: wider than
+  // 2^16 and within 4x the key count, so dense in whatever order the rows
+  // arrive.
+  std::vector<int64_t> keys;
+  for (int64_t j = 0; j < 80'000; ++j) keys.push_back(j * 5 / 4);
+  for (int64_t j = 0; j < 20'000; ++j) keys.push_back(j * 5);
+  std::sort(keys.begin(), keys.end());
+  std::vector<int64_t> reversed(keys.rbegin(), keys.rend());
+  std::vector<int64_t> shuffled = keys;
+  std::mt19937_64 gen(33);
+  std::shuffle(shuffled.begin(), shuffled.end(), gen);
+
+  const WeightTable sorted_counts =
+      CountKeys(KeyTable(keys), {"k"}).ValueOrDie();
+  EXPECT_TRUE(sorted_counts.dense());
+  EXPECT_EQ(sorted_counts.size(), 80'000u);
+  std::vector<std::pair<double, double>> expected = sorted_counts.Entries();
+  std::sort(expected.begin(), expected.end());
+  double rows = 0.0;
+  for (const auto& [key, count] : expected) rows += count;
+  EXPECT_EQ(rows, 100'000.0);
+  std::vector<double> probes;
+  for (const auto& [key, count] : expected) {
+    for (double delta : {-1.0, -0.5, 0.0, 0.5, 1.0}) {
+      probes.push_back(key + delta);
+    }
+  }
+  const double* column = probes.data();
+  std::vector<double> expected_counts(probes.size());
+  sorted_counts.Lookup(&column, probes.size(), expected_counts.data());
+
+  for (const auto& [label, order] :
+       {std::pair{"reversed", &reversed}, std::pair{"shuffled", &shuffled}}) {
+    const WeightTable counts = CountKeys(KeyTable(*order), {"k"}).ValueOrDie();
+    EXPECT_EQ(counts.dense(), sorted_counts.dense()) << label;
+    EXPECT_EQ(counts.size(), sorted_counts.size()) << label;
+    std::vector<std::pair<double, double>> entries = counts.Entries();
+    std::sort(entries.begin(), entries.end());
+    EXPECT_EQ(entries, expected) << label;
+    std::vector<double> lookups(probes.size());
+    counts.Lookup(&column, probes.size(), lookups.data());
+    EXPECT_EQ(lookups, expected_counts) << label;
+  }
 }
 
 TEST(CostModelTest, SequentialScanCostCorners) {
